@@ -4,13 +4,14 @@
 //! ```text
 //! hybrids-server [--addr 127.0.0.1:11211] [--workers 4]
 //!                [--buckets 1024] [--max-inflight 4] [--seed 42]
-//!                [--runtime blocking|evented] [--reactors 2]
+//!                [--runtime blocking|evented]
 //!                [--poller epoll|poll] [--idle-timeout-ms 60000]
 //! ```
 //!
 //! `--runtime blocking` (the default) serves one connection per worker
-//! thread; `--runtime evented` multiplexes all connections over epoll
-//! reactors while the same workers execute requests (DESIGN.md §4.12).
+//! thread; `--runtime evented` makes every worker an epoll reactor that
+//! multiplexes its share of the connections and executes their requests
+//! itself (DESIGN.md §4.12).
 //!
 //! The process runs until a client sends the `shutdown` verb (or the
 //! process is killed). On clean shutdown it prints a one-line summary of
@@ -24,7 +25,7 @@ use hybrids_server::{PollerKind, RuntimeKind, Server, ServerOpts};
 fn usage() -> ! {
     eprintln!(
         "usage: hybrids-server [--addr HOST:PORT] [--workers N] [--buckets N] \
-         [--max-inflight N] [--seed N] [--runtime blocking|evented] [--reactors N] \
+         [--max-inflight N] [--seed N] [--runtime blocking|evented] \
          [--poller epoll|poll] [--idle-timeout-ms MS]"
     );
     exit(2)
@@ -47,9 +48,6 @@ fn main() {
                 opts.runtime = RuntimeKind::parse(&val("--runtime"))
                     .unwrap_or_else(|| panic!("--runtime: blocking|evented"))
             }
-            "--reactors" => {
-                opts.evented.reactors = val("--reactors").parse().expect("--reactors: usize")
-            }
             "--poller" => {
                 opts.evented.poller = PollerKind::parse(&val("--poller"))
                     .unwrap_or_else(|| panic!("--poller: epoll|poll"))
@@ -69,7 +67,7 @@ fn main() {
     let server = match Server::start(&opts) {
         Ok(s) => s,
         Err(e) => {
-            eprintln!("hybrids-server: bind {} failed: {e}", opts.addr);
+            eprintln!("hybrids-server: {e}");
             exit(1)
         }
     };

@@ -17,12 +17,13 @@
 //! * [`ttl`] — memcached `exptime` semantics: absolute-expiry table,
 //!   lazy expiry on `get`, injectable clock,
 //! * [`runtime`] — the connection runtimes: the original blocking
-//!   thread-per-connection topology and the evented epoll/poll reactor
-//!   (connection state machines, idle timer wheel, write backpressure,
-//!   graceful drain),
-//! * [`server`] — the `hybrids-server` facade: acceptor + worker host
-//!   threads + per-partition combiner daemons over one native machine,
-//!   with `--runtime {blocking,evented}` selection,
+//!   thread-per-connection topology and the evented one, where every
+//!   worker is an epoll/poll reactor executing its own connections'
+//!   requests (connection state machines, idle timer wheel, write
+//!   backpressure, graceful drain),
+//! * [`server`] — the `hybrids-server` facade: worker host threads +
+//!   per-partition combiner daemons over one native machine, with
+//!   `--runtime {blocking,evented}` selection,
 //! * [`loadgen`] — the `hybrids-loadgen` client: deterministic
 //!   workload-driven request streams, closed- and open-loop latency
 //!   measurement, and the `BENCH_9.json` report,

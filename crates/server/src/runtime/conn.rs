@@ -9,12 +9,14 @@
 //!
 //! # Ordering
 //!
-//! Responses must leave in request order even though workers complete
-//! requests in any order. Each dispatched request takes the next sequence
-//! number and an empty slot in a ring; [`Conn::complete`] fills the slot,
-//! and the pump appends slots to the write buffer only in sequence order.
+//! Responses must leave in request order. Each dispatched request takes
+//! the next sequence number and an empty slot in a ring; the caller (the
+//! reactor, which executes a read round's requests in dispatch order
+//! before the next read) hands each response to [`Conn::complete`], and
+//! the pump appends slots to the write buffer only in sequence order — so
+//! the machine does not depend on the order completions arrive in.
 //! Inline responses (protocol errors, `shutdown`'s `OK`) go through the
-//! same slots so they interleave correctly with in-flight requests.
+//! same slots so they interleave correctly with dispatched requests.
 //!
 //! # Backpressure
 //!
@@ -188,8 +190,7 @@ impl<S: Read + Write> Conn<S> {
         }
     }
 
-    /// Deliver the response bytes for request `seq` (from a worker or an
-    /// inline path) and pump any newly-in-order slots to the write buffer.
+    /// Deliver the response bytes for request `seq` and pump any newly-in-order slots to the write buffer.
     pub fn complete(&mut self, seq: u64, bytes: Vec<u8>) {
         self.fill_slot(seq, bytes);
         self.pump();
@@ -364,7 +365,7 @@ mod tests {
         let mut dispatch = Vec::new();
         c.on_readable(&mut dispatch).unwrap();
         assert_eq!(dispatch.len(), 3);
-        // Workers answer 2, 0, 1 — the wire must still say 0, 1, 2.
+        // Answered 2, 0, 1 — the wire must still say 0, 1, 2.
         c.complete(dispatch[2].0, b"C".to_vec());
         assert!(!c.wants_write(), "seq 2 must wait for 0 and 1");
         c.complete(dispatch[0].0, b"A".to_vec());

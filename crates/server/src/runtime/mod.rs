@@ -6,11 +6,12 @@
 //!   acceptor feeds an mpsc channel; each worker (a host thread of the
 //!   native machine) owns one connection at a time, blocking on its
 //!   socket. Simple, and kept as the differential baseline.
-//! * **evented** — M reactor threads multiplex thousands of connections
-//!   over `epoll` (or `poll`), parse requests into a shared work queue,
-//!   and N native-machine workers execute them against the map and post
-//!   responses back to the owning reactor. Connections outnumber threads
-//!   by orders of magnitude; a worker never blocks on a slow peer.
+//! * **evented** — every worker (a host thread of the native machine) is
+//!   a reactor: it multiplexes its share of the connections over `epoll`
+//!   (or `poll`) and parses, executes and answers their requests itself.
+//!   Reactor 0 also accepts, dealing connections round-robin. Connections
+//!   outnumber threads by orders of magnitude, and a request never
+//!   changes threads.
 //!
 //! Both runtimes execute requests through the same
 //! [`Service`] layer, so for an identical request
@@ -25,16 +26,14 @@ pub mod timer;
 
 pub use conn::ConnCfg;
 pub use poller::PollerKind;
-pub use reactor::{Completion, ConnToken, ReactorCfg, ReactorHandle, WorkItem, WorkQueue};
+pub use reactor::ReactorHandle;
 
 use std::io;
 use std::net::TcpListener;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::AtomicBool;
 use std::sync::Arc;
-use std::thread::JoinHandle;
-use std::time::Duration;
 
-use nmp_sim::{NativeRun, ThreadCtx, ThreadKind};
+use nmp_sim::{NativeRun, ThreadKind};
 
 use crate::service::Service;
 
@@ -64,8 +63,6 @@ impl RuntimeKind {
 /// Evented-runtime tuning (all fields have serviceable defaults).
 #[derive(Debug, Clone, Copy)]
 pub struct EventedOpts {
-    /// Reactor (event-loop) threads.
-    pub reactors: usize,
     /// Close connections idle longer than this.
     pub idle_timeout_ms: u64,
     /// Graceful-shutdown drain budget before force-closing.
@@ -81,14 +78,15 @@ pub struct EventedOpts {
     /// Reactor tick (poll timeout / timer resolution), in milliseconds.
     pub tick_ms: u64,
     /// Cap each accepted socket's kernel send buffer (`SO_SNDBUF`);
-    /// `None` keeps the kernel default.
+    /// `None` keeps the kernel's auto-tuned default. Capping it makes the
+    /// userspace write-queue watermarks the real backpressure boundary
+    /// instead of multi-megabyte kernel buffers.
     pub sock_sndbuf: Option<usize>,
 }
 
 impl Default for EventedOpts {
     fn default() -> Self {
         EventedOpts {
-            reactors: 2,
             idle_timeout_ms: 60_000,
             drain_ms: 5_000,
             wq_high: 256 * 1024,
@@ -102,47 +100,19 @@ impl Default for EventedOpts {
 }
 
 impl EventedOpts {
-    fn reactor_cfg(&self) -> ReactorCfg {
-        ReactorCfg {
-            conn: ConnCfg {
-                wq_high: self.wq_high,
-                wq_low: self.wq_low,
-                max_inflight: self.max_inflight_per_conn,
-            },
-            idle_timeout_ms: self.idle_timeout_ms,
-            drain_ms: self.drain_ms,
-            tick_ms: self.tick_ms,
-            sock_sndbuf: self.sock_sndbuf,
+    pub(crate) fn conn_cfg(&self) -> ConnCfg {
+        ConnCfg {
+            wq_high: self.wq_high,
+            wq_low: self.wq_low,
+            max_inflight: self.max_inflight_per_conn,
         }
     }
 }
 
-/// Thread handles of a started evented runtime (joined by
-/// [`crate::server::Server::wait`]).
-pub(crate) struct Evented {
-    pub(crate) acceptor: JoinHandle<()>,
-    pub(crate) reactors: Vec<JoinHandle<()>>,
-    pub(crate) queues: Arc<Vec<WorkQueue>>,
-}
-
-impl Evented {
-    /// Join everything in dependency order: acceptor (exits on the
-    /// shutdown flag), then reactors (exit once drained — workers are
-    /// still alive here, so in-flight responses complete), then close the
-    /// queues so workers drain and exit. The caller finishes the native
-    /// run afterwards.
-    pub(crate) fn join(self) {
-        self.acceptor.join().expect("acceptor panicked");
-        for r in self.reactors {
-            r.join().expect("reactor panicked");
-        }
-        for q in self.queues.iter() {
-            q.close();
-        }
-    }
-}
-
-/// Wire up reactors, workers, and the acceptor for the evented runtime.
+/// Start the evented runtime: one reactor per worker, each spawned as host
+/// thread `core` of `run` (so [`NativeRun::finish`] joins them once they
+/// have drained, and propagates their panics), reactor 0 accepting from
+/// `listener`.
 pub(crate) fn start_evented(
     listener: TcpListener,
     service: Arc<Service>,
@@ -150,90 +120,17 @@ pub(crate) fn start_evented(
     workers: usize,
     shutdown: Arc<AtomicBool>,
     opts: &EventedOpts,
-) -> io::Result<Evented> {
-    assert!(opts.reactors >= 1, "need at least one reactor");
-    // One FIFO queue per worker: connections are pinned to a queue so
-    // their requests execute in order (see `reactor::sticky_queue`).
-    let queues: Arc<Vec<WorkQueue>> = Arc::new((0..workers).map(|_| WorkQueue::new()).collect());
-    let cfg = opts.reactor_cfg();
-
-    let mut handles = Vec::with_capacity(opts.reactors);
-    let mut reactors = Vec::with_capacity(opts.reactors);
-    for id in 0..opts.reactors {
-        let (reactor, handle) = Reactor::new(
-            id as u16,
-            opts.poller,
-            cfg,
-            Arc::clone(&queues),
-            Arc::clone(&service.counters),
-            Arc::clone(&shutdown),
-        )?;
-        handles.push(handle);
-        reactors.push(
-            std::thread::Builder::new()
-                .name(format!("reactor-{id}"))
-                .spawn(move || reactor.run())
-                .expect("spawn reactor"),
-        );
-    }
-
-    let handles = Arc::new(handles);
-    for core in 0..workers {
+) -> io::Result<()> {
+    let mut reactors = (0..workers)
+        .map(|_| Reactor::new(opts, Arc::clone(&service.counters), Arc::clone(&shutdown)))
+        .collect::<io::Result<Vec<_>>>()?;
+    let peers = reactors.iter().map(Reactor::handle).collect();
+    reactors[0].listen(listener, peers)?;
+    for (core, reactor) in reactors.into_iter().enumerate() {
         let service = Arc::clone(&service);
-        let queues = Arc::clone(&queues);
-        let handles = Arc::clone(&handles);
         run.spawn(format!("conn-{core}"), ThreadKind::Host { core }, move |ctx| {
-            worker_loop(ctx, &service, &queues[core], &handles);
+            reactor.run(ctx, &service);
         });
     }
-
-    let acceptor = {
-        let handles = Arc::clone(&handles);
-        let shutdown = Arc::clone(&shutdown);
-        std::thread::Builder::new()
-            .name("acceptor".into())
-            .spawn(move || accept_loop(listener, &handles, &shutdown))
-            .expect("spawn acceptor")
-    };
-
-    Ok(Evented { acceptor, reactors, queues })
-}
-
-/// Accept until shutdown, spreading connections round-robin over the
-/// reactors. Bursts are accepted back-to-back so a connection ramp (the
-/// 512-conn benchmark) isn't throttled by the idle sleep.
-fn accept_loop(listener: TcpListener, handles: &[ReactorHandle], shutdown: &AtomicBool) {
-    let mut next = 0usize;
-    while !shutdown.load(Ordering::Acquire) {
-        loop {
-            match listener.accept() {
-                Ok((stream, _)) => {
-                    handles[next % handles.len()].inject(stream);
-                    next += 1;
-                }
-                Err(e) if e.kind() == io::ErrorKind::WouldBlock => break,
-                Err(_) => break,
-            }
-        }
-        std::thread::sleep(Duration::from_millis(2));
-    }
-}
-
-/// A native-machine worker: pop from this worker's own queue, execute
-/// against the map, post the response back to the connection's reactor.
-fn worker_loop(
-    ctx: &mut ThreadCtx,
-    service: &Service,
-    queue: &WorkQueue,
-    handles: &[ReactorHandle],
-) {
-    while let Some(item) = queue.pop() {
-        let mut out = Vec::new();
-        service.execute(ctx, &item.cmd, &mut out);
-        handles[item.token.reactor as usize].complete(Completion {
-            token: item.token,
-            seq: item.seq,
-            bytes: out,
-        });
-    }
+    Ok(())
 }

@@ -1,22 +1,20 @@
-//! The reactor: one OS thread multiplexing many connections over a
-//! [`Poller`].
+//! The reactor-worker: one host thread of the native machine multiplexing
+//! many connections over a [`Poller`] and executing their requests itself.
 //!
-//! Each reactor owns a slab of [`Conn`] state machines. Readiness events
-//! drive reads and writes; parsed requests are pushed onto the shared
-//! [`WorkQueue`] tagged with a generation-guarded [`ConnToken`]; workers
-//! send finished responses back through the reactor's [`ReactorHandle`]
-//! mailbox and kick the self-pipe waker. Generations make stale
-//! completions (for a connection that died and whose slab slot was
-//! reused) harmless: the token's generation no longer matches and the
-//! bytes are dropped.
+//! Each reactor owns a slab of [`Conn`] state machines. A readiness event
+//! drives the whole request on this one thread: read and parse, run every
+//! dispatched command through [`Service::execute`] on the thread's own
+//! [`ThreadCtx`], fill the response slots, flush. Nothing is handed to
+//! another thread, so a connection's requests execute in arrival order by
+//! construction and a response can never outlive its connection.
 //!
-//! Reactors are plain OS threads, **not** host threads of the native
-//! machine — they never touch the hash map; only workers (which own a
-//! `ThreadCtx`) do.
+//! Reactor 0 also owns the listening socket: it accepts in its own event
+//! loop and deals connection *k* to reactor *k* mod N (itself included)
+//! through that reactor's [`ReactorHandle`] inbox and self-pipe waker —
+//! the only cross-thread traffic in the runtime.
 
-use std::collections::VecDeque;
 use std::io;
-use std::net::TcpStream;
+use std::net::{TcpListener, TcpStream};
 use std::os::unix::io::{AsRawFd, RawFd};
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -24,127 +22,22 @@ use std::time::{Duration, Instant};
 
 use parking_lot::Mutex;
 
-use crate::proto::Command;
-use crate::service::ServeCounters;
+use nmp_sim::ThreadCtx;
 
-use super::conn::{Conn, ConnCfg};
-use super::poller::{Interest, Poller, PollerKind};
+use crate::proto::Command;
+use crate::service::{ServeCounters, Service};
+
+use super::conn::Conn;
+use super::poller::{Interest, Poller};
 use super::sys;
 use super::timer::TimerWheel;
+use super::EventedOpts;
 
 /// Poller token reserved for the self-pipe waker.
 const WAKER_TOKEN: usize = usize::MAX;
 
-/// Which worker queue a connection's requests are pinned to.
-pub fn sticky_queue(reactor: u16, idx: usize, queues: usize) -> usize {
-    // Fibonacci-mix the slot so consecutive slots spread over workers;
-    // fold the reactor id in (pre-multiply, so it survives the shift) so
-    // two reactors' slot 0 diverge.
-    let h = ((idx as u64) ^ ((reactor as u64) << 20)).wrapping_mul(0x9e37_79b9_7f4a_7c15);
-    (h >> 32) as usize % queues
-}
-
-/// Identifies one connection generation on one reactor. A token whose
-/// `gen` no longer matches the slot's current generation is stale and is
-/// ignored on delivery.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct ConnToken {
-    /// Which reactor owns the connection.
-    pub reactor: u16,
-    /// Slab slot index.
-    pub idx: u32,
-    /// Slot generation at dispatch time.
-    pub gen: u32,
-}
-
-/// A finished response traveling worker → reactor.
-#[derive(Debug)]
-pub struct Completion {
-    /// The connection (generation-checked) the response belongs to.
-    pub token: ConnToken,
-    /// The request's per-connection sequence number.
-    pub seq: u64,
-    /// Wire bytes (possibly empty, e.g. `noreply`).
-    pub bytes: Vec<u8>,
-}
-
-/// One unit of work traveling reactor → worker.
-#[derive(Debug)]
-pub struct WorkItem {
-    /// Where the response goes.
-    pub token: ConnToken,
-    /// The request's per-connection sequence number.
-    pub seq: u64,
-    /// The parsed request.
-    pub cmd: Command,
-}
-
-/// A reactor→worker queue (std `Mutex` + `Condvar`; the vendored
-/// `parking_lot` deliberately omits a condvar).
-///
-/// Each worker owns one queue and every connection is routed to a fixed
-/// queue (sticky by slab slot), because **execution** order — not just
-/// response order — must match the blocking runtime: a `set` pipelined
-/// before a `get` has to be visible to it. A single shared queue with
-/// work-stealing workers would let two requests from one connection race
-/// on different workers; per-connection stickiness makes the FIFO queue
-/// itself the ordering guarantee, while distinct connections still
-/// execute in parallel.
-pub struct WorkQueue {
-    inner: std::sync::Mutex<QueueInner>,
-    cv: std::sync::Condvar,
-}
-
-struct QueueInner {
-    items: VecDeque<WorkItem>,
-    closed: bool,
-}
-
-impl WorkQueue {
-    /// Empty, open queue.
-    pub fn new() -> Self {
-        WorkQueue {
-            inner: std::sync::Mutex::new(QueueInner { items: VecDeque::new(), closed: false }),
-            cv: std::sync::Condvar::new(),
-        }
-    }
-
-    /// Enqueue one item and wake a worker.
-    pub fn push(&self, item: WorkItem) {
-        let mut g = self.inner.lock().unwrap();
-        g.items.push_back(item);
-        drop(g);
-        self.cv.notify_one();
-    }
-
-    /// Block until an item is available; `None` once the queue is closed
-    /// **and** drained (so no accepted request is ever dropped).
-    pub fn pop(&self) -> Option<WorkItem> {
-        let mut g = self.inner.lock().unwrap();
-        loop {
-            if let Some(item) = g.items.pop_front() {
-                return Some(item);
-            }
-            if g.closed {
-                return None;
-            }
-            g = self.cv.wait(g).unwrap();
-        }
-    }
-
-    /// Close the queue; blocked and future `pop`s return `None` once the
-    /// backlog drains.
-    pub fn close(&self) {
-        self.inner.lock().unwrap().closed = true;
-        self.cv.notify_all();
-    }
-}
-
-impl Default for WorkQueue {
-    fn default() -> Self {
-        WorkQueue::new()
-    }
-}
+/// Poller token reserved for the listening socket (reactor 0 only).
+const LISTENER_TOKEN: usize = usize::MAX - 1;
 
 /// The self-pipe write end plus its wake-once latch.
 struct Waker {
@@ -160,30 +53,18 @@ impl Drop for Waker {
     }
 }
 
-#[derive(Default)]
-struct Mailbox {
-    new_conns: Vec<TcpStream>,
-    completions: Vec<Completion>,
-}
-
-/// Cloneable remote control for a reactor: inject accepted connections,
-/// deliver completed responses.
+/// Cloneable inbox of a reactor: the accepting reactor hands it freshly
+/// accepted connections.
 #[derive(Clone)]
 pub struct ReactorHandle {
-    mailbox: Arc<Mutex<Mailbox>>,
+    inbox: Arc<Mutex<Vec<TcpStream>>>,
     waker: Arc<Waker>,
 }
 
 impl ReactorHandle {
     /// Hand a freshly accepted connection to the reactor.
     pub fn inject(&self, stream: TcpStream) {
-        self.mailbox.lock().new_conns.push(stream);
-        self.wake();
-    }
-
-    /// Deliver a finished response.
-    pub fn complete(&self, c: Completion) {
-        self.mailbox.lock().completions.push(c);
+        self.inbox.lock().push(stream);
         self.wake();
     }
 
@@ -196,100 +77,81 @@ impl ReactorHandle {
     }
 }
 
-/// Reactor tuning.
-#[derive(Debug, Clone, Copy)]
-pub struct ReactorCfg {
-    /// Per-connection buffer limits.
-    pub conn: ConnCfg,
-    /// Close connections idle longer than this.
-    pub idle_timeout_ms: u64,
-    /// Graceful-shutdown drain budget before force-closing.
-    pub drain_ms: u64,
-    /// Timer-wheel tick (also the poll timeout), in milliseconds.
-    pub tick_ms: u64,
-    /// Cap each accepted socket's kernel send buffer (`SO_SNDBUF`);
-    /// `None` keeps the kernel's auto-tuned default. Capping it makes the
-    /// userspace write-queue watermarks the real backpressure boundary
-    /// instead of multi-megabyte kernel buffers.
-    pub sock_sndbuf: Option<usize>,
-}
-
-impl Default for ReactorCfg {
-    fn default() -> Self {
-        ReactorCfg {
-            conn: ConnCfg::default(),
-            idle_timeout_ms: 60_000,
-            drain_ms: 5_000,
-            tick_ms: 20,
-            sock_sndbuf: None,
-        }
-    }
-}
-
 struct Entry {
     conn: Conn<TcpStream>,
     interest: Interest,
 }
 
-/// One reactor thread's state. Construct with [`Reactor::new`], then move
-/// into a thread and call [`Reactor::run`].
+/// The listening socket and the inboxes it deals to (reactor 0 only).
+struct Acceptor {
+    listener: TcpListener,
+    peers: Vec<ReactorHandle>,
+    /// Connections accepted so far; connection `k` goes to peer `k % N`.
+    accepted: usize,
+}
+
+/// One reactor-worker's state. Construct with [`Reactor::new`], then move
+/// into a host thread of the native run and call [`Reactor::run`].
 pub struct Reactor {
-    id: u16,
     poller: Box<dyn Poller>,
     waker_rx: RawFd,
     handle: ReactorHandle,
+    acceptor: Option<Acceptor>,
     entries: Vec<Option<Entry>>,
-    gens: Vec<u32>,
     free: Vec<usize>,
     wheel: TimerWheel,
-    cfg: ReactorCfg,
-    queues: Arc<Vec<WorkQueue>>,
+    opts: EventedOpts,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl Reactor {
-    /// Build a reactor and the handle used to feed it.
+    /// Build a reactor with an empty inbox and no listener.
     pub fn new(
-        id: u16,
-        kind: PollerKind,
-        cfg: ReactorCfg,
-        queues: Arc<Vec<WorkQueue>>,
+        opts: &EventedOpts,
         counters: Arc<ServeCounters>,
         shutdown: Arc<AtomicBool>,
-    ) -> io::Result<(Reactor, ReactorHandle)> {
-        let mut poller = kind.build()?;
+    ) -> io::Result<Reactor> {
+        let mut poller = opts.poller.build()?;
         let (waker_rx, waker_tx) = sys::pipe_nonblocking()?;
         poller.register(waker_rx, WAKER_TOKEN, Interest::READ)?;
-        let handle = ReactorHandle {
-            mailbox: Arc::new(Mutex::new(Mailbox::default())),
-            waker: Arc::new(Waker { fd: waker_tx, pending: AtomicBool::new(false) }),
-        };
-        Ok((
-            Reactor {
-                id,
-                poller,
-                waker_rx,
-                handle: handle.clone(),
-                entries: Vec::new(),
-                gens: Vec::new(),
-                free: Vec::new(),
-                wheel: TimerWheel::new(),
-                cfg,
-                queues,
-                counters,
-                shutdown,
+        Ok(Reactor {
+            poller,
+            waker_rx,
+            handle: ReactorHandle {
+                inbox: Arc::new(Mutex::new(Vec::new())),
+                waker: Arc::new(Waker { fd: waker_tx, pending: AtomicBool::new(false) }),
             },
-            handle,
-        ))
+            acceptor: None,
+            entries: Vec::new(),
+            free: Vec::new(),
+            wheel: TimerWheel::new(),
+            opts: *opts,
+            counters,
+            shutdown,
+        })
     }
 
-    /// The event loop. Returns once shutdown is requested and every
-    /// connection has drained (or the drain deadline forced the issue).
-    pub fn run(mut self) {
+    /// The inbox other threads feed this reactor through.
+    pub fn handle(&self) -> ReactorHandle {
+        self.handle.clone()
+    }
+
+    /// Make this reactor the acceptor: watch the (non-blocking) `listener`
+    /// and deal its connections round-robin over `peers`.
+    pub fn listen(&mut self, listener: TcpListener, peers: Vec<ReactorHandle>) -> io::Result<()> {
+        self.poller.register(listener.as_raw_fd(), LISTENER_TOKEN, Interest::READ)?;
+        self.acceptor = Some(Acceptor { listener, peers, accepted: 0 });
+        Ok(())
+    }
+
+    /// The event loop, run on host thread `ctx`. Returns once shutdown is
+    /// requested and every connection has drained (or the drain deadline
+    /// forced the issue).
+    pub fn run(mut self, ctx: &mut ThreadCtx, service: &Service) {
         let epoch = Instant::now();
-        let tick_ms = self.cfg.tick_ms.max(1);
-        let idle_ticks = (self.cfg.idle_timeout_ms / tick_ms).max(1);
+        let tick_ms = self.opts.tick_ms.max(1);
+        let idle_ticks = (self.opts.idle_timeout_ms / tick_ms).max(1);
         let mut events = Vec::new();
         let mut dispatch: Vec<(u64, Command)> = Vec::new();
         let mut expired: Vec<usize> = Vec::new();
@@ -306,27 +168,23 @@ impl Reactor {
             let now_tick = epoch.elapsed().as_millis() as u64 / tick_ms;
 
             // Self-pipe first, so the pending latch resets before the
-            // mailbox is swapped (a wake raced in after the swap will
-            // land a fresh byte and re-wake us next iteration).
+            // inbox is swapped (a wake raced in after the swap will land
+            // a fresh byte and re-wake us next iteration).
             if events.iter().any(|e| e.token == WAKER_TOKEN) {
                 let mut sink = [0u8; 64];
                 while matches!(sys::read_fd(self.waker_rx, &mut sink), Ok(n) if n > 0) {}
             }
             self.handle.waker.pending.store(false, Ordering::Release);
-            let (new_conns, completions) = {
-                let mut mb = self.handle.mailbox.lock();
-                (std::mem::take(&mut mb.new_conns), std::mem::take(&mut mb.completions))
-            };
+            let new_conns = std::mem::take(&mut *self.handle.inbox.lock());
             for stream in new_conns {
                 self.admit(stream, now_tick, idle_ticks, draining);
             }
-            for c in completions {
-                self.deliver(c, now_tick);
-            }
 
             for &ev in &events {
-                if ev.token != WAKER_TOKEN {
-                    self.handle_event(ev, now_tick, &mut dispatch);
+                match ev.token {
+                    WAKER_TOKEN => {}
+                    LISTENER_TOKEN => self.accept(),
+                    _ => self.handle_event(ev, now_tick, ctx, service, &mut dispatch),
                 }
             }
 
@@ -338,9 +196,15 @@ impl Reactor {
                 last_tick = now_tick;
             }
 
-            if !draining && self.shutdown.load(Ordering::Acquire) {
+            // `stop_requested` is the native run's flag: a sibling
+            // reactor-worker panicked, so drain instead of serving on.
+            if !draining && (self.shutdown.load(Ordering::Acquire) || ctx.stop_requested()) {
                 draining = true;
-                drain_deadline = Instant::now() + Duration::from_millis(self.cfg.drain_ms);
+                drain_deadline = Instant::now() + Duration::from_millis(self.opts.drain_ms);
+                if let Some(acceptor) = self.acceptor.take() {
+                    // Dropping the listener refuses further connects.
+                    let _ = self.poller.deregister(acceptor.listener.as_raw_fd());
+                }
                 for idx in 0..self.entries.len() {
                     if let Some(entry) = self.entries[idx].as_mut() {
                         entry.conn.begin_close();
@@ -370,6 +234,20 @@ impl Reactor {
         }
     }
 
+    /// Accept every pending connection (one readiness event can stand for
+    /// a burst of connects) and deal each to the next peer in turn.
+    fn accept(&mut self) {
+        let Some(acceptor) = self.acceptor.as_mut() else {
+            return; // a stale event from before the listener was dropped
+        };
+        // `WouldBlock` ends the burst; any other error is retried on the
+        // next (level-triggered) readiness event.
+        while let Ok((stream, _)) = acceptor.listener.accept() {
+            acceptor.peers[acceptor.accepted % acceptor.peers.len()].inject(stream);
+            acceptor.accepted += 1;
+        }
+    }
+
     /// Register a freshly accepted connection (or drop it mid-drain).
     fn admit(&mut self, stream: TcpStream, now_tick: u64, idle_ticks: u64, draining: bool) {
         if draining {
@@ -378,47 +256,33 @@ impl Reactor {
         if stream.set_nonblocking(true).is_err() || stream.set_nodelay(true).is_err() {
             return;
         }
-        if let Some(bytes) = self.cfg.sock_sndbuf {
+        if let Some(bytes) = self.opts.sock_sndbuf {
             // Best effort: a socket that keeps the kernel default still
             // works, it just backpressures later.
             let _ = sys::set_send_buffer(stream.as_raw_fd(), bytes);
         }
-        let idx = match self.free.pop() {
-            Some(idx) => idx,
-            None => {
-                self.entries.push(None);
-                self.gens.push(0);
-                self.entries.len() - 1
-            }
-        };
+        let idx = self.free.pop().unwrap_or_else(|| {
+            self.entries.push(None);
+            self.entries.len() - 1
+        });
         if self.poller.register(stream.as_raw_fd(), idx, Interest::READ).is_err() {
             self.free.push(idx);
             return;
         }
-        let mut conn = Conn::new(stream, self.cfg.conn);
+        let mut conn = Conn::new(stream, self.opts.conn_cfg());
         conn.last_active = now_tick;
         self.entries[idx] = Some(Entry { conn, interest: Interest::READ });
         self.wheel.insert(idx, now_tick + idle_ticks);
     }
 
-    /// Route a worker's completion to its connection, unless stale.
-    fn deliver(&mut self, c: Completion, now_tick: u64) {
-        let idx = c.token.idx as usize;
-        if idx >= self.entries.len() || self.gens[idx] != c.token.gen {
-            return; // connection died while the request was in flight
-        }
-        if let Some(entry) = self.entries[idx].as_mut() {
-            entry.conn.complete(c.seq, c.bytes);
-            entry.conn.last_active = now_tick;
-        }
-        self.post_io(idx);
-    }
-
-    /// React to one readiness event on a connection.
+    /// React to one readiness event on a connection: read, parse, execute
+    /// what was dispatched, and queue the responses, all on this thread.
     fn handle_event(
         &mut self,
         ev: super::poller::Event,
         now_tick: u64,
+        ctx: &mut ThreadCtx,
+        service: &Service,
         dispatch: &mut Vec<(u64, Command)>,
     ) {
         let idx = ev.token;
@@ -436,12 +300,13 @@ impl Reactor {
                 }
                 Err(_) => dead = true,
             }
-            let token = ConnToken { reactor: self.id, idx: idx as u32, gen: self.gens[idx] };
-            // Sticky routing: all of this connection's requests go to one
-            // worker's FIFO queue, preserving execution order.
-            let qi = sticky_queue(self.id, idx, self.queues.len());
+            // One read round dispatches at most `max_inflight_per_conn`
+            // requests plus a chunk's worth, which bounds how long this
+            // connection keeps the reactor from its neighbours.
             for (seq, cmd) in dispatch.drain(..) {
-                self.queues[qi].push(WorkItem { token, seq, cmd });
+                let mut out = Vec::new();
+                service.execute(ctx, &cmd, &mut out);
+                entry.conn.complete(seq, out);
             }
         }
         if ev.hangup {
@@ -511,7 +376,6 @@ impl Reactor {
             return;
         };
         let _ = self.poller.deregister(entry.conn.stream().as_raw_fd());
-        self.gens[idx] = self.gens[idx].wrapping_add(1);
         self.free.push(idx);
         self.counters.conns.fetch_add(1, Ordering::Relaxed);
         // Dropping the entry closes the socket.
@@ -526,31 +390,16 @@ impl Drop for Reactor {
 
 #[cfg(test)]
 mod tests {
+    use super::super::poller::PollerKind;
     use super::*;
-
-    #[test]
-    fn work_queue_drains_backlog_after_close() {
-        let q = WorkQueue::new();
-        let token = ConnToken { reactor: 0, idx: 0, gen: 0 };
-        q.push(WorkItem { token, seq: 0, cmd: Command::Get(vec![1]) });
-        q.push(WorkItem { token, seq: 1, cmd: Command::Get(vec![2]) });
-        q.close();
-        // Already-queued work survives the close…
-        assert_eq!(q.pop().unwrap().seq, 0);
-        assert_eq!(q.pop().unwrap().seq, 1);
-        // …then pops report closure.
-        assert!(q.pop().is_none());
-        assert!(q.pop().is_none());
-    }
 
     #[test]
     fn waker_collapses_repeat_wakes() {
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServeCounters::default());
-        let queues = Arc::new(vec![WorkQueue::new()]);
-        let (reactor, handle) =
-            Reactor::new(0, PollerKind::Poll, ReactorCfg::default(), queues, counters, shutdown)
-                .unwrap();
+        let opts = EventedOpts { poller: PollerKind::Poll, ..EventedOpts::default() };
+        let reactor = Reactor::new(&opts, counters, shutdown).unwrap();
+        let handle = reactor.handle();
         // First wake writes a byte and latches; repeats are absorbed.
         handle.wake();
         assert!(handle.waker.pending.load(Ordering::Acquire));

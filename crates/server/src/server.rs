@@ -8,9 +8,9 @@
 //! * **blocking** — an acceptor OS thread `accept()`s connections and
 //!   feeds them through a channel to `workers` connection workers; each
 //!   worker owns one connection at a time, blocking on its socket.
-//! * **evented** — reactor threads multiplex all connections over
-//!   epoll/poll and feed parsed requests to the same workers through a
-//!   work queue (see [`crate::runtime`]).
+//! * **evented** — each of the `workers` is a reactor: it multiplexes its
+//!   share of the connections over epoll/poll and executes their requests
+//!   inline; worker 0 also accepts (see [`crate::runtime`]).
 //!
 //! In both, each worker is a *host thread of the native run* (a distinct
 //! host core of the machine model), so its [`ThreadCtx`] can drive the
@@ -90,17 +90,13 @@ pub fn max_viable_workers(cfg: &Config, max_inflight: usize) -> usize {
     (cfg.scratchpad_bytes / (publist::SLOT_BYTES * max_inflight.max(1) as u32)) as usize
 }
 
-/// Runtime-specific thread handles behind the [`Server`] facade.
-enum Inner {
-    Blocking { acceptor: JoinHandle<()> },
-    Evented(runtime::Evented),
-}
-
 /// A running server (listener + native run), either runtime.
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    inner: Inner,
+    /// The blocking runtime's acceptor OS thread; the evented runtime has
+    /// no thread outside `run`.
+    acceptor: Option<JoinHandle<()>>,
     run: NativeRun,
     map: Arc<HybridHashMap>,
     counters: Arc<ServeCounters>,
@@ -134,7 +130,8 @@ impl Server {
         let map =
             HybridHashMap::new(Arc::clone(&machine), opts.buckets, opts.seed, opts.max_inflight);
 
-        let listener = TcpListener::bind(&opts.addr)?;
+        let listener = TcpListener::bind(&opts.addr)
+            .map_err(|e| io::Error::new(e.kind(), format!("bind {} failed: {e}", opts.addr)))?;
         let addr = listener.local_addr()?;
         listener.set_nonblocking(true)?;
 
@@ -148,7 +145,7 @@ impl Server {
         let mut run = machine.native_run();
         map.spawn_services_on(&mut run);
 
-        let inner = match opts.runtime {
+        let acceptor = match opts.runtime {
             RuntimeKind::Blocking => {
                 let (tx, rx) = mpsc::channel::<TcpStream>();
                 let rx = Arc::new(Mutex::new(rx));
@@ -160,26 +157,28 @@ impl Server {
                         blocking_worker_loop(ctx, &service, &rx, &shutdown);
                     });
                 }
-                let acceptor = {
-                    let shutdown = Arc::clone(&shutdown);
+                let shutdown = Arc::clone(&shutdown);
+                Some(
                     std::thread::Builder::new()
                         .name("acceptor".into())
                         .spawn(move || blocking_accept_loop(listener, tx, &shutdown))
-                        .expect("spawn acceptor")
-                };
-                Inner::Blocking { acceptor }
+                        .expect("spawn acceptor"),
+                )
             }
-            RuntimeKind::Evented => Inner::Evented(runtime::start_evented(
-                listener,
-                Arc::clone(&service),
-                &mut run,
-                opts.workers,
-                Arc::clone(&shutdown),
-                &opts.evented,
-            )?),
+            RuntimeKind::Evented => {
+                runtime::start_evented(
+                    listener,
+                    Arc::clone(&service),
+                    &mut run,
+                    opts.workers,
+                    Arc::clone(&shutdown),
+                    &opts.evented,
+                )?;
+                None
+            }
         };
 
-        Ok(Server { addr, shutdown, inner, run, map, counters })
+        Ok(Server { addr, shutdown, acceptor, run, map, counters })
     }
 
     /// The bound address (resolves port 0).
@@ -200,16 +199,14 @@ impl Server {
     /// Block until shutdown, join every thread, and hand back the map and
     /// counters for inspection.
     pub fn wait(self) -> (Arc<HybridHashMap>, Arc<ServeCounters>) {
-        let Server { inner, run, map, counters, .. } = self;
-        match inner {
-            Inner::Blocking { acceptor } => {
-                acceptor.join().expect("acceptor panicked");
-                // Workers exit once the acceptor drops the sender and the
-                // queue drains.
-            }
-            Inner::Evented(evented) => evented.join(),
+        let Server { acceptor, run, map, counters, .. } = self;
+        if let Some(acceptor) = acceptor {
+            // Blocking workers exit once the acceptor drops the sender and
+            // the channel drains.
+            acceptor.join().expect("acceptor panicked");
         }
-        // finish() then stops the combiner daemons.
+        // finish() joins the workers (evented: each reactor returns once
+        // it has drained), then stops the combiner daemons.
         run.finish();
         (map, counters)
     }

@@ -6,8 +6,8 @@
 //! differential tests meaningful: for an identical request stream the two
 //! runtimes produce byte-identical response streams because every
 //! `get`/`set`/`delete` funnels through [`Service::execute`] — the
-//! runtimes differ only in how sockets are multiplexed, never in
-//! semantics. TTL (`exptime`) handling lives here too, so expiry behaves
+//! runtimes differ only in how sockets are multiplexed (one connection
+//! per worker, or many per reactor-worker), never in semantics. TTL (`exptime`) handling lives here too, so expiry behaves
 //! identically across runtimes.
 
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -51,8 +51,9 @@ pub struct ServeCounters {
     pub idle_evicted: AtomicU64,
 }
 
-/// The map, its TTL table, and the counters — everything a worker thread
-/// needs to serve requests.
+/// The map, its TTL table, and the counters — everything a worker (a
+/// blocking connection worker or an evented reactor) needs to serve
+/// requests on its own host thread.
 pub struct Service {
     /// The hash map being served.
     pub map: Arc<HybridHashMap>,

@@ -16,8 +16,8 @@
 //!   connections are *never adopted* and show up as `starved_conns`,
 //!   with only the adopted connections' requests completing.
 //! * **evented** serves every connection count with the same small fixed
-//!   worker pool behind two reactors — multiplexing is exactly what
-//!   frees it from the scratchpad ceiling.
+//!   pool of reactor-workers — multiplexing is exactly what frees it
+//!   from the scratchpad ceiling.
 //!
 //! The [`SweepSummary`] compares the two at the largest swept connection
 //! count; `BENCH_10.json` is this report serialized.

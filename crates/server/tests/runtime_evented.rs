@@ -16,9 +16,13 @@ use hybrids_server::{Clock, EventedOpts, RuntimeKind, Server, ServerOpts};
 
 /// Evented server on an ephemeral port with test-friendly tuning.
 fn evented_server(evented: EventedOpts, clock: Clock) -> Server {
+    evented_server_with(2, evented, clock)
+}
+
+fn evented_server_with(workers: usize, evented: EventedOpts, clock: Clock) -> Server {
     Server::start(&ServerOpts {
         addr: "127.0.0.1:0".into(),
-        workers: 2,
+        workers,
         buckets: 256,
         max_inflight: 2,
         seed: 42,
@@ -273,6 +277,109 @@ fn non_draining_reader_trips_backpressure_without_unbounded_buffering() {
         counters.backpressure_pauses.load(Ordering::Relaxed) > 0,
         "a non-draining reader never parked read interest"
     );
+}
+
+#[test]
+fn parked_peer_does_not_stall_its_reactor_neighbours() {
+    // One worker, so A and B share a reactor and every request of either
+    // executes on that one thread. Watermarks as in the backpressure test.
+    let opts = EventedOpts {
+        wq_high: 1024,
+        wq_low: 256,
+        sock_sndbuf: Some(16 * 1024),
+        ..EventedOpts::default()
+    };
+    let server = evented_server_with(1, opts, Clock::System);
+    let addr = server.addr();
+    let counters = server.counters();
+
+    let mut a = TcpStream::connect(addr).unwrap();
+    a.write_all(b"set 7 0 0 3\r\n123\r\n").unwrap();
+    assert_eq!(read_exactly(&mut a, 8), b"STORED\r\n");
+
+    // A pipelines gets and never reads a byte back; its writer stops on
+    // `stop`, or on the error from A's socket being shut down under it.
+    let stop = Arc::new(AtomicBool::new(false));
+    let writer = {
+        let mut a = a.try_clone().unwrap();
+        let stop = Arc::clone(&stop);
+        std::thread::spawn(move || {
+            let batch = b"get 7\r\n".repeat(512);
+            while !stop.load(Ordering::Acquire) && a.write_all(&batch).is_ok() {}
+        })
+    };
+
+    // B round-trips on the same reactor while A floods it and after A is
+    // parked; the read timeout is each round trip's deadline.
+    let mut b = TcpStream::connect(addr).unwrap();
+    b.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
+    let trip_deadline = Instant::now() + Duration::from_secs(30);
+    let mut after_park = 0;
+    let mut value = 0u32;
+    while after_park < 20 {
+        if counters.backpressure_pauses.load(Ordering::Relaxed) > 0 {
+            after_park += 1;
+        } else {
+            assert!(Instant::now() < trip_deadline, "A never parked read interest");
+        }
+        value += 1;
+        let mut wire =
+            proto::encode_request(&Command::Set { key: 9, value, exptime: 0, noreply: false });
+        wire.extend_from_slice(&proto::encode_request(&Command::Get(vec![9])));
+        b.write_all(&wire).unwrap();
+        let mut want = proto::encode_stored().to_vec();
+        want.extend_from_slice(&proto::encode_get(&[(9, value)]));
+        assert_eq!(read_exactly(&mut b, want.len()), want, "B stalled or misread behind A");
+    }
+
+    stop.store(true, Ordering::Release);
+    a.shutdown(std::net::Shutdown::Both).unwrap();
+    writer.join().expect("writer thread panicked");
+    drop(a);
+    drop(b);
+
+    shut_down(addr);
+    server.wait();
+}
+
+#[test]
+fn pipelined_get_sees_the_set_before_it_on_every_connection() {
+    const CONNS: u32 = 64;
+    const KEYS: u32 = 50;
+    let server = evented_server(EventedOpts::default(), Clock::System);
+    let addr = server.addr();
+
+    // Every connection sends its whole pipeline before any is read, so
+    // both reactor-workers execute interleaved connections at once.
+    let mut conns = Vec::new();
+    for c in 0..CONNS {
+        let mut s = TcpStream::connect(addr).unwrap();
+        let (mut wire, mut want) = (Vec::new(), Vec::new());
+        for i in 0..KEYS {
+            let (key, value) = (c * KEYS + i + 1, c * 1000 + i + 1);
+            wire.extend_from_slice(&proto::encode_request(&Command::Set {
+                key,
+                value,
+                exptime: 0,
+                noreply: false,
+            }));
+            wire.extend_from_slice(&proto::encode_request(&Command::Get(vec![key])));
+            want.extend_from_slice(proto::encode_stored());
+            want.extend_from_slice(&proto::encode_get(&[(key, value)]));
+        }
+        s.write_all(&wire).unwrap();
+        conns.push((s, want));
+    }
+    for (c, (mut s, want)) in conns.into_iter().enumerate() {
+        s.set_read_timeout(Some(Duration::from_secs(10))).unwrap();
+        let got = read_exactly(&mut s, want.len());
+        assert_eq!(got, want, "connection {c}: a get missed the set pipelined before it");
+    }
+
+    shut_down(addr);
+    let (map, _) = server.wait();
+    map.check_invariants();
+    assert_eq!(map.collect().len(), (CONNS * KEYS) as usize);
 }
 
 #[test]
