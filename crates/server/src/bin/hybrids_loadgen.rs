@@ -1,49 +1,39 @@
 //! `hybrids-loadgen` — drive a running `hybrids-server` with a
 //! deterministic get/set/delete mix and write the throughput/latency
-//! report to `BENCH_9.json`, or run the blocking-vs-evented
-//! connection-scaling sweep into `BENCH_10.json`.
+//! report to `BENCH_9.json`.
 //!
 //! ```text
 //! hybrids-loadgen [--addr 127.0.0.1:11211] [--conns 4] [--ops 5000]
 //!                 [--mix 90/9/1] [--dist zipfian|uniform] [--keys 4096]
-//!                 [--seed 42] [--rate OPS_PER_SEC] [--no-preload]
-//!                 [--shutdown] [--out BENCH_9.json]
-//!
-//! hybrids-loadgen --sweep [--sweep-conns 4,64,512] [--sweep-ops 25600]
-//!                 [--evented-workers 4] [--rate OPS_PER_SEC]
-//!                 [--keys 4096] [--seed 42] [--out BENCH_10.json]
+//!                 [--seed 42] [--rate OPS_PER_SEC] [--client-threads 0]
+//!                 [--pipeline 1] [--no-preload] [--shutdown]
+//!                 [--out BENCH_9.json]
 //! ```
 //!
 //! `--ops` is per connection; `--rate` switches to open-loop arrivals
 //! (total requests/second across connections, latency measured from each
 //! request's scheduled due time). `--client-threads` multiplexes the
 //! connections over a small client pool (closed-loop only; `0` = one
-//! thread per connection). `--shutdown` sends the server the
-//! `shutdown` verb after the run (CI teardown). `--sweep` starts its own
-//! servers in-process — `--addr` is ignored. `--out -` prints the JSON to
-//! stdout only.
+//! thread per connection), each connection keeping `--pipeline` requests
+//! outstanding. `--shutdown` sends the server the `shutdown` verb after
+//! the run (CI teardown). `--out -` prints the JSON to stdout only.
 
 use std::process::exit;
 
 use hybrids_server::loadgen::{self, LoadgenOpts};
-use hybrids_server::sweep::{self, SweepOpts};
 use workloads::{CacheMix, KeyDist};
 
 fn usage() -> ! {
     eprintln!(
         "usage: hybrids-loadgen [--addr HOST:PORT] [--conns N] [--ops N] [--mix G/S/D] \
          [--dist zipfian|uniform] [--keys N] [--seed N] [--rate N] [--client-threads N] \
-         [--pipeline N] [--no-preload] [--shutdown] [--out PATH]\n       hybrids-loadgen --sweep \
-         [--sweep-conns A,B,C] [--sweep-ops N] [--evented-workers N] [--rate N] \
-         [--client-threads N] [--pipeline N] [--keys N] [--seed N] [--out PATH]"
+         [--pipeline N] [--no-preload] [--shutdown] [--out PATH]"
     );
     exit(2)
 }
 
 fn main() {
     let mut opts = LoadgenOpts::default();
-    let mut sweep_opts = SweepOpts::default();
-    let mut do_sweep = false;
     let mut out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
@@ -52,31 +42,14 @@ fn main() {
             "--addr" => opts.addr = val("--addr"),
             "--conns" => opts.conns = val("--conns").parse().expect("--conns: u32"),
             "--ops" => opts.per_conn = val("--ops").parse().expect("--ops: u32"),
-            "--seed" => {
-                let seed = val("--seed").parse().expect("--seed: u64");
-                opts.seed = seed;
-                sweep_opts.seed = seed;
-            }
-            "--keys" => {
-                let keys = val("--keys").parse().expect("--keys: u32");
-                opts.keys = keys;
-                sweep_opts.keys = keys;
-            }
-            "--rate" => {
-                let rate = val("--rate").parse().expect("--rate: u32");
-                opts.rate = Some(rate);
-                sweep_opts.rate = Some(rate);
-            }
+            "--seed" => opts.seed = val("--seed").parse().expect("--seed: u64"),
+            "--keys" => opts.keys = val("--keys").parse().expect("--keys: u32"),
+            "--rate" => opts.rate = Some(val("--rate").parse().expect("--rate: u32")),
             "--client-threads" => {
-                let n = val("--client-threads").parse().expect("--client-threads: u32");
-                opts.client_threads = n;
-                sweep_opts.client_threads = n;
+                opts.client_threads =
+                    val("--client-threads").parse().expect("--client-threads: u32")
             }
-            "--pipeline" => {
-                let n = val("--pipeline").parse().expect("--pipeline: u32");
-                opts.pipeline = n;
-                sweep_opts.pipeline = n;
-            }
+            "--pipeline" => opts.pipeline = val("--pipeline").parse().expect("--pipeline: u32"),
             "--mix" => {
                 let s = val("--mix");
                 opts.mix = CacheMix::parse(&s).unwrap_or_else(|| {
@@ -96,20 +69,6 @@ fn main() {
             }
             "--no-preload" => opts.preload = false,
             "--shutdown" => opts.shutdown = true,
-            "--sweep" => do_sweep = true,
-            "--sweep-conns" => {
-                sweep_opts.conn_counts = val("--sweep-conns")
-                    .split(',')
-                    .map(|s| s.trim().parse().expect("--sweep-conns: comma-separated u32"))
-                    .collect();
-            }
-            "--sweep-ops" => {
-                sweep_opts.total_ops = val("--sweep-ops").parse().expect("--sweep-ops: u32")
-            }
-            "--evented-workers" => {
-                sweep_opts.evented_workers =
-                    val("--evented-workers").parse().expect("--evented-workers: usize")
-            }
             "--out" => out_path = Some(val("--out")),
             "--help" | "-h" => usage(),
             other => {
@@ -119,52 +78,24 @@ fn main() {
         }
     }
 
-    let (json, line, out_path) = if do_sweep {
-        let report = match sweep::run(&sweep_opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("hybrids-loadgen: sweep failed: {e}");
-                exit(1)
-            }
-        };
-        let s = &report.summary;
-        (
-            serde_json::to_string_pretty(&report).expect("serialize sweep report"),
-            format!(
-                "hybrids-loadgen: at {} conns evented {:.0} ops/s vs blocking {:.0} ops/s \
-                 ({:.1}x, blocking workers {}, blocking starved {} conns)",
-                s.conns,
-                s.evented_ops_per_sec,
-                s.blocking_ops_per_sec,
-                s.evented_vs_blocking,
-                s.blocking_workers,
-                s.blocking_starved_conns
-            ),
-            out_path.unwrap_or_else(|| "BENCH_10.json".into()),
-        )
-    } else {
-        let report = match loadgen::run(&opts) {
-            Ok(r) => r,
-            Err(e) => {
-                eprintln!("hybrids-loadgen: run against {} failed: {e}", opts.addr);
-                exit(1)
-            }
-        };
-        (
-            serde_json::to_string(&report).expect("serialize report"),
-            format!(
-                "hybrids-loadgen: {:.0} ops/s, p50 {:.1}us p95 {:.1}us p99 {:.1}us",
-                report.ops_per_sec, report.p50_us, report.p95_us, report.p99_us
-            ),
-            out_path.unwrap_or_else(|| "BENCH_9.json".into()),
-        )
+    let report = match loadgen::run(&opts) {
+        Ok(r) => r,
+        Err(e) => {
+            eprintln!("hybrids-loadgen: run against {} failed: {e}", opts.addr);
+            exit(1)
+        }
     };
+    let json = serde_json::to_string(&report).expect("serialize report");
+    let out_path = out_path.unwrap_or_else(|| "BENCH_9.json".into());
     println!("{json}");
     if out_path != "-" {
         if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
             eprintln!("hybrids-loadgen: writing {out_path} failed: {e}");
             exit(1)
         }
-        eprintln!("{line} -> {out_path}");
+        eprintln!(
+            "hybrids-loadgen: {:.0} ops/s, p50 {:.1}us p95 {:.1}us p99 {:.1}us -> {out_path}",
+            report.ops_per_sec, report.p50_us, report.p95_us, report.p99_us
+        );
     }
 }

@@ -4,58 +4,56 @@
 //! ```text
 //! hybrids-server [--addr 127.0.0.1:11211] [--workers 4]
 //!                [--buckets 1024] [--max-inflight 4] [--seed 42]
-//!                [--runtime blocking|evented]
-//!                [--poller epoll|poll] [--idle-timeout-ms 60000]
+//!                [--idle-timeout-ms 60000]
 //! ```
 //!
-//! `--runtime blocking` (the default) serves one connection per worker
-//! thread; `--runtime evented` makes every worker an epoll reactor that
+//! Every worker is an epoll reactor (`poll(2)` off Linux) that
 //! multiplexes its share of the connections and executes their requests
-//! itself (DESIGN.md §4.12).
+//! itself (DESIGN.md §4.12), so `--workers` bounds threads, not
+//! connections.
 //!
 //! The process runs until a client sends the `shutdown` verb (or the
 //! process is killed). On clean shutdown it prints a one-line summary of
 //! served traffic to stdout.
 
 use std::process::exit;
+use std::str::FromStr;
 use std::sync::atomic::Ordering;
 
-use hybrids_server::{PollerKind, RuntimeKind, Server, ServerOpts};
+use hybrids_server::{Server, ServerOpts};
 
 fn usage() -> ! {
     eprintln!(
         "usage: hybrids-server [--addr HOST:PORT] [--workers N] [--buckets N] \
-         [--max-inflight N] [--seed N] [--runtime blocking|evented] \
-         [--poller epoll|poll] [--idle-timeout-ms MS]"
+         [--max-inflight N] [--seed N] [--idle-timeout-ms MS]"
     );
     exit(2)
+}
+
+/// The value following `flag`, parsed; a missing or malformed one is a
+/// usage error.
+fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
+    let Some(raw) = args.next() else {
+        eprintln!("{flag} needs a value");
+        usage()
+    };
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: cannot parse {raw:?}");
+        usage()
+    })
 }
 
 fn main() {
     let mut opts = ServerOpts::default();
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut val = |name: &str| args.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match flag.as_str() {
-            "--addr" => opts.addr = val("--addr"),
-            "--workers" => opts.workers = val("--workers").parse().expect("--workers: usize"),
-            "--buckets" => opts.buckets = val("--buckets").parse().expect("--buckets: u32"),
-            "--max-inflight" => {
-                opts.max_inflight = val("--max-inflight").parse().expect("--max-inflight: usize")
-            }
-            "--seed" => opts.seed = val("--seed").parse().expect("--seed: u64"),
-            "--runtime" => {
-                opts.runtime = RuntimeKind::parse(&val("--runtime"))
-                    .unwrap_or_else(|| panic!("--runtime: blocking|evented"))
-            }
-            "--poller" => {
-                opts.evented.poller = PollerKind::parse(&val("--poller"))
-                    .unwrap_or_else(|| panic!("--poller: epoll|poll"))
-            }
-            "--idle-timeout-ms" => {
-                opts.evented.idle_timeout_ms =
-                    val("--idle-timeout-ms").parse().expect("--idle-timeout-ms: u64")
-            }
+            "--addr" => opts.addr = value(&flag, &mut args),
+            "--workers" => opts.workers = value(&flag, &mut args),
+            "--buckets" => opts.buckets = value(&flag, &mut args),
+            "--max-inflight" => opts.max_inflight = value(&flag, &mut args),
+            "--seed" => opts.seed = value(&flag, &mut args),
+            "--idle-timeout-ms" => opts.evented.idle_timeout_ms = value(&flag, &mut args),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");
@@ -72,11 +70,10 @@ fn main() {
         }
     };
     println!(
-        "hybrids-server listening on {} ({} workers, {} buckets, runtime {:?}, backend native)",
+        "hybrids-server listening on {} ({} workers, {} buckets, backend native)",
         server.addr(),
         opts.workers,
         opts.buckets,
-        opts.runtime,
     );
     let (map, counters) = server.wait();
     map.check_invariants();

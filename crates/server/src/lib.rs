@@ -12,23 +12,18 @@
 //! * [`proto`] — incremental memcached text parser (pipelining,
 //!   partial-frame buffering, malformed-input tolerance) and the
 //!   reference response encoders,
-//! * [`service`] — the shared request-execution layer both runtimes
-//!   funnel through (byte-identical responses by construction),
+//! * [`service`] — the request-execution layer: one code path from a
+//!   parsed command to response bytes,
 //! * [`ttl`] — memcached `exptime` semantics: absolute-expiry table,
 //!   lazy expiry on `get`, injectable clock,
-//! * [`runtime`] — the connection runtimes: the original blocking
-//!   thread-per-connection topology and the evented one, where every
-//!   worker is an epoll/poll reactor executing its own connections'
-//!   requests (connection state machines, idle timer wheel, write
-//!   backpressure, graceful drain),
-//! * [`server`] — the `hybrids-server` facade: worker host threads +
-//!   per-partition combiner daemons over one native machine, with
-//!   `--runtime {blocking,evented}` selection,
+//! * [`runtime`] — the connection runtime: every worker is an epoll/poll
+//!   reactor executing its own connections' requests (connection state
+//!   machines, idle timer wheel, write backpressure, graceful drain),
+//! * [`server`] — the `hybrids-server` facade: reactor-worker host
+//!   threads + per-partition combiner daemons over one native machine,
 //! * [`loadgen`] — the `hybrids-loadgen` client: deterministic
 //!   workload-driven request streams, closed- and open-loop latency
-//!   measurement, and the `BENCH_9.json` report,
-//! * [`sweep`] — the blocking-vs-evented connection-scaling experiment
-//!   behind `BENCH_10.json`.
+//!   measurement, and the `BENCH_9.json` report.
 //!
 //! [`HybridHashMap`]: hybrids::hashmap::HybridHashMap
 #![warn(missing_docs)]
@@ -38,7 +33,6 @@ pub mod proto;
 pub mod runtime;
 pub mod server;
 pub mod service;
-pub mod sweep;
 pub mod ttl;
 
 pub use loadgen::{LoadReport, LoadgenOpts};
@@ -46,5 +40,4 @@ pub use proto::{Command, Parsed, Parser};
 pub use runtime::{EventedOpts, PollerKind, RuntimeKind};
 pub use server::{max_viable_workers, Server, ServerOpts};
 pub use service::{ServeCounters, Service};
-pub use sweep::{SweepOpts, SweepPoint, SweepReport, SweepSummary};
 pub use ttl::{Clock, TtlTable};

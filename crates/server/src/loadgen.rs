@@ -75,9 +75,9 @@ pub struct LoadgenOpts {
     /// Multiplexed client only: a connection whose *first* response has
     /// not arrived within this deadline is declared starved — the server
     /// never adopted it — and is closed with its remaining requests
-    /// counted unserved (`starved_conns` in the report). Thread-capped
-    /// blocking servers genuinely never serve surplus connections, so
-    /// without this probe the run would hang forever.
+    /// counted unserved (`starved_conns` in the report). A server that
+    /// maps connections to threads never serves the surplus, so without
+    /// this probe a run against one would hang forever.
     pub starve_timeout_ms: u64,
 }
 
@@ -139,9 +139,8 @@ pub struct LoadReport {
     pub offered_rate: Option<u32>,
     /// Connections the server answered at least once.
     pub served_conns: u32,
-    /// Connections whose first response missed the starve deadline
-    /// (thread-capped servers never adopt surplus connections); their
-    /// remaining requests are excluded from `total_ops`.
+    /// Connections whose first response missed the starve deadline;
+    /// their remaining requests are excluded from `total_ops`.
     pub starved_conns: u32,
 }
 
@@ -309,12 +308,12 @@ fn run_conn_closed(addr: &str, stream: &[CacheRequest]) -> io::Result<ConnStats>
 /// scheduler's back at connection counts where thread-per-connection
 /// clients would themselves be the bottleneck.
 ///
-/// Because every connection is held open for the whole run, a server
-/// whose worker pool is smaller than the connection count never serves
-/// the surplus: a connection whose *first* response misses the starve
-/// deadline is closed and counted in `starved_conns`, and its remaining
-/// requests go unserved. Served connections keep a generous retry
-/// allowance so a scheduling hiccup is not misread as starvation.
+/// Every connection is held open for the whole run, so a server that
+/// does not multiplex them never serves the surplus: a connection whose
+/// *first* response misses the starve deadline is closed and counted in
+/// `starved_conns`, and its remaining requests go unserved. Served
+/// connections keep a generous retry allowance so a scheduling hiccup is
+/// not misread as starvation.
 fn run_conns_muxed(
     addr: &str,
     streams: &[Vec<CacheRequest>],
@@ -355,9 +354,9 @@ fn run_conns_muxed(
             match conns[i].read_response(&stream[next_read[i]], &mut stats) {
                 Ok(()) => {}
                 Err(e) if is_timeout(&e) && !conns[i].lenient => {
-                    // Never answered: the server's worker pool is full
-                    // and this connection will not be adopted. Close it;
-                    // its unserved requests leave the denominator.
+                    // Never answered: the server has not adopted this
+                    // connection. Close it; its unserved requests leave
+                    // the denominator.
                     starved[i] = true;
                     stats.starved_conns += 1;
                     remaining -= stream.len() - next_read[i];

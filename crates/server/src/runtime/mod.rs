@@ -1,22 +1,16 @@
-//! Connection runtimes for `hybrids-server`.
+//! The connection runtime of `hybrids-server`.
 //!
-//! The server can drive its sockets two ways:
+//! Every worker (a host thread of the native machine) is a reactor: it
+//! multiplexes its share of the connections over `epoll` (`poll(2)` off
+//! Linux) and parses, executes and answers their requests itself.
+//! Reactor 0 also accepts, dealing connections round-robin. Connections
+//! outnumber threads by orders of magnitude, and a request never changes
+//! threads.
 //!
-//! * **blocking** — the original thread-per-connection topology: an
-//!   acceptor feeds an mpsc channel; each worker (a host thread of the
-//!   native machine) owns one connection at a time, blocking on its
-//!   socket. Simple, and kept as the differential baseline.
-//! * **evented** — every worker (a host thread of the native machine) is
-//!   a reactor: it multiplexes its share of the connections over `epoll`
-//!   (or `poll`) and parses, executes and answers their requests itself.
-//!   Reactor 0 also accepts, dealing connections round-robin. Connections
-//!   outnumber threads by orders of magnitude, and a request never
-//!   changes threads.
-//!
-//! Both runtimes execute requests through the same
-//! [`Service`] layer, so for an identical request
-//! stream they produce byte-identical responses — the differential tests
-//! hold the runtimes to that.
+//! Requests execute through the [`Service`](crate::service::Service)
+//! layer, which is also what the in-memory reference of the differential
+//! test in `tests/runtime_evented.rs` calls — the socket path must answer
+//! byte for byte what `Parser` + `Service::execute` answer without one.
 
 pub mod conn;
 pub mod poller;
@@ -28,39 +22,18 @@ pub use conn::ConnCfg;
 pub use poller::PollerKind;
 pub use reactor::ReactorHandle;
 
-use std::io;
-use std::net::TcpListener;
-use std::sync::atomic::AtomicBool;
-use std::sync::Arc;
-
-use nmp_sim::{NativeRun, ThreadKind};
-
-use crate::service::Service;
-
-use reactor::Reactor;
-
-/// Which connection runtime drives the server.
+/// The connection runtime's name. It has one variant and selects nothing:
+/// it exists only because the frozen `benchmark/` package names
+/// `RuntimeKind::Evented` and [`ServerOpts::runtime`](crate::ServerOpts::runtime);
+/// the next `benchmark` PR drops both.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum RuntimeKind {
-    /// Thread-per-connection (the original topology).
-    #[default]
-    Blocking,
     /// Reactor-multiplexed connections over epoll/poll.
+    #[default]
     Evented,
 }
 
-impl RuntimeKind {
-    /// Parse a `--runtime` flag value.
-    pub fn parse(s: &str) -> Option<RuntimeKind> {
-        match s {
-            "blocking" => Some(RuntimeKind::Blocking),
-            "evented" => Some(RuntimeKind::Evented),
-            _ => None,
-        }
-    }
-}
-
-/// Evented-runtime tuning (all fields have serviceable defaults).
+/// Connection-runtime tuning (all fields have serviceable defaults).
 #[derive(Debug, Clone, Copy)]
 pub struct EventedOpts {
     /// Close connections idle longer than this.
@@ -107,30 +80,4 @@ impl EventedOpts {
             max_inflight: self.max_inflight_per_conn,
         }
     }
-}
-
-/// Start the evented runtime: one reactor per worker, each spawned as host
-/// thread `core` of `run` (so [`NativeRun::finish`] joins them once they
-/// have drained, and propagates their panics), reactor 0 accepting from
-/// `listener`.
-pub(crate) fn start_evented(
-    listener: TcpListener,
-    service: Arc<Service>,
-    run: &mut NativeRun,
-    workers: usize,
-    shutdown: Arc<AtomicBool>,
-    opts: &EventedOpts,
-) -> io::Result<()> {
-    let mut reactors = (0..workers)
-        .map(|_| Reactor::new(opts, Arc::clone(&service.counters), Arc::clone(&shutdown)))
-        .collect::<io::Result<Vec<_>>>()?;
-    let peers = reactors.iter().map(Reactor::handle).collect();
-    reactors[0].listen(listener, peers)?;
-    for (core, reactor) in reactors.into_iter().enumerate() {
-        let service = Arc::clone(&service);
-        run.spawn(format!("conn-{core}"), ThreadKind::Host { core }, move |ctx| {
-            reactor.run(ctx, &service);
-        });
-    }
-    Ok(())
 }

@@ -1,12 +1,13 @@
 //! Readiness polling behind a small [`Poller`] trait.
 //!
-//! The production implementation is [`EpollPoller`] — a thin wrapper over
-//! raw `epoll_create1`/`epoll_ctl`/`epoll_wait` (level-triggered, which
-//! pairs naturally with the connection state machine's buffer-until-
-//! `WouldBlock` discipline). [`PollPoller`] is the portable fallback over
-//! POSIX `poll(2)`: same trait, same semantics, O(n) per wait — it keeps
-//! the reactor testable on any unix and doubles as a differential check
-//! that nothing in the runtime secretly depends on epoll behavior.
+//! The backend is a build-time fact. On Linux it is [`EpollPoller`] — a
+//! thin wrapper over raw `epoll_create1`/`epoll_ctl`/`epoll_wait`
+//! (level-triggered, which pairs naturally with the connection state
+//! machine's buffer-until-`WouldBlock` discipline). Everywhere else it is
+//! [`PollPoller`] over POSIX `poll(2)`: same trait, same semantics, O(n)
+//! per wait. Tests substitute [`PollerKind::Poll`] on Linux too, as a
+//! differential check that nothing in the runtime secretly depends on
+//! epoll behavior.
 
 use std::collections::HashMap;
 use std::io;
@@ -64,10 +65,11 @@ pub trait Poller: Send {
     fn name(&self) -> &'static str;
 }
 
-/// Which poller backend to construct.
+/// Which poller backend to construct (no flag sets this: the default is
+/// the platform's backend, and tests substitute [`PollerKind::Poll`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum PollerKind {
-    /// Linux `epoll` (the default; falls back to `poll` off-Linux).
+    /// Linux `epoll` (the default; `poll` off-Linux).
     #[default]
     Epoll,
     /// Portable POSIX `poll(2)`.
@@ -83,15 +85,6 @@ impl PollerKind {
             #[cfg(not(target_os = "linux"))]
             PollerKind::Epoll => Ok(Box::new(PollPoller::new())),
             PollerKind::Poll => Ok(Box::new(PollPoller::new())),
-        }
-    }
-
-    /// Parse a `--poller` flag value.
-    pub fn parse(s: &str) -> Option<PollerKind> {
-        match s {
-            "epoll" => Some(PollerKind::Epoll),
-            "poll" => Some(PollerKind::Poll),
-            _ => None,
         }
     }
 }
@@ -328,10 +321,7 @@ mod tests {
     }
 
     #[test]
-    fn kind_parses_and_builds() {
-        assert_eq!(PollerKind::parse("epoll"), Some(PollerKind::Epoll));
-        assert_eq!(PollerKind::parse("poll"), Some(PollerKind::Poll));
-        assert_eq!(PollerKind::parse("uring"), None);
+    fn poll_kind_builds_the_poll_backend() {
         assert_eq!(PollerKind::Poll.build().unwrap().name(), "poll");
     }
 }

@@ -239,7 +239,7 @@ mod tests {
     use super::*;
 
     #[test]
-    fn pipe_round_trip_and_nonblocking_drain() {
+    fn pipe_round_trip_then_empty_read_would_block() {
         let (r, w) = pipe_nonblocking().unwrap();
         // Empty pipe: non-blocking read reports WouldBlock instead of
         // parking the thread.

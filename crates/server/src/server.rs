@@ -2,45 +2,37 @@
 //! the memcached text protocol over a [`HybridHashMap`] running on the
 //! native memory backend.
 //!
-//! Two selectable connection runtimes share this facade (see
-//! [`RuntimeKind`] and `DESIGN.md` §4.12):
-//!
-//! * **blocking** — an acceptor OS thread `accept()`s connections and
-//!   feeds them through a channel to `workers` connection workers; each
-//!   worker owns one connection at a time, blocking on its socket.
-//! * **evented** — each of the `workers` is a reactor: it multiplexes its
-//!   share of the connections over epoll/poll and executes their requests
-//!   inline; worker 0 also accepts (see [`crate::runtime`]).
-//!
-//! In both, each worker is a *host thread of the native run* (a distinct
-//! host core of the machine model), so its [`ThreadCtx`] can drive the
+//! Each of the `workers` is a reactor (see [`crate::runtime`] and
+//! `DESIGN.md` §4.12): it multiplexes its share of the connections over
+//! epoll/poll and executes their requests inline; worker 0 also accepts.
+//! Each worker is a *host thread of the native run* (a distinct host core
+//! of the machine model), so its `ThreadCtx` can drive the
 //! publication-list offload client directly — the exact same
 //! `HybridHashMap::execute` path the simulator verifies, now over real
 //! atomics at hardware speed. The NMP combiners run as native daemons,
-//! one per partition, just as they do under simulation. Requests execute
-//! through the shared [`Service`] layer, so the two runtimes produce
-//! byte-identical responses for identical request streams.
+//! one per partition, just as they do under simulation.
+//!
+//! Host threads are an architectural constant — every one owns
+//! publication-list slots in each partition's fixed scratchpad
+//! ([`max_viable_workers`]) — which is why connections are multiplexed
+//! over the workers and never mapped to threads of their own.
 //!
 //! Shutdown: the `shutdown` protocol verb (or [`Server::stop`]) raises a
 //! flag; accepting stops, in-flight requests drain, and [`Server::wait`]
 //! joins every thread (stopping the combiner daemons) before returning
 //! the map for inspection.
 
-use std::io::{self, Read, Write};
-use std::net::{SocketAddr, TcpListener, TcpStream};
+use std::io;
+use std::net::{SocketAddr, TcpListener};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::{mpsc, Arc};
-use std::thread::JoinHandle;
-use std::time::Duration;
-
-use parking_lot::Mutex;
+use std::sync::Arc;
 
 use hybrids::hashmap::HybridHashMap;
 use hybrids::publist;
-use nmp_sim::{Config, Machine, NativeRun, ThreadCtx, ThreadKind};
+use nmp_sim::{Config, Machine, NativeRun, ThreadKind};
 
-use crate::proto::{self, Command, Parsed, Parser};
-use crate::runtime::{self, EventedOpts, RuntimeKind};
+use crate::runtime::reactor::Reactor;
+use crate::runtime::{EventedOpts, RuntimeKind};
 use crate::service::{ServeCounters, Service};
 use crate::ttl::{Clock, TtlTable};
 
@@ -57,9 +49,9 @@ pub struct ServerOpts {
     pub max_inflight: usize,
     /// Hash seed for the map.
     pub seed: u64,
-    /// Which connection runtime drives the sockets.
+    /// Has one value and selects nothing; see [`RuntimeKind`].
     pub runtime: RuntimeKind,
-    /// Evented-runtime tuning (ignored under [`RuntimeKind::Blocking`]).
+    /// Connection-runtime tuning.
     pub evented: EventedOpts,
     /// Time source for `exptime` expiry (manual in tests).
     pub clock: Clock,
@@ -73,7 +65,7 @@ impl Default for ServerOpts {
             buckets: 1024,
             max_inflight: 4,
             seed: 42,
-            runtime: RuntimeKind::Blocking,
+            runtime: RuntimeKind::Evented,
             evented: EventedOpts::default(),
             clock: Clock::System,
         }
@@ -83,49 +75,74 @@ impl Default for ServerOpts {
 /// The largest worker pool the machine's publication lists can carry at
 /// `max_inflight` lanes per worker: every worker owns `max_inflight`
 /// 64-byte slots in each partition's scratchpad, and the scratchpad is a
-/// fixed architectural parameter. This is the blocking runtime's *max
-/// viable thread count* — past it, a thread-per-connection server cannot
-/// add host threads no matter how many connections arrive.
+/// fixed architectural parameter. Past it the server cannot add host
+/// threads no matter how many connections arrive.
 pub fn max_viable_workers(cfg: &Config, max_inflight: usize) -> usize {
-    (cfg.scratchpad_bytes / (publist::SLOT_BYTES * max_inflight.max(1) as u32)) as usize
+    let per_worker = publist::SLOT_BYTES as u64 * max_inflight.max(1) as u64;
+    (cfg.scratchpad_bytes as u64 / per_worker) as usize
 }
 
-/// A running server (listener + native run), either runtime.
+fn invalid(msg: String) -> io::Error {
+    io::Error::new(io::ErrorKind::InvalidInput, msg)
+}
+
+/// Reject option values the machine and the map would otherwise assert on.
+fn validate(opts: &ServerOpts, cfg: &Config) -> io::Result<()> {
+    if opts.workers == 0 {
+        return Err(invalid("--workers 0: need at least one worker".into()));
+    }
+    if opts.max_inflight == 0 {
+        return Err(invalid("--max-inflight 0: need at least one offload lane per worker".into()));
+    }
+    let parts = cfg.nmp_partitions() as u32;
+    if opts.buckets == 0 || !opts.buckets.is_multiple_of(parts) {
+        return Err(invalid(format!(
+            "--buckets {}: must be a nonzero multiple of the machine's {parts} partitions",
+            opts.buckets
+        )));
+    }
+    if opts.buckets as u64 * 8 > cfg.l2.size_bytes as u64 {
+        return Err(invalid(format!(
+            "--buckets {}: the bucket directory ({} B) must fit the {} B LLC (at most {} buckets)",
+            opts.buckets,
+            opts.buckets as u64 * 8,
+            cfg.l2.size_bytes,
+            cfg.l2.size_bytes / 8,
+        )));
+    }
+    let cap = max_viable_workers(cfg, opts.max_inflight);
+    if opts.workers > cap {
+        return Err(io::Error::other(format!(
+            "{} workers need {} B of publication-list scratchpad, machine has {} B \
+             (max viable {} workers at inflight {})",
+            opts.workers,
+            (opts.workers as u64)
+                .saturating_mul(opts.max_inflight as u64)
+                .saturating_mul(publist::SLOT_BYTES as u64),
+            cfg.scratchpad_bytes,
+            cap,
+            opts.max_inflight,
+        )));
+    }
+    Ok(())
+}
+
+/// A running server (listener + native run).
 pub struct Server {
     addr: SocketAddr,
     shutdown: Arc<AtomicBool>,
-    /// The blocking runtime's acceptor OS thread; the evented runtime has
-    /// no thread outside `run`.
-    acceptor: Option<JoinHandle<()>>,
     run: NativeRun,
     map: Arc<HybridHashMap>,
     counters: Arc<ServeCounters>,
 }
 
 impl Server {
-    /// Build the native machine, the map, the combiner daemons, and the
-    /// chosen connection runtime; bind the listener and start accepting.
+    /// Build the native machine, the map, the combiner daemons and one
+    /// reactor per worker; bind the listener and start accepting.
     pub fn start(opts: &ServerOpts) -> io::Result<Server> {
-        assert!(opts.workers >= 1, "need at least one worker");
         let mut cfg = Config::default_scaled();
         cfg.host_cores = opts.workers;
-        // Workers are publication-list clients: each needs `max_inflight`
-        // scratchpad slots per partition, and the scratchpad is a fixed
-        // architectural parameter of the machine — it does not grow to
-        // absorb bigger thread pools. Surface the ceiling as a server
-        // error instead of the publication list's deeper panic.
-        let cap = max_viable_workers(&cfg, opts.max_inflight);
-        if opts.workers > cap {
-            return Err(io::Error::other(format!(
-                "{} workers need {} B of publication-list scratchpad, machine has {} B \
-                 (max viable {} workers at inflight {})",
-                opts.workers,
-                (opts.workers * opts.max_inflight) as u32 * publist::SLOT_BYTES,
-                cfg.scratchpad_bytes,
-                cap,
-                opts.max_inflight,
-            )));
-        }
+        validate(opts, &cfg)?;
         let machine = Machine::new_native(cfg);
         let map =
             HybridHashMap::new(Arc::clone(&machine), opts.buckets, opts.seed, opts.max_inflight);
@@ -145,40 +162,22 @@ impl Server {
         let mut run = machine.native_run();
         map.spawn_services_on(&mut run);
 
-        let acceptor = match opts.runtime {
-            RuntimeKind::Blocking => {
-                let (tx, rx) = mpsc::channel::<TcpStream>();
-                let rx = Arc::new(Mutex::new(rx));
-                for core in 0..opts.workers {
-                    let rx = Arc::clone(&rx);
-                    let service = Arc::clone(&service);
-                    let shutdown = Arc::clone(&shutdown);
-                    run.spawn(format!("conn-{core}"), ThreadKind::Host { core }, move |ctx| {
-                        blocking_worker_loop(ctx, &service, &rx, &shutdown);
-                    });
-                }
-                let shutdown = Arc::clone(&shutdown);
-                Some(
-                    std::thread::Builder::new()
-                        .name("acceptor".into())
-                        .spawn(move || blocking_accept_loop(listener, tx, &shutdown))
-                        .expect("spawn acceptor"),
-                )
-            }
-            RuntimeKind::Evented => {
-                runtime::start_evented(
-                    listener,
-                    Arc::clone(&service),
-                    &mut run,
-                    opts.workers,
-                    Arc::clone(&shutdown),
-                    &opts.evented,
-                )?;
-                None
-            }
-        };
+        // Each reactor runs as host thread `core` of `run`, so
+        // `NativeRun::finish` joins it once it has drained and propagates
+        // its panic; reactor 0 accepts from `listener`.
+        let mut reactors = (0..opts.workers)
+            .map(|_| Reactor::new(&opts.evented, Arc::clone(&counters), Arc::clone(&shutdown)))
+            .collect::<io::Result<Vec<_>>>()?;
+        let peers = reactors.iter().map(Reactor::handle).collect();
+        reactors[0].listen(listener, peers)?;
+        for (core, reactor) in reactors.into_iter().enumerate() {
+            let service = Arc::clone(&service);
+            run.spawn(format!("conn-{core}"), ThreadKind::Host { core }, move |ctx| {
+                reactor.run(ctx, &service);
+            });
+        }
 
-        Ok(Server { addr, shutdown, acceptor, run, map, counters })
+        Ok(Server { addr, shutdown, run, map, counters })
     }
 
     /// The bound address (resolves port 0).
@@ -199,117 +198,87 @@ impl Server {
     /// Block until shutdown, join every thread, and hand back the map and
     /// counters for inspection.
     pub fn wait(self) -> (Arc<HybridHashMap>, Arc<ServeCounters>) {
-        let Server { acceptor, run, map, counters, .. } = self;
-        if let Some(acceptor) = acceptor {
-            // Blocking workers exit once the acceptor drops the sender and
-            // the channel drains.
-            acceptor.join().expect("acceptor panicked");
-        }
-        // finish() joins the workers (evented: each reactor returns once
-        // it has drained), then stops the combiner daemons.
-        run.finish();
-        (map, counters)
+        // Joins the workers (each returns once it has drained), then
+        // stops the combiner daemons.
+        self.run.finish();
+        (self.map, self.counters)
     }
 }
 
-fn blocking_accept_loop(listener: TcpListener, tx: mpsc::Sender<TcpStream>, shutdown: &AtomicBool) {
-    while !shutdown.load(Ordering::Acquire) {
-        match listener.accept() {
-            Ok((stream, _)) => {
-                if tx.send(stream).is_err() {
-                    break; // all workers gone
-                }
-            }
-            Err(e) if e.kind() == io::ErrorKind::WouldBlock => {
-                std::thread::sleep(Duration::from_millis(5));
-            }
-            Err(_) => std::thread::sleep(Duration::from_millis(5)),
+#[cfg(test)]
+mod tests {
+    use super::*;
+
+    /// `Server::start`'s error for `opts` (the listener is never bound:
+    /// every case here is rejected before the machine is built).
+    fn rejected(opts: ServerOpts) -> io::Error {
+        match Server::start(&ServerOpts { addr: "127.0.0.1:0".into(), ..opts }) {
+            Ok(_) => panic!("options were accepted"),
+            Err(e) => e,
         }
     }
-    // Dropping `tx` here disconnects the workers' queue.
-}
 
-fn blocking_worker_loop(
-    ctx: &mut ThreadCtx,
-    service: &Service,
-    rx: &Mutex<mpsc::Receiver<TcpStream>>,
-    shutdown: &AtomicBool,
-) {
-    loop {
-        // Take the lock only long enough to pull one connection.
-        let next = rx.lock().recv_timeout(Duration::from_millis(20));
-        match next {
-            Ok(stream) => {
-                if serve_conn(ctx, service, stream, shutdown).unwrap_or(false) {
-                    shutdown.store(true, Ordering::Release);
-                }
-                service.counters.conns.fetch_add(1, Ordering::Relaxed);
-            }
-            Err(mpsc::RecvTimeoutError::Timeout) => {
-                if shutdown.load(Ordering::Acquire) {
-                    return;
-                }
-            }
-            Err(mpsc::RecvTimeoutError::Disconnected) => return,
+    #[test]
+    fn zero_workers_is_invalid_input() {
+        let e = rejected(ServerOpts { workers: 0, ..ServerOpts::default() });
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(e.to_string(), "--workers 0: need at least one worker");
+    }
+
+    #[test]
+    fn zero_lanes_is_invalid_input() {
+        let e = rejected(ServerOpts { max_inflight: 0, ..ServerOpts::default() });
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert!(e.to_string().starts_with("--max-inflight 0:"), "{e}");
+    }
+
+    #[test]
+    fn buckets_not_splitting_across_partitions_is_invalid_input() {
+        for buckets in [0, 1001] {
+            let e = rejected(ServerOpts { buckets, ..ServerOpts::default() });
+            assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+            assert_eq!(
+                e.to_string(),
+                format!(
+                    "--buckets {buckets}: must be a nonzero multiple of the machine's 8 partitions"
+                )
+            );
         }
     }
-}
 
-/// Serve one connection to completion (blocking runtime). Returns
-/// `Ok(true)` if the client asked for server shutdown.
-fn serve_conn(
-    ctx: &mut ThreadCtx,
-    service: &Service,
-    mut stream: TcpStream,
-    shutdown: &AtomicBool,
-) -> io::Result<bool> {
-    stream.set_nodelay(true).ok();
-    stream.set_read_timeout(Some(Duration::from_millis(50)))?;
-    let mut parser = Parser::new();
-    let mut rdbuf = [0u8; 4096];
-    let mut out = Vec::new();
-    loop {
-        let n = match stream.read(&mut rdbuf) {
-            Ok(0) => return Ok(false), // client hung up
-            Ok(n) => n,
-            Err(e)
-                if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
-            {
-                if shutdown.load(Ordering::Acquire) {
-                    return Ok(false);
-                }
-                continue;
-            }
-            Err(e) => return Err(e),
-        };
-        parser.push(&rdbuf[..n]);
-        out.clear();
-        // Drain every command completed by this read (pipelining), then
-        // flush one combined write.
-        for step in parser.by_ref() {
-            match step {
-                Parsed::Cmd(Command::Quit) => {
-                    stream.write_all(&out)?;
-                    return Ok(false);
-                }
-                Parsed::Cmd(Command::Shutdown) => {
-                    out.extend_from_slice(proto::encode_ok());
-                    stream.write_all(&out)?;
-                    return Ok(true);
-                }
-                Parsed::Cmd(cmd) => service.execute(ctx, &cmd, &mut out),
-                Parsed::Error { line, fatal } => {
-                    service.counters.proto_errors.fetch_add(1, Ordering::Relaxed);
-                    out.extend_from_slice(&proto::encode_error_line(&line));
-                    if fatal {
-                        stream.write_all(&out)?;
-                        return Ok(false);
-                    }
-                }
-            }
-        }
-        if !out.is_empty() {
-            stream.write_all(&out)?;
-        }
+    #[test]
+    fn directory_larger_than_the_llc_is_invalid_input() {
+        let e = rejected(ServerOpts { buckets: 16_384, ..ServerOpts::default() });
+        assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
+        assert_eq!(
+            e.to_string(),
+            "--buckets 16384: the bucket directory (131072 B) must fit the 65536 B LLC \
+             (at most 8192 buckets)"
+        );
+    }
+
+    #[test]
+    fn one_worker_past_the_scratchpad_ceiling_keeps_its_message() {
+        let cap = max_viable_workers(&Config::default_scaled(), 4);
+        assert_eq!(cap, 32);
+        let e = rejected(ServerOpts { workers: cap + 1, ..ServerOpts::default() });
+        assert_eq!(
+            e.to_string(),
+            "33 workers need 8448 B of publication-list scratchpad, machine has 8192 B \
+             (max viable 32 workers at inflight 4)"
+        );
+    }
+
+    #[test]
+    fn the_largest_valid_options_start() {
+        let server = Server::start(&ServerOpts {
+            addr: "127.0.0.1:0".into(),
+            workers: 32,
+            buckets: 8192,
+            ..ServerOpts::default()
+        })
+        .expect("boundary values are valid");
+        server.stop();
+        server.wait();
     }
 }

@@ -1,14 +1,12 @@
-//! The shared request-execution layer: one code path from a parsed
-//! [`Command`] to response bytes, used by **both** the blocking and the
-//! evented runtime.
+//! The request-execution layer: one code path from a parsed [`Command`]
+//! to response bytes.
 //!
-//! Keeping this in one place is what makes the blocking-vs-evented
-//! differential tests meaningful: for an identical request stream the two
-//! runtimes produce byte-identical response streams because every
-//! `get`/`set`/`delete` funnels through [`Service::execute`] — the
-//! runtimes differ only in how sockets are multiplexed (one connection
-//! per worker, or many per reactor-worker), never in semantics. TTL (`exptime`) handling lives here too, so expiry behaves
-//! identically across runtimes.
+//! Every `get`/`set`/`delete` funnels through [`Service::execute`],
+//! whether it arrived over a socket (the reactor calls it inline) or from
+//! a caller with no socket at all (the differential test's in-memory
+//! reference, the benchmark's replay) — so the runtime decides only how
+//! sockets are multiplexed, never semantics. TTL (`exptime`) handling
+//! lives here too.
 
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
@@ -45,15 +43,14 @@ pub struct ServeCounters {
     /// (the key was lazily removed on that get).
     pub serve_expired: AtomicU64,
     /// Times a connection's read interest was parked because its write
-    /// queue exceeded the high-water mark (evented runtime only).
+    /// queue exceeded the high-water mark.
     pub backpressure_pauses: AtomicU64,
-    /// Connections closed by the idle timeout (evented runtime only).
+    /// Connections closed by the idle timeout.
     pub idle_evicted: AtomicU64,
 }
 
-/// The map, its TTL table, and the counters — everything a worker (a
-/// blocking connection worker or an evented reactor) needs to serve
-/// requests on its own host thread.
+/// The map, its TTL table, and the counters — everything a reactor-worker
+/// needs to serve requests on its own host thread.
 pub struct Service {
     /// The hash map being served.
     pub map: Arc<HybridHashMap>,
@@ -66,7 +63,7 @@ pub struct Service {
 impl Service {
     /// Execute one map-touching command (`get`/`gets`, `set`, `delete`)
     /// and append its wire response to `out`. `quit`/`shutdown` are
-    /// connection-lifecycle commands and are handled by the runtimes, not
+    /// connection-lifecycle commands and are handled by the runtime, not
     /// here.
     pub fn execute(&self, ctx: &mut ThreadCtx, cmd: &Command, out: &mut Vec<u8>) {
         match cmd {

@@ -10,9 +10,8 @@
 //! Expiry is *lazy*, as in memcached: nothing scans for dead keys. A
 //! `get`/`gets` that touches an expired key treats it as a miss, removes
 //! the key from the map and the table, and bumps the `serve_expired`
-//! counter. Both the blocking and the evented runtime route every request
-//! through [`crate::service::Service`], so TTL behavior is identical
-//! across runtimes by construction.
+//! counter. Every request reaches the table through
+//! [`crate::service::Service`].
 //!
 //! The clock is injectable ([`Clock::Manual`]) so tests can advance time
 //! deterministically instead of sleeping.

@@ -1,8 +1,8 @@
-//! End-to-end tests for the evented connection runtime: real sockets on
-//! loopback against a real server, exercising exactly the properties the
-//! reactor exists to provide — slow-loris tolerance, write backpressure,
-//! idle eviction, graceful drain, and byte-identical behavior with the
-//! blocking runtime.
+//! End-to-end tests for the connection runtime: real sockets on loopback
+//! against a real server, exercising exactly the properties the reactor
+//! exists to provide — slow-loris tolerance, write backpressure, idle
+//! eviction, graceful drain, and answers byte-identical to what the
+//! parser and the service layer produce with no socket in between.
 
 use std::io::{self, Read, Write};
 use std::net::TcpStream;
@@ -10,11 +10,15 @@ use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
-use hybrids_server::proto::{self, Command};
+use hybrids::hashmap::HybridHashMap;
+use hybrids_server::proto::{self, Command, Parsed, Parser};
 use hybrids_server::ttl::EXPTIME_PIVOT;
-use hybrids_server::{Clock, EventedOpts, RuntimeKind, Server, ServerOpts};
+use hybrids_server::{Clock, EventedOpts, ServeCounters, Server, ServerOpts, Service, TtlTable};
+use nmp_sim::{Config, Machine, ThreadKind};
+use parking_lot::Mutex;
+use workloads::Rng;
 
-/// Evented server on an ephemeral port with test-friendly tuning.
+/// Server on an ephemeral port with test-friendly tuning.
 fn evented_server(evented: EventedOpts, clock: Clock) -> Server {
     evented_server_with(2, evented, clock)
 }
@@ -26,9 +30,9 @@ fn evented_server_with(workers: usize, evented: EventedOpts, clock: Clock) -> Se
         buckets: 256,
         max_inflight: 2,
         seed: 42,
-        runtime: RuntimeKind::Evented,
         evented,
         clock,
+        ..ServerOpts::default()
     })
     .expect("bind loopback")
 }
@@ -95,26 +99,30 @@ fn evented_pipelined_round_trip_is_byte_exact() {
     assert_eq!(counters.get_misses.load(Ordering::Relaxed), 2);
 }
 
-/// Run one scripted conversation (ending in `quit`) against a fresh
-/// server of the given runtime and return every byte the server sent.
-fn converse(runtime: RuntimeKind, wire: &[u8]) -> Vec<u8> {
-    // Start well past EXPTIME_PIVOT so an `exptime` of PIVOT+1 (an
-    // absolute unix timestamp) is already in the past.
-    let (clock, _) = Clock::manual(100_000_000);
-    let server = Server::start(&ServerOpts {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        buckets: 256,
-        max_inflight: 2,
-        seed: 42,
-        runtime,
-        evented: EventedOpts::default(),
-        clock,
-    })
-    .expect("bind loopback");
+/// A clock well past `EXPTIME_PIVOT`, so an `exptime` of PIVOT+1 (an
+/// absolute unix timestamp) is already in the past.
+fn late_clock() -> Clock {
+    Clock::manual(100_000_000).0
+}
+
+/// Send `wire` to a fresh server in the given fragments (a pause between
+/// fragments keeps the kernel from coalescing them) and return every byte
+/// the server sent before it closed the connection.
+fn converse(wire: &[u8], fragments: &[usize]) -> Vec<u8> {
+    let server = evented_server(EventedOpts::default(), late_clock());
     let addr = server.addr();
     let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(wire).unwrap();
+    s.set_nodelay(true).unwrap();
+    let mut rest = wire;
+    for &len in fragments {
+        let (now, later) = rest.split_at(len);
+        s.write_all(now).unwrap();
+        rest = later;
+        if !rest.is_empty() {
+            std::thread::sleep(Duration::from_millis(1));
+        }
+    }
+    assert!(rest.is_empty(), "fragments must cover the wire");
     let got = read_to_eof(&mut s);
     drop(s);
     shut_down(addr);
@@ -122,8 +130,50 @@ fn converse(runtime: RuntimeKind, wire: &[u8]) -> Vec<u8> {
     got
 }
 
+/// The socket-less reference: `wire` through `Parser` and, per command,
+/// `Service::execute` on one host thread of a fresh native machine.
+fn reference(wire: &[u8]) -> Vec<u8> {
+    let mut cfg = Config::default_scaled();
+    cfg.host_cores = 1;
+    let machine = Machine::new_native(cfg);
+    let map = HybridHashMap::new(Arc::clone(&machine), 256, 42, 2);
+    let service = Service {
+        map: Arc::clone(&map),
+        ttl: TtlTable::new(late_clock()),
+        counters: Arc::new(ServeCounters::default()),
+    };
+    let mut run = machine.native_run();
+    map.spawn_services_on(&mut run);
+    let answer = Arc::new(Mutex::new(Vec::new()));
+    {
+        let (answer, wire) = (Arc::clone(&answer), wire.to_vec());
+        run.spawn("reference", ThreadKind::Host { core: 0 }, move |ctx| {
+            let mut parser = Parser::new();
+            parser.push(&wire);
+            let mut out = Vec::new();
+            for step in parser.by_ref() {
+                match step {
+                    Parsed::Cmd(Command::Quit) => break,
+                    Parsed::Cmd(cmd) => service.execute(ctx, &cmd, &mut out),
+                    Parsed::Error { line, fatal } => {
+                        out.extend_from_slice(&proto::encode_error_line(&line));
+                        if fatal {
+                            break;
+                        }
+                    }
+                }
+            }
+            *answer.lock() = out;
+        });
+    }
+    run.finish();
+    map.check_invariants();
+    let out = std::mem::take(&mut *answer.lock());
+    out
+}
+
 #[test]
-fn blocking_and_evented_answer_identical_streams_identically() {
+fn socket_path_answers_exactly_what_parser_and_service_answer() {
     // A stream touching every response path: stored, noreply, multi-get
     // hits and misses, an immediately-expired set (absolute past
     // exptime), deletes both ways, a recoverable protocol error, and a
@@ -143,17 +193,32 @@ fn blocking_and_evented_answer_identical_streams_identically() {
     wire.extend_from_slice(&proto::encode_request(&Command::Get(vec![2])));
     wire.extend_from_slice(&proto::encode_request(&Command::Quit));
 
-    let blocking = converse(RuntimeKind::Blocking, &wire);
-    let evented = converse(RuntimeKind::Evented, &wire);
-    assert!(!blocking.is_empty());
-    assert_eq!(
-        String::from_utf8_lossy(&blocking),
-        String::from_utf8_lossy(&evented),
-        "runtimes disagree on an identical request stream"
-    );
-    // And both saw the expired key as a miss: key 3's get found it dead.
-    assert!(String::from_utf8_lossy(&blocking).contains("VALUE 1 0"));
-    assert!(!String::from_utf8_lossy(&blocking).contains("VALUE 3"));
+    let want = reference(&wire);
+    assert!(!want.is_empty());
+    // The expired key was a miss: key 3's get found it dead.
+    assert!(String::from_utf8_lossy(&want).contains("VALUE 1 0"));
+    assert!(!String::from_utf8_lossy(&want).contains("VALUE 3"));
+
+    let mut rng = Rng::new(0x5eed_f4a6);
+    let mut random = Vec::new();
+    let mut left = wire.len();
+    while left > 0 {
+        let take = (1 + rng.below(17) as usize).min(left);
+        random.push(take);
+        left -= take;
+    }
+    for (how, fragments) in [
+        ("one write", vec![wire.len()]),
+        ("one byte at a time", vec![1; wire.len()]),
+        ("seeded random fragments", random),
+    ] {
+        let got = converse(&wire, &fragments);
+        assert_eq!(
+            String::from_utf8_lossy(&got),
+            String::from_utf8_lossy(&want),
+            "socket path disagrees with the in-memory reference ({how})"
+        );
+    }
 }
 
 #[test]

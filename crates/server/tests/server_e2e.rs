@@ -191,19 +191,9 @@ fn loadgen_open_loop_paces_arrivals_and_reports() {
 
 #[test]
 fn loadgen_muxed_client_matches_thread_per_conn_totals() {
-    // The muxed client holds every connection open for the whole run, so
-    // the server must multiplex them: evented runtime (a blocking server
-    // would need workers >= conns or the surplus connections starve).
-    let server = Server::start(&ServerOpts {
-        addr: "127.0.0.1:0".into(),
-        workers: 2,
-        buckets: 256,
-        max_inflight: 2,
-        seed: 42,
-        runtime: hybrids_server::RuntimeKind::Evented,
-        ..ServerOpts::default()
-    })
-    .expect("bind loopback");
+    // The muxed client holds all 8 connections open for the whole run,
+    // so 2 workers serve them only by multiplexing.
+    let server = test_server();
     let addr = server.addr();
 
     // 8 connections driven by 2 client threads, lockstep closed loop.
@@ -230,36 +220,4 @@ fn loadgen_muxed_client_matches_thread_per_conn_totals() {
 
     let (map, _) = server.wait();
     map.check_invariants();
-}
-
-#[test]
-fn conn_scaling_sweep_produces_schema_complete_report() {
-    use hybrids_server::sweep::{self, SweepOpts};
-
-    // Deliberately tiny: this validates the harness and the BENCH_10
-    // schema, not the headline numbers.
-    let report = sweep::run(&SweepOpts {
-        conn_counts: vec![2, 4],
-        total_ops: 200,
-        keys: 256,
-        seed: 42,
-        evented_workers: 2,
-        rate: None,
-        client_threads: 2,
-        pipeline: 2,
-    })
-    .expect("sweep run");
-    assert_eq!(report.experiment, "conn_scaling");
-    assert_eq!(report.pr, 10);
-    assert_eq!(report.points.len(), 4, "two conn counts x two runtimes");
-    for p in &report.points {
-        assert!(p.ops_per_sec > 0.0, "{p:?}");
-        assert!(p.total_ops > 0, "{p:?}");
-        assert!(p.p50_us <= p.p95_us && p.p95_us <= p.p99_us, "{p:?}");
-    }
-    let s = &report.summary;
-    assert_eq!(s.conns, 4);
-    assert_eq!(s.blocking_workers, 4, "blocking runs thread-per-connection");
-    assert_eq!(s.evented_workers, 2);
-    assert!(s.evented_vs_blocking > 0.0);
 }
