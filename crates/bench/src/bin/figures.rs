@@ -1,7 +1,7 @@
 //! Run the figure/table harnesses from one binary:
 //!
 //! ```text
-//! cargo run --release -p hybrids-bench --bin figures -- [--scale smoke|ci|scaled|paper] [--shards N] [--policy fixed|adaptive] [--backend sim] [fig5 fig6 fig7 fig8 table2 fig4 newstructs trace | all]
+//! cargo run --release -p hybrids-bench --bin figures -- [--scale smoke|ci|scaled|paper] [--shards N] [--policy fixed|adaptive] [fig5 fig6 fig7 fig8 table2 fig4 newstructs trace | all]
 //! ```
 //!
 //! Each experiment is the same code `cargo bench` runs (the bench targets
@@ -14,7 +14,6 @@ fn main() {
     let mut scale = None;
     let mut shards = None;
     let mut policy = None;
-    let mut backend = None;
     let mut figs: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
@@ -29,19 +28,6 @@ fn main() {
                 let p = args.next().expect("--policy needs a value");
                 nmp_sim::Policy::parse(&p).expect("--policy must be 'fixed' or 'adaptive'");
                 policy = Some(p);
-            }
-            "--backend" => {
-                let b = args.next().expect("--backend needs a value");
-                let kind =
-                    nmp_sim::BackendKind::parse(&b).expect("--backend must be 'sim' or 'native'");
-                assert_eq!(
-                    kind,
-                    nmp_sim::BackendKind::Sim,
-                    "the figure harness is cycle-accurate and simulator-only; native-backend \
-                     serve throughput is measured by hybrids-loadgen against hybrids-server \
-                     (BENCH_9.json)"
-                );
-                backend = Some(b);
             }
             other => figs.push(other.to_string()),
         }
@@ -94,13 +80,10 @@ fn main() {
             cmd.env("HYBRIDS_SCALE", s);
         }
         if let Some(n) = &shards {
-            cmd.env("HYBRIDS_SHARDS", n);
+            cmd.env("NMP_SIM_SHARDS", n);
         }
         if let Some(p) = &policy {
             cmd.env("HYBRIDS_POLICY", p);
-        }
-        if let Some(b) = &backend {
-            cmd.env("HYBRIDS_BACKEND", b);
         }
         eprintln!("== running {f} ==");
         let status = cmd.status().expect("failed to spawn cargo bench");

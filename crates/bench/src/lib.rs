@@ -15,7 +15,10 @@
 //! * `paper`: Table 1 verbatim (1 MB LLC, 2^22-key skiplist, ~30M-key
 //!   B+ tree). Expect very long runs.
 //!
-//! `HYBRIDS_OPS` overrides measured operations per thread.
+//! `HYBRIDS_OPS` overrides measured operations per thread, `HYBRIDS_POLICY`
+//! (`fixed|adaptive`) the offload policy and `HYBRIDS_RESULTS_DIR` where the
+//! records go. `NMP_SIM_SHARDS` (read by the engine itself) picks the
+//! engine shard count. A value that does not parse is an error.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -28,7 +31,7 @@ use hybrids::pqueue::HybridPqueue;
 use hybrids::skiplist::{
     hybrid::split_for, lockfree::NodeLayout, HybridSkipList, LockFreeSkipList, NmpSkipList,
 };
-use nmp_sim::{BackendKind, Config, Machine, Policy};
+use nmp_sim::{Config, Machine, Policy};
 use serde::Serialize;
 use workloads::{InsertDist, Key, KeyDist, KeySpace, Mix, Op, Value, WorkloadSpec};
 
@@ -50,11 +53,17 @@ pub struct Scale {
     /// full-system B+ tree measurements include such traffic; the skiplist
     /// experiments run as pure microbenchmarks (0).
     pub btree_footprint_lines: u32,
-    /// Memory backend the experiments run on. The cycle-accurate harness
-    /// is simulator-only (`BackendKind::Sim`); the column is recorded so
-    /// artifact rows merge cleanly with native-backend reports
-    /// (`BENCH_9.json` from `hybrids-loadgen`).
-    pub backend: BackendKind,
+}
+
+/// The scale a `HYBRIDS_SCALE` value names, if it is one of the four.
+fn scale_by_name(name: &str) -> Option<Scale> {
+    match name {
+        "smoke" => Some(Scale::smoke()),
+        "ci" => Some(Scale::ci()),
+        "scaled" => Some(Scale::scaled()),
+        "paper" => Some(Scale::paper()),
+        _ => None,
+    }
 }
 
 impl Scale {
@@ -77,7 +86,6 @@ impl Scale {
             ops_per_thread: 600,
             warmup_per_thread: 250,
             btree_footprint_lines: 4,
-            backend: BackendKind::Sim,
         }
     }
 
@@ -95,7 +103,6 @@ impl Scale {
             ops_per_thread: 1500,
             warmup_per_thread: 500,
             btree_footprint_lines: 4,
-            backend: BackendKind::Sim,
         }
     }
 
@@ -111,7 +118,6 @@ impl Scale {
             ops_per_thread: 2000,
             warmup_per_thread: 600,
             btree_footprint_lines: 4,
-            backend: BackendKind::Sim,
         }
     }
 
@@ -127,36 +133,24 @@ impl Scale {
             ops_per_thread: 20,
             warmup_per_thread: 5,
             btree_footprint_lines: 0,
-            backend: BackendKind::Sim,
         }
     }
 
-    /// Resolve from `HYBRIDS_SCALE` / `HYBRIDS_OPS` / `HYBRIDS_SHARDS`.
+    /// Resolve from `HYBRIDS_SCALE` / `HYBRIDS_OPS` / `HYBRIDS_POLICY`
+    /// (unset = `ci`). A value that does not parse is an error, not the
+    /// default.
     pub fn from_env() -> Self {
-        let mut s = match std::env::var("HYBRIDS_SCALE").as_deref() {
-            Ok("paper") => Self::paper(),
-            Ok("scaled") => Self::scaled(),
-            Ok("smoke") => Self::smoke(),
-            _ => Self::ci(),
+        let mut s = match std::env::var("HYBRIDS_SCALE") {
+            Ok(name) => scale_by_name(&name).unwrap_or_else(|| {
+                panic!("HYBRIDS_SCALE={name:?} is not one of smoke|ci|scaled|paper")
+            }),
+            Err(_) => Self::ci(),
         };
         if let Ok(ops) = std::env::var("HYBRIDS_OPS") {
             s.ops_per_thread = ops.parse().expect("HYBRIDS_OPS must be an integer");
         }
-        if let Ok(shards) = std::env::var("HYBRIDS_SHARDS") {
-            s.cfg.shards = shards.parse().expect("HYBRIDS_SHARDS must be an integer");
-        }
         if let Ok(p) = std::env::var("HYBRIDS_POLICY") {
             s.cfg.policy = Policy::parse(&p).expect("HYBRIDS_POLICY must be 'fixed' or 'adaptive'");
-        }
-        if let Ok(b) = std::env::var("HYBRIDS_BACKEND") {
-            s.backend = BackendKind::parse(&b).expect("HYBRIDS_BACKEND must be 'sim' or 'native'");
-            assert_eq!(
-                s.backend,
-                BackendKind::Sim,
-                "the cycle-accurate bench harness runs on the simulated backend only; \
-                 native-backend serve throughput is measured by hybrids-loadgen \
-                 against hybrids-server (BENCH_9.json)"
-            );
         }
         s
     }
@@ -166,29 +160,6 @@ impl Scale {
     /// `hybrids::offload::policy`.
     pub fn with_policy(mut self, policy: Policy) -> Self {
         self.cfg = self.cfg.with_policy(policy);
-        self
-    }
-
-    /// Engine shard knob (`0` = one shard per vault, `1` = legacy loop);
-    /// see `Config::with_shards`.
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.cfg = self.cfg.with_shards(shards);
-        self
-    }
-
-    /// Memory backend selector (records into the `backend` artifact
-    /// column). The cycle-accurate harness only runs on the simulator;
-    /// requesting `native` here is rejected with a pointer to the tool
-    /// that does serve native traffic.
-    pub fn with_backend(mut self, backend: BackendKind) -> Self {
-        assert_eq!(
-            backend,
-            BackendKind::Sim,
-            "the cycle-accurate bench harness runs on the simulated backend only; \
-             native-backend serve throughput is measured by hybrids-loadgen \
-             against hybrids-server (BENCH_9.json)"
-        );
-        self.backend = backend;
         self
     }
 
@@ -371,7 +342,7 @@ pub struct Record {
     pub offload_lock_path: u64,
     pub offload_mean_batch: f64,
     /// End-to-end latency percentiles over the measured window (simulated
-    /// cycles, all op kinds). Zero when built without the `trace` feature.
+    /// cycles, all op kinds).
     pub lat_p50_cycles: f64,
     pub lat_p95_cycles: f64,
     pub lat_p99_cycles: f64,
@@ -385,10 +356,6 @@ pub struct Record {
     /// Requests served by coalesced-response replication in the measured
     /// window (always 0 under the fixed policy).
     pub offload_coalesced: u64,
-    /// Memory backend that produced the row (`sim` for everything the
-    /// cycle-accurate harness emits; `native` rows come from the
-    /// hybrids-loadgen report).
-    pub backend: String,
 }
 
 impl Record {
@@ -427,7 +394,6 @@ impl Record {
             pq_stale_probes: r.stats.offload.pq_stale_total(),
             policy: scale.cfg.policy.label().into(),
             offload_coalesced: r.offload_coalesced,
-            backend: scale.backend.label().into(),
         }
     }
 }
@@ -675,13 +641,13 @@ pub fn save_records(experiment: &str, records: &[Record]) {
     let mut csv = String::new();
     if fresh {
         csv.push_str(
-            "experiment,scale,variant,workload,threads,mops,dram_reads_per_op,host_dram_reads_per_op,nmp_dram_reads_per_op,mmio_per_op,energy_nj_per_op,cycles,measured_ops,succeeded_ops,wall_ms,sim_cycles_per_sec,offload_posted,offload_retries,offload_lock_path,offload_mean_batch,lat_p50_cycles,lat_p95_cycles,lat_p99_cycles,shards,pq_stale_probes,policy,offload_coalesced,backend\n",
+            "experiment,scale,variant,workload,threads,mops,dram_reads_per_op,host_dram_reads_per_op,nmp_dram_reads_per_op,mmio_per_op,energy_nj_per_op,cycles,measured_ops,succeeded_ops,wall_ms,sim_cycles_per_sec,offload_posted,offload_retries,offload_lock_path,offload_mean_batch,lat_p50_cycles,lat_p95_cycles,lat_p99_cycles,shards,pq_stale_probes,policy,offload_coalesced\n",
         );
     }
     for r in records {
         let _ = writeln!(
             csv,
-            "{},{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{},{},{},{:.3},{:.0},{},{},{},{:.3},{:.1},{:.1},{:.1},{},{},{},{},{}",
+            "{},{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{},{},{},{:.3},{:.0},{},{},{},{:.3},{:.1},{:.1},{:.1},{},{},{},{}",
             r.experiment,
             r.scale,
             r.variant,
@@ -708,8 +674,7 @@ pub fn save_records(experiment: &str, records: &[Record]) {
             r.shards,
             r.pq_stale_probes,
             r.policy,
-            r.offload_coalesced,
-            r.backend
+            r.offload_coalesced
         );
     }
     use std::io::Write;
@@ -736,6 +701,15 @@ mod tests {
             let _ = s.skiplist_keyspace();
             let _ = s.btree_keyspace();
         }
+    }
+
+    #[test]
+    fn scale_names_resolve_and_typos_do_not() {
+        for name in ["smoke", "ci", "scaled", "paper"] {
+            assert_eq!(scale_by_name(name).expect("known scale").name, name);
+        }
+        assert!(scale_by_name("papr").is_none());
+        assert!(scale_by_name("").is_none());
     }
 
     #[test]

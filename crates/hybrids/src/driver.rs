@@ -16,34 +16,21 @@
 use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
 use std::sync::Arc;
 
+use nmp_sim::analysis::{HistEvent, HistOp, HistoryRecorder};
+use nmp_sim::trace::{kind_label, LatencyHist, OP_KINDS};
 use nmp_sim::{Machine, StatsSnapshot, ThreadCtx, ThreadKind};
 use serde::Serialize;
 use workloads::{KeySpace, Op, WorkloadSpec};
-
-#[cfg(feature = "analysis")]
-use nmp_sim::analysis::{HistEvent, HistOp, HistoryRecorder};
-#[cfg(feature = "trace")]
-use nmp_sim::trace::{kind_label, LatencyHist, OP_KINDS};
 
 use crate::api::{Issued, OpResult, PollOutcome, SimIndex};
 use crate::offload::policy::LaneGovernor;
 
 /// Per-thread view of a history recorder: the recorder plus the recording
 /// thread's id. `None` disables recording (the normal benchmarking path).
-#[cfg(feature = "analysis")]
 pub type RecorderHandle<'a> = Option<(&'a HistoryRecorder, usize)>;
-/// Stub when the `analysis` feature is off; only `None` is constructible.
-#[cfg(not(feature = "analysis"))]
-pub type RecorderHandle<'a> = Option<&'a std::convert::Infallible>;
-
-#[cfg(feature = "analysis")]
-type RecorderArc = Option<Arc<HistoryRecorder>>;
-#[cfg(not(feature = "analysis"))]
-type RecorderArc = Option<Arc<std::convert::Infallible>>;
 
 /// Record one completed point operation. Scans are skipped: their
 /// multi-key footprint is outside the per-key linearizability model.
-#[cfg(feature = "analysis")]
 fn record_completion(rec: RecorderHandle<'_>, op: Op, r: OpResult, inv: u64, resp: u64) {
     let Some((rec, thread)) = rec else { return };
     let (hop, key, value) = match op {
@@ -56,26 +43,15 @@ fn record_completion(rec: RecorderHandle<'_>, op: Op, r: OpResult, inv: u64, res
     rec.record(HistEvent { thread, op: hop, key, ok: r.ok, value, inv, resp });
 }
 
-#[cfg(not(feature = "analysis"))]
-fn record_completion(_rec: RecorderHandle<'_>, _op: Op, _r: OpResult, _inv: u64, _resp: u64) {}
-
 /// Per-thread latency sink: one histogram per op kind, filled during the
-/// measured phase only. `None` (always, when `trace` is off) disables it.
-#[cfg(feature = "trace")]
+/// measured phase only. `None` (the warm-up phase) disables it.
 type LatSink<'a> = Option<&'a mut [LatencyHist; OP_KINDS]>;
-/// Stub when the `trace` feature is off; only `None` is constructible.
-#[cfg(not(feature = "trace"))]
-type LatSink<'a> = Option<&'a mut std::convert::Infallible>;
 
-#[cfg(feature = "trace")]
 fn note_latency(lat: &mut LatSink<'_>, op: Op, inv: u64, resp: u64) {
     if let Some(h) = lat.as_deref_mut() {
         h[crate::offload::op_kind(op) as usize].record(resp.saturating_sub(inv));
     }
 }
-
-#[cfg(not(feature = "trace"))]
-fn note_latency(_lat: &mut LatSink<'_>, _op: Op, _inv: u64, _resp: u64) {}
 
 /// One experiment's execution parameters.
 #[derive(Debug, Clone, Copy)]
@@ -156,14 +132,13 @@ pub struct RunResult {
     /// coalescing; always 0 under `Policy::Fixed`).
     pub offload_coalesced: u64,
     /// End-to-end operation latency percentiles over the measured window,
-    /// in simulated cycles across all op kinds. Zero when the `trace`
-    /// feature is disabled (collection lives behind it).
+    /// in simulated cycles across all op kinds.
     pub lat_p50_cycles: f64,
     /// 95th-percentile latency; see [`RunResult::lat_p50_cycles`].
     pub lat_p95_cycles: f64,
     /// 99th-percentile latency; see [`RunResult::lat_p50_cycles`].
     pub lat_p99_cycles: f64,
-    /// Per-op-kind latency breakdown (empty when `trace` is disabled).
+    /// Per-op-kind latency breakdown.
     pub op_latency: Vec<OpLatency>,
     /// Full counter snapshot of the measured window.
     pub stats: StatsSnapshot,
@@ -210,7 +185,6 @@ pub fn run_index<S: SimIndex>(
 /// included; scans excluded) is recorded into `recorder`, ready for
 /// [`HistoryRecorder::check_linearizable`] against the structure's
 /// *pre-simulation* contents.
-#[cfg(feature = "analysis")]
 pub fn run_index_recorded<S: SimIndex>(
     machine: &Arc<Machine>,
     index: &Arc<S>,
@@ -226,7 +200,7 @@ fn run_index_inner<S: SimIndex>(
     index: &Arc<S>,
     ks: &KeySpace,
     spec: &RunSpec,
-    recorder: RecorderArc,
+    recorder: Option<Arc<HistoryRecorder>>,
 ) -> RunResult {
     let threads = spec.workload.threads;
     assert!(threads as usize <= machine.config().host_cores, "more threads than host cores");
@@ -247,7 +221,6 @@ fn run_index_inner<S: SimIndex>(
         ends: (0..threads).map(|_| AtomicU64::new(0)).collect(),
         succeeded: AtomicU64::new(0),
     });
-    #[cfg(feature = "trace")]
     let lat_shared: Arc<parking_lot::Mutex<Vec<[LatencyHist; OP_KINDS]>>> =
         Arc::new(parking_lot::Mutex::new(Vec::new()));
 
@@ -272,14 +245,10 @@ fn run_index_inner<S: SimIndex>(
             }
         });
         let recorder = recorder.clone();
-        #[cfg(feature = "trace")]
         let lat_shared = Arc::clone(&lat_shared);
         sim.spawn(format!("host-{t}"), ThreadKind::Host { core: t }, move |ctx| {
             let mut footprint = footprint;
-            #[cfg(feature = "analysis")]
             let rec: RecorderHandle<'_> = recorder.as_deref().map(|r| (r, t));
-            #[cfg(not(feature = "analysis"))]
-            let rec: RecorderHandle<'_> = recorder.as_deref();
             run_stream(ctx, &*index, &warm, inflight, footprint.as_mut(), rec, None);
             // Barrier: wait for everyone's warm-up to finish, then the last
             // arriver resets the counters (cache state stays warm).
@@ -293,17 +262,12 @@ fn run_index_inner<S: SimIndex>(
                     ctx.idle(idle);
                 }
             }
-            #[cfg(feature = "trace")]
             let mut lat: [LatencyHist; OP_KINDS] = std::array::from_fn(|_| LatencyHist::new());
-            #[cfg(feature = "trace")]
             let sink: LatSink<'_> = Some(&mut lat);
-            #[cfg(not(feature = "trace"))]
-            let sink: LatSink<'_> = None;
             shared.starts[t].store(ctx.now(), Ordering::Relaxed);
             let ok = run_stream(ctx, &*index, &meas, inflight, footprint.as_mut(), rec, sink);
             shared.ends[t].store(ctx.now(), Ordering::Relaxed);
             shared.succeeded.fetch_add(ok, Ordering::Relaxed);
-            #[cfg(feature = "trace")]
             lat_shared.lock().push(lat);
         });
     }
@@ -321,7 +285,6 @@ fn run_index_inner<S: SimIndex>(
     // virtually every touch is a DRAM read; exclude them from the index's
     // per-op metric.
     let fp = spec.app_footprint_lines as f64;
-    #[cfg(feature = "trace")]
     let (lat_all, op_latency) = {
         let per_thread = lat_shared.lock();
         let mut merged: [LatencyHist; OP_KINDS] = std::array::from_fn(|_| LatencyHist::new());
@@ -366,22 +329,10 @@ fn run_index_inner<S: SimIndex>(
         offload_lock_path: stats.offload.lock_path_total(),
         offload_mean_batch: stats.offload.mean_batch(),
         offload_coalesced: stats.offload.coalesced_total(),
-        #[cfg(feature = "trace")]
         lat_p50_cycles: lat_all.percentile(0.50),
-        #[cfg(feature = "trace")]
         lat_p95_cycles: lat_all.percentile(0.95),
-        #[cfg(feature = "trace")]
         lat_p99_cycles: lat_all.percentile(0.99),
-        #[cfg(feature = "trace")]
         op_latency,
-        #[cfg(not(feature = "trace"))]
-        lat_p50_cycles: 0.0,
-        #[cfg(not(feature = "trace"))]
-        lat_p95_cycles: 0.0,
-        #[cfg(not(feature = "trace"))]
-        lat_p99_cycles: 0.0,
-        #[cfg(not(feature = "trace"))]
-        op_latency: Vec::new(),
         stats,
     }
 }
@@ -620,7 +571,6 @@ mod tests {
         assert_eq!(go(), go());
     }
 
-    #[cfg(feature = "analysis")]
     #[test]
     fn recorded_history_linearizes() {
         let m = Machine::new(Config::tiny());

@@ -57,7 +57,6 @@ pub fn topology(machine: &Machine) -> Topology {
 /// analysis is attached, install it for spec-conformance checking.
 pub fn register_effect_spec(machine: &Arc<Machine>, spec: &EffectSpec) {
     nmp_sim::analysis::effects::assert_verified(spec, topology(machine));
-    #[cfg(feature = "analysis")]
     if let Some(a) = machine.mem().analysis() {
         a.install_spec(spec.clone());
     }

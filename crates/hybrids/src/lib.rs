@@ -55,7 +55,6 @@ pub mod publist;
 pub mod skiplist;
 
 pub use api::{Issued, OpResult, PollOutcome, SimIndex};
-#[cfg(feature = "analysis")]
 pub use driver::run_index_recorded;
 pub use driver::{run_index, RunResult, RunSpec};
 pub use effects::{register_effect_spec, topology};

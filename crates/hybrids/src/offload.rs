@@ -50,13 +50,12 @@ pub fn op_kind(op: Op) -> u8 {
     }
 }
 
-/// Host-side cycle-attribution state for one in-flight op (feature `trace`).
+/// Host-side cycle-attribution state for one in-flight op.
 ///
 /// A cursor (`cursor`) tracks the last attributed cycle; every runtime entry
 /// and exit moves it forward, crediting the elapsed segment to exactly one
 /// of `host` / `post` / `wait` — so the three always tile `[start, now]`
 /// with no gaps or double counting.
-#[cfg(feature = "trace")]
 struct OpTrace {
     id: u64,
     kind: u8,
@@ -71,7 +70,6 @@ struct OpTrace {
     legs: u32,
 }
 
-#[cfg(feature = "trace")]
 impl OpTrace {
     /// Attribute the gap since the last runtime exit: queueing for a posted
     /// op, host-side scheduling otherwise.
@@ -155,7 +153,6 @@ pub struct PendingOp<S> {
     part: usize,
     posted: bool,
     state: S,
-    #[cfg(feature = "trace")]
     tr: Option<OpTrace>,
 }
 
@@ -212,19 +209,17 @@ impl OffloadRuntime {
         publist::spawn_combiners(sim, Arc::clone(&self.lists), exec);
     }
 
-    fn new_pending<S: Default>(&self, _ctx: &ThreadCtx, op: Op, slot: usize) -> PendingOp<S> {
+    fn new_pending<S: Default>(&self, ctx: &ThreadCtx, op: Op, slot: usize) -> PendingOp<S> {
         PendingOp {
             op,
             slot,
             part: 0,
             posted: false,
             state: S::default(),
-            #[cfg(feature = "trace")]
-            tr: self.begin_trace(_ctx, op),
+            tr: self.begin_trace(ctx, op),
         }
     }
 
-    #[cfg(feature = "trace")]
     fn begin_trace(&self, ctx: &ThreadCtx, op: Op) -> Option<OpTrace> {
         let t = self.machine.mem().tracer()?;
         let now = ctx.now();
@@ -248,12 +243,11 @@ impl OffloadRuntime {
     /// Close the op's trace record at completion. The final cursor position
     /// is the completion cycle: every lifecycle path marks the cursor up to
     /// `ctx.now()` before a `Step::Done` can surface here.
-    fn finish_trace<S>(&self, _ctx: &ThreadCtx, _pend: &mut PendingOp<S>) {
-        #[cfg(feature = "trace")]
-        if let Some(tr) = _pend.tr.take() {
+    fn finish_trace<S>(&self, ctx: &ThreadCtx, pend: &mut PendingOp<S>) {
+        if let Some(tr) = pend.tr.take() {
             if let Some(t) = self.machine.mem().tracer() {
                 t.op_end(
-                    host_core(_ctx),
+                    host_core(ctx),
                     nmp_sim::trace::OpRecord {
                         op: tr.id,
                         kind: tr.kind,
@@ -280,14 +274,12 @@ impl OffloadRuntime {
     ) -> Option<OpResult> {
         match step {
             Step::Done(r) => {
-                #[cfg(feature = "trace")]
                 if let Some(tr) = pend.tr.as_mut() {
                     tr.mark_host(ctx.now());
                 }
                 Some(r)
             }
             Step::Stall => {
-                #[cfg(feature = "trace")]
                 if let Some(tr) = pend.tr.as_mut() {
                     tr.mark_host(ctx.now());
                 }
@@ -295,7 +287,6 @@ impl OffloadRuntime {
                 None
             }
             Step::Post { part, req } => {
-                #[cfg(feature = "trace")]
                 let post_start = {
                     if let Some(tr) = pend.tr.as_mut() {
                         tr.mark_host(ctx.now());
@@ -306,7 +297,6 @@ impl OffloadRuntime {
                 self.machine.mem().note_offload_post(part, pend.slot % self.lists.max_inflight());
                 pend.part = part;
                 pend.posted = true;
-                #[cfg(feature = "trace")]
                 if let Some(tr) = pend.tr.as_mut() {
                     let now = ctx.now();
                     tr.mark_post(now);
@@ -327,7 +317,6 @@ impl OffloadRuntime {
         pend: &mut PendingOp<C::OpState>,
         resp: &Response,
     ) -> Option<OpResult> {
-        #[cfg(feature = "trace")]
         if let Some(tr) = pend.tr.as_mut() {
             let now = ctx.now();
             tr.mark_wait(now);
@@ -414,7 +403,6 @@ impl OffloadRuntime {
         client: &C,
         pend: &mut PendingOp<C::OpState>,
     ) -> PollOutcome {
-        #[cfg(feature = "trace")]
         if let Some(tr) = pend.tr.as_mut() {
             tr.enter(ctx.now(), pend.posted);
         }
@@ -430,7 +418,6 @@ impl OffloadRuntime {
         }
         match self.lists.try_response(ctx, pend.part, pend.slot) {
             None => {
-                #[cfg(feature = "trace")]
                 if let Some(tr) = pend.tr.as_mut() {
                     tr.mark_wait(ctx.now());
                 }

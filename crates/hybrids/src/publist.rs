@@ -383,11 +383,9 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                 states.resize_with(lists.slots_per_part(), Default::default);
                 let mut batch: Vec<(usize, Request)> = Vec::with_capacity(lists.slots_per_part());
                 let mut ctl = CombinerControl::new(policy, base_idle);
-                #[cfg(feature = "analysis")]
                 let analysis = lists.machine.mem().analysis().cloned();
                 loop {
                     batch.clear();
-                    #[cfg(feature = "trace")]
                     let pass_start = ctx.now();
                     for slot in 0..lists.slots_per_part() {
                         if let Some(req) = lists.scan(ctx, part, slot) {
@@ -416,12 +414,10 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                     while i < batch.len() {
                         let (slot, req) = batch[i];
                         let run = coalesce_run_len(&batch, i, coalescible);
-                        #[cfg(feature = "trace")]
                         let exec_start = ctx.now();
                         // Scope conformance checking to the op being served so
                         // blame reports name it; the scan pass above runs
                         // unscoped (checked against the protocol union).
-                        #[cfg(feature = "analysis")]
                         if let Some(a) = &analysis {
                             a.set_current_op(ctx.id(), Some(req.op as u8));
                         }
@@ -430,11 +426,9 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                             resp.combined = occupancy;
                         }
                         lists.complete(ctx, part, slot, &resp);
-                        #[cfg(feature = "analysis")]
                         if let Some(a) = &analysis {
                             a.set_current_op(ctx.id(), None);
                         }
-                        #[cfg(feature = "trace")]
                         if let Some(t) = lists.machine.mem().tracer() {
                             t.note_exec(part, slot, exec_start, ctx.now());
                         }
@@ -443,19 +437,15 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                         // unchanged partition state -> replicate the lead's
                         // response without a second descent.
                         for &(fslot, _) in &batch[i + 1..i + run] {
-                            #[cfg(feature = "trace")]
                             let repl_start = ctx.now();
-                            #[cfg(feature = "analysis")]
                             if let Some(a) = &analysis {
                                 a.set_current_op(ctx.id(), Some(req.op as u8));
                             }
                             lists.complete(ctx, part, fslot, &resp);
                             lists.machine.mem().note_offload_coalesced(part);
-                            #[cfg(feature = "analysis")]
                             if let Some(a) = &analysis {
                                 a.set_current_op(ctx.id(), None);
                             }
-                            #[cfg(feature = "trace")]
                             if let Some(t) = lists.machine.mem().tracer() {
                                 t.note_exec(part, fslot, repl_start, ctx.now());
                             }
@@ -463,7 +453,6 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                         }
                         i += run;
                     }
-                    #[cfg(feature = "trace")]
                     if let Some(t) = lists.machine.mem().tracer() {
                         t.note_batch(part, pass_start, ctx.now(), batch.len() as u64);
                     }

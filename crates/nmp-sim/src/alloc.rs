@@ -32,7 +32,6 @@ pub struct Arena {
     /// When attached, [`Arena::free`] resets the race detector's per-cell
     /// state for the freed block, so freelist reuse does not manufacture
     /// false races between the block's old and new owners.
-    #[cfg(feature = "analysis")]
     analysis: std::sync::OnceLock<std::sync::Arc<crate::analysis::Analysis>>,
 }
 
@@ -52,14 +51,12 @@ impl Arena {
                 peak_bytes: 0,
                 allocs: 0,
             }),
-            #[cfg(feature = "analysis")]
             analysis: std::sync::OnceLock::new(),
         }
     }
 
     /// Hook the attached correctness checkers into this arena's `free`
     /// path (first attach wins).
-    #[cfg(feature = "analysis")]
     pub(crate) fn attach_analysis(&self, a: std::sync::Arc<crate::analysis::Analysis>) {
         let _ = self.analysis.set(a);
     }
@@ -108,7 +105,6 @@ impl Arena {
         let bytes = bytes.div_ceil(8) * 8;
         debug_assert!(addr >= self.base && addr + bytes <= self.end);
         debug_assert_eq!(addr % align, 0);
-        #[cfg(feature = "analysis")]
         if let Some(a) = self.analysis.get() {
             a.reset_range(addr, bytes);
         }

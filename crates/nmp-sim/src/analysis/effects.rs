@@ -22,9 +22,9 @@
 //!   ([`SpecError::UnpairedRelease`] / [`SpecError::UnpairedAcquire`]), so
 //!   torn publication protocols are caught without running anything.
 //!
-//! With the `analysis` cargo feature, the same declarations additionally
-//! feed a **conformance mode** of the dynamic checkers: every observed
-//! timed access is checked against the running structure's declared plan,
+//! With an [`Analysis`](super::Analysis) attached, the same declarations
+//! additionally feed a **conformance mode** of the dynamic checkers: every
+//! observed timed access is checked against the running structure's plan,
 //! turning a violation into a precise declared-vs-observed blame report
 //! (see [`ConformanceViolation`](super::ConformanceViolation)).
 //!

@@ -1,4 +1,4 @@
-//! Engine-integrated correctness checkers (the `analysis` cargo feature).
+//! Engine-integrated correctness checkers.
 //!
 //! The deterministic engine runs exactly one logical thread at a time and
 //! every timed memory operation passes through a single serialization point
@@ -25,9 +25,9 @@
 //!    reports. Opt-in via [`Analysis::enable_conformance`].
 //!
 //! The [`effects`] module itself — the declaration vocabulary and its
-//! static verifier [`effects::verify_specs`] — is compiled unconditionally
-//! (no cargo feature needed): specs are validated at structure-registration
-//! time with zero simulation cycles, in every build configuration.
+//! static verifier [`effects::verify_specs`] — needs no attached
+//! [`Analysis`]: specs are validated at structure-registration time with
+//! zero simulation cycles.
 //!
 //! Attach an [`Analysis`] with [`crate::Machine::attach_analysis`]; without
 //! one the simulator behaves exactly as before (wild region accesses
@@ -35,47 +35,31 @@
 //! [`Analysis::report`] and the `races_detected` / `policy_violations`
 //! fields of [`crate::stats::StatsSnapshot`].
 
-pub mod effects;
-
-#[cfg(feature = "analysis")]
 pub mod conformance;
-#[cfg(feature = "analysis")]
+pub mod effects;
 pub mod history;
-#[cfg(feature = "analysis")]
 pub mod policy;
-#[cfg(feature = "analysis")]
 pub mod race;
 
-#[cfg(feature = "analysis")]
 use std::fmt;
-#[cfg(feature = "analysis")]
 use std::panic::Location;
-#[cfg(feature = "analysis")]
 use std::sync::Arc;
 
-#[cfg(feature = "analysis")]
 use parking_lot::Mutex;
 
-#[cfg(feature = "analysis")]
 use crate::engine::ThreadKind;
-#[cfg(feature = "analysis")]
 use crate::mem::{Addr, MemMap};
 
-#[cfg(feature = "analysis")]
 pub use conformance::ConformanceViolation;
 pub use effects::{
     verify_spec, verify_specs, AccessDecl, Channel, Dir, EffectSpec, OpSpec, OrderClass,
     RegionClass, SpecError, ThreadClass, Topology,
 };
-#[cfg(feature = "analysis")]
 pub use history::{HistEvent, HistOp, HistoryRecorder, LinearizabilityError};
-#[cfg(feature = "analysis")]
 pub use policy::{PolicyRule, PolicyViolation};
-#[cfg(feature = "analysis")]
 pub use race::{AccessSite, RaceKind, RaceReport};
 
 /// How a timed memory operation participates in the happens-before model.
-#[cfg(feature = "analysis")]
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MemOp {
     /// Plain load: race-checked unless the cell is a sync cell (then it is
@@ -101,7 +85,6 @@ pub enum MemOp {
 }
 
 /// Aggregated results of the engine-integrated checkers.
-#[cfg(feature = "analysis")]
 #[derive(Debug, Clone, Default)]
 pub struct Report {
     /// Deduplicated race reports (capped at [`race::MAX_STORED_REPORTS`]).
@@ -119,7 +102,6 @@ pub struct Report {
     pub conformance_total: u64,
 }
 
-#[cfg(feature = "analysis")]
 impl Report {
     /// True when no races, policy violations, or conformance violations
     /// were observed.
@@ -133,7 +115,6 @@ impl Report {
     }
 }
 
-#[cfg(feature = "analysis")]
 impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
@@ -159,7 +140,6 @@ impl fmt::Display for Report {
 /// the logs in global `(cycle, spawn id, seq)` order after the run and
 /// replays them through [`Analysis::replay`], reproducing exactly the feed
 /// order of the legacy single-loop engine.
-#[cfg(feature = "analysis")]
 #[derive(Clone)]
 pub(crate) enum AnalysisEv {
     /// One timed access observed at the serialization point.
@@ -199,7 +179,6 @@ pub(crate) enum AnalysisEv {
     Violation(PolicyViolation),
 }
 
-#[cfg(feature = "analysis")]
 struct Inner {
     race: race::RaceDetector,
     policy: policy::PolicyChecker,
@@ -209,13 +188,11 @@ struct Inner {
 /// The attached checker state of one simulated machine. One logical thread
 /// executes at a time, so the mutex is uncontended; it exists because
 /// logical threads live on distinct OS threads.
-#[cfg(feature = "analysis")]
 pub struct Analysis {
     map: MemMap,
     inner: Mutex<Inner>,
 }
 
-#[cfg(feature = "analysis")]
 impl Analysis {
     /// Build an analysis over the given address map.
     pub fn new(map: MemMap) -> Arc<Self> {

@@ -36,25 +36,6 @@ pub enum BackendKind {
     Native,
 }
 
-impl BackendKind {
-    /// Stable lower-case label, used in bench records and CLI flags.
-    pub fn label(&self) -> &'static str {
-        match self {
-            BackendKind::Sim => "sim",
-            BackendKind::Native => "native",
-        }
-    }
-
-    /// Parse a CLI/env spelling (`"sim"` or `"native"`, case-insensitive).
-    pub fn parse(s: &str) -> Option<BackendKind> {
-        match s.to_ascii_lowercase().as_str() {
-            "sim" | "simulated" | "simulator" => Some(BackendKind::Sim),
-            "native" => Some(BackendKind::Native),
-            _ => None,
-        }
-    }
-}
-
 /// A word-addressed 32-bit memory substrate.
 ///
 /// The contract mirrors `SimRam`'s historical inherent API (same method
@@ -263,15 +244,6 @@ impl MemBackend for NativeRam {
 #[cfg(test)]
 mod tests {
     use super::*;
-
-    #[test]
-    fn backend_kind_labels_round_trip() {
-        for k in [BackendKind::Sim, BackendKind::Native] {
-            assert_eq!(BackendKind::parse(k.label()), Some(k));
-        }
-        assert_eq!(BackendKind::parse("NATIVE"), Some(BackendKind::Native));
-        assert_eq!(BackendKind::parse("hw"), None);
-    }
 
     #[test]
     fn native_u64_roundtrip() {

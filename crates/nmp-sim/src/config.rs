@@ -142,8 +142,7 @@ pub struct Config {
 
     /// Capacity (in events) of the `nmp_sim::trace` ring buffer when a
     /// tracer is attached; the oldest events are dropped beyond this. Unused
-    /// (but still present, so configs serialize identically) when the
-    /// `trace` feature is off or no tracer is attached.
+    /// when no tracer is attached.
     pub trace_buffer_events: usize,
 
     /// Simulation-engine shard workers: `0` = auto (one vault shard per NMP
@@ -283,11 +282,18 @@ impl Config {
     /// Like [`Config::vault_shards`] but honoring the `NMP_SIM_SHARDS`
     /// environment override the engine consults, so harnesses can report
     /// the shard count a run will actually use. `1` = legacy single loop.
+    ///
+    /// # Panics
+    /// If `NMP_SIM_SHARDS` is set to anything but a non-negative integer:
+    /// a mistyped override must not silently select a different engine.
     pub fn resolved_vault_shards(&self) -> usize {
-        match std::env::var("NMP_SIM_SHARDS").ok().and_then(|v| v.parse::<usize>().ok()) {
-            Some(0) => self.nmp_partitions(),
-            Some(n) => n.min(self.nmp_partitions()),
-            None => self.vault_shards(),
+        let shards = match std::env::var("NMP_SIM_SHARDS") {
+            Ok(v) => parse_shards(&v).unwrap_or_else(|e| panic!("NMP_SIM_SHARDS={e}")),
+            Err(_) => self.shards,
+        };
+        match shards {
+            0 => self.nmp_partitions(),
+            n => n.min(self.nmp_partitions()),
         }
     }
 
@@ -332,6 +338,17 @@ impl Default for Config {
     fn default() -> Self {
         Self::default_scaled()
     }
+}
+
+/// Parse an `NMP_SIM_SHARDS` value; the error names the value and the
+/// accepted set.
+fn parse_shards(value: &str) -> Result<usize, String> {
+    value.parse().map_err(|_| {
+        format!(
+            "{value:?} is not a non-negative integer \
+             (0 = one shard per vault, 1 = the single-loop reference engine)"
+        )
+    })
 }
 
 #[cfg(test)]
@@ -478,5 +495,15 @@ mod tests {
         assert_eq!(Config::paper().vault_shards(), 8);
         assert_eq!(Config::paper().with_shards(4).vault_shards(), 4);
         assert_eq!(Config::tiny().with_shards(8).vault_shards(), 2);
+    }
+
+    #[test]
+    fn shards_override_parses_strictly() {
+        assert_eq!(parse_shards("0"), Ok(0));
+        assert_eq!(parse_shards("4"), Ok(4));
+        for bad in ["four", "-1", "", " 2"] {
+            let e = parse_shards(bad).unwrap_err();
+            assert!(e.contains(bad) && e.contains("non-negative integer"), "{e}");
+        }
     }
 }

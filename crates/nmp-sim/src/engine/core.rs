@@ -22,7 +22,6 @@ use std::thread::{self, Thread};
 
 use parking_lot::Mutex;
 
-#[cfg(feature = "analysis")]
 use crate::analysis::MemOp;
 use crate::config::Config;
 use crate::mem::{Addr, MemorySystem, Region};
@@ -34,7 +33,6 @@ use super::shard::{self, ShardedRt};
 /// Latency charged to an access that violates the region policy while an
 /// analysis is attached (the real machine path does not exist; this keeps
 /// negative fixtures making simulated-time progress).
-#[cfg(feature = "analysis")]
 const POLICY_FALLBACK_LAT: u64 = 100;
 
 pub(super) const ST_INIT: u32 = 0;
@@ -258,11 +256,10 @@ impl ThreadCtx {
     /// Route a direct (non-MMIO) access: with an analysis attached,
     /// region-policy violations are recorded and charged a fallback latency
     /// instead of panicking inside the memory system.
-    fn route(&mut self, addr: Addr, is_write: bool, _site: &'static Location<'static>) -> u64 {
+    fn route(&mut self, addr: Addr, is_write: bool, site: &'static Location<'static>) -> u64 {
         let now = self.now();
-        #[cfg(feature = "analysis")]
         if let Some(a) = self.mem.analysis() {
-            if a.check_policy(self.id, self.kind, addr, is_write, false, now, _site) {
+            if a.check_policy(self.id, self.kind, addr, is_write, false, now, site) {
                 // The access escapes the ownership map; gate on every shard
                 // so the effect is still applied in global key order.
                 self.next_gate = barrier::GATE_ALL;
@@ -280,12 +277,11 @@ impl ThreadCtx {
     }
 
     /// Route an MMIO access, with the same policy interception as [`route`].
-    fn mmio_route(&mut self, addr: Addr, is_write: bool, _site: &'static Location<'static>) -> u64 {
+    fn mmio_route(&mut self, addr: Addr, is_write: bool, site: &'static Location<'static>) -> u64 {
         assert!(matches!(self.kind, ThreadKind::Host { .. }), "MMIO is a host-side path");
         let now = self.now();
-        #[cfg(feature = "analysis")]
         if let Some(a) = self.mem.analysis() {
-            if a.check_policy(self.id, self.kind, addr, is_write, true, now, _site) {
+            if a.check_policy(self.id, self.kind, addr, is_write, true, now, site) {
                 self.next_gate = barrier::GATE_ALL;
                 return POLICY_FALLBACK_LAT;
             }
@@ -300,7 +296,6 @@ impl ThreadCtx {
     /// Feed one completed access to the attached analysis. Fires at the
     /// access's completion time — the engine's single serialization point —
     /// so the race detector sees the global sequentially-consistent order.
-    #[cfg(feature = "analysis")]
     fn trace(
         &self,
         addr: Addr,
@@ -323,7 +318,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::Read, false, site);
         self.mem.ram().read_u64(addr)
     }
@@ -337,7 +331,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, true, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::Write, false, site);
         self.mem.ram().write_u64(addr, value);
     }
@@ -351,7 +344,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 4, MemOp::Read, false, site);
         self.mem.ram().read_u32(addr)
     }
@@ -365,7 +357,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, true, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 4, MemOp::Write, false, site);
         self.mem.ram().write_u32(addr, value);
     }
@@ -382,7 +373,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::ReadAcquire, false, site);
         self.mem.ram().read_u64(addr)
     }
@@ -397,7 +387,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, true, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::WriteRelease, false, site);
         self.mem.ram().write_u64(addr, value);
     }
@@ -411,7 +400,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 4, MemOp::ReadAcquire, false, site);
         self.mem.ram().read_u32(addr)
     }
@@ -425,7 +413,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, true, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 4, MemOp::WriteRelease, false, site);
         self.mem.ram().write_u32(addr, value);
     }
@@ -441,7 +428,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::ReadSpeculative, false, site);
         self.mem.ram().read_u64(addr)
     }
@@ -456,7 +442,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 4, MemOp::ReadSpeculative, false, site);
         self.mem.ram().read_u32(addr)
     }
@@ -474,7 +459,6 @@ impl ThreadCtx {
         let lat = self.route(addr, true, site);
         self.sleep(lat);
         let result = self.mem.ram().cas_u64(addr, expect, new);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::Cas { success: result.is_ok() }, false, site);
         result
     }
@@ -489,7 +473,6 @@ impl ThreadCtx {
         let lat = self.route(addr, true, site);
         self.sleep(lat);
         let result = self.mem.ram().cas_u32(addr, expect, new);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 4, MemOp::Cas { success: result.is_ok() }, false, site);
         result
     }
@@ -503,7 +486,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.mmio_route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::Read, true, site);
         self.mem.ram().read_u64(addr)
     }
@@ -517,7 +499,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.mmio_route(addr, true, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::Write, true, site);
         self.mem.ram().write_u64(addr, value);
     }
@@ -532,7 +513,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.mmio_route(addr, false, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::ReadAcquire, true, site);
         self.mem.ram().read_u64(addr)
     }
@@ -547,7 +527,6 @@ impl ThreadCtx {
         let site = Location::caller();
         let lat = self.mmio_route(addr, true, site);
         self.sleep(lat);
-        #[cfg(feature = "analysis")]
         self.trace(addr, 8, MemOp::WriteRelease, true, site);
         self.mem.ram().write_u64(addr, value);
     }
@@ -692,14 +671,12 @@ impl Simulation {
         assert!(!threads.is_empty(), "no threads spawned");
         *eng.engine_thread.lock() = Some(thread::current());
 
-        #[cfg(feature = "analysis")]
         if let Some(a) = mem.analysis() {
             let roster: Vec<(String, ThreadKind)> =
                 threads.iter().map(|t| (t.name.clone(), t.kind)).collect();
             a.on_sim_start(&roster);
         }
 
-        #[cfg(feature = "trace")]
         if let Some(t) = mem.tracer() {
             let roster: Vec<(String, ThreadKind)> =
                 threads.iter().map(|t| (t.name.clone(), t.kind)).collect();

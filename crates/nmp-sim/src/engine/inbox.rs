@@ -16,15 +16,12 @@
 //! simulation) `defer_*` decline and the caller applies the effect live.
 
 use std::cell::RefCell;
-#[cfg(feature = "trace")]
 use std::collections::VecDeque;
 use std::sync::Arc;
 
 use super::barrier::{pack, ShardCtl};
 
-#[cfg(feature = "analysis")]
 use crate::analysis::AnalysisEv;
-#[cfg(feature = "trace")]
 use crate::trace::TraceEvent;
 
 /// One logical thread's deferred effects, handed to the merge step when the
@@ -37,13 +34,10 @@ pub(crate) struct ThreadLog {
     /// ring capacity — the global ring keeps only the newest `cap` events,
     /// and any thread's contribution to that tail is its own newest `cap`,
     /// so older entries can be dropped early (counted, not lost silently).
-    #[cfg(feature = "trace")]
     pub(crate) trace: VecDeque<(u64, u32, TraceEvent)>,
     /// Events dropped from the front of `trace` by the early bound.
-    #[cfg(feature = "trace")]
     pub(crate) trace_dropped: u64,
     /// Deferred analysis events keyed `(clock, seq)`.
-    #[cfg(feature = "analysis")]
     pub(crate) analysis: Vec<(u64, u32, AnalysisEv)>,
 }
 
@@ -55,7 +49,6 @@ struct Turn {
     ctl: Option<Arc<ShardCtl>>,
     /// Program-order counter within the owning thread; monotone across
     /// turns, so `(clock, tid, seq)` is unique and sorts in feed order.
-    #[cfg_attr(not(any(feature = "trace", feature = "analysis")), allow(dead_code))]
     seq: u32,
     log: ThreadLog,
 }
@@ -71,11 +64,8 @@ impl Turn {
             seq: 0,
             log: ThreadLog {
                 tid: 0,
-                #[cfg(feature = "trace")]
                 trace: VecDeque::new(),
-                #[cfg(feature = "trace")]
                 trace_dropped: 0,
-                #[cfg(feature = "analysis")]
                 analysis: Vec::new(),
             },
         }
@@ -118,7 +108,6 @@ pub(super) fn end_thread() -> ThreadLog {
 
 /// Defer a trace event if a sharded turn is active. Returns `false` when the
 /// caller should apply the event live (legacy loop or outside a simulation).
-#[cfg(feature = "trace")]
 pub(crate) fn defer_trace(ev: TraceEvent, cap: usize) -> bool {
     TURN.with(|t| {
         let mut t = t.borrow_mut();
@@ -138,7 +127,6 @@ pub(crate) fn defer_trace(ev: TraceEvent, cap: usize) -> bool {
 
 /// Defer an analysis event if a sharded turn is active. Returns `false` when
 /// the caller should apply the event live.
-#[cfg(feature = "analysis")]
 pub(crate) fn defer_analysis(ev: AnalysisEv) -> bool {
     TURN.with(|t| {
         let mut t = t.borrow_mut();
@@ -169,13 +157,11 @@ pub(crate) fn quiesce_for_global_mutation() {
 }
 
 /// One thread's deferred log: `(spawn id, [(clock, seq, event)])`.
-#[cfg(any(feature = "trace", feature = "analysis"))]
 pub(super) type DeferredStream<T> = (usize, Vec<(u64, u32, T)>);
 
 /// Merge per-thread logs into one stream ordered by `(clock, tid, seq)` —
 /// the sequential engine's feed order. Used by the shard runner's replay
 /// step; generic over the payload so trace and analysis share it.
-#[cfg(any(feature = "trace", feature = "analysis"))]
 pub(super) fn merge<T>(mut streams: Vec<DeferredStream<T>>) -> Vec<T> {
     let mut keyed: Vec<((u64, usize, u32), T)> = Vec::new();
     for (tid, items) in streams.drain(..) {

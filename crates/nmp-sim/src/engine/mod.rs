@@ -25,9 +25,7 @@ mod inbox;
 mod native;
 mod shard;
 
-#[cfg(feature = "analysis")]
 pub(crate) use self::inbox::defer_analysis;
-#[cfg(feature = "trace")]
 pub(crate) use self::inbox::defer_trace;
 pub(crate) use self::inbox::quiesce_for_global_mutation;
 

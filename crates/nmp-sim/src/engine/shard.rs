@@ -33,7 +33,6 @@ use super::core::{
     await_announcements, join_and_finish, spawn_workers, unpark, EngineShared, SimOutcome,
     ThreadFn, ThreadKind, ThreadShared, ST_DONE, ST_GO, ST_YIELD,
 };
-#[cfg(any(feature = "trace", feature = "analysis"))]
 use super::inbox;
 
 /// Index of the shard owning all host threads and host timing state.
@@ -166,7 +165,6 @@ pub(super) fn run_sharded(
 
     // Replay the deferred trace/analysis streams in merged key order — the
     // sequential engine's feed order — into the real consumers.
-    #[cfg(feature = "trace")]
     if let Some(t) = mem.tracer() {
         let mut streams = Vec::new();
         let mut early_dropped = 0u64;
@@ -178,7 +176,6 @@ pub(super) fn run_sharded(
         }
         t.replay(inbox::merge(streams), early_dropped);
     }
-    #[cfg(feature = "analysis")]
     if let Some(a) = mem.analysis() {
         let mut streams = Vec::new();
         for ts in &threads {
@@ -190,8 +187,6 @@ pub(super) fn run_sharded(
             a.replay(ev);
         }
     }
-    #[cfg(not(any(feature = "trace", feature = "analysis")))]
-    let _ = &mem;
 
     // Panic propagation and outcome construction (workers already joined).
     join_and_finish(&threads, Vec::new())

@@ -17,11 +17,10 @@
 //! See `DESIGN.md` at the repository root for the fidelity argument and the
 //! list of deliberate simplifications relative to gem5/SMCSim.
 //!
-//! ## The `analysis` feature
+//! ## The `analysis` layer
 //!
-//! With the `analysis` cargo feature (on by default; disable with
-//! `default-features = false` for release benchmarking), the crate ships
-//! three engine-integrated correctness checkers in the [`analysis`] module:
+//! The crate ships three engine-integrated correctness checkers in the
+//! [`analysis`] module:
 //!
 //! * a vector-clock happens-before **race detector** over simulated
 //!   addresses, where simulated CAS and acquire/release-annotated accesses
@@ -38,19 +37,18 @@
 //! [`StatsSnapshot`]). When nothing is attached the per-access overhead is
 //! a single atomic load, and benchmarks simply never attach.
 //!
-//! ## The `trace` feature
+//! ## The `trace` layer
 //!
-//! With the `trace` cargo feature (also on by default), the [`trace`] module
-//! provides a cycle-level event tracer: op-lifecycle spans (host phase, MMIO
-//! post, combiner batch, NMP execution, response drain, retries), DRAM vault
-//! occupancy events, per-op-kind latency histograms, and a Perfetto /
-//! Chrome-trace JSON exporter ([`trace::TraceSink::chrome_json`]). Like
+//! The [`trace`] module provides a cycle-level event tracer: op-lifecycle
+//! spans (host phase, MMIO post, combiner batch, NMP execution, response
+//! drain, retries), DRAM vault occupancy events, per-op-kind latency
+//! histograms, and a Perfetto / Chrome-trace JSON exporter ([`trace::TraceSink::chrome_json`]). Like
 //! `analysis` it is opt-in at runtime ([`Machine::attach_tracer`]) and
 //! untimed: attaching a tracer never changes simulated cycle counts, and the
 //! exported trace is byte-identical across runs of the same seed/config.
-//! Feature matrix: `analysis` and `trace` are independent — each adds its
-//! own `OnceLock` hook on [`MemorySystem`]; any of the four combinations
-//! builds and runs, with identical simulated timing in all of them.
+//! Both layers are always compiled and independent: each is its own
+//! `OnceLock` hook on [`MemorySystem`], and any combination of attached
+//! and unattached runs with identical simulated timing.
 //!
 //! ## Quick tour
 //!
@@ -82,12 +80,10 @@ pub mod engine;
 pub mod machine;
 pub mod mem;
 pub mod stats;
-#[cfg(feature = "trace")]
 pub mod trace;
 
 pub use alloc::Arena;
 pub use analysis::{AccessDecl, EffectSpec, OpSpec, SpecError, Topology};
-#[cfg(feature = "analysis")]
 pub use analysis::{Analysis, HistEvent, HistOp, HistoryRecorder, Report};
 pub use backend::{BackendKind, MemBackend, NativeRam};
 pub use config::{CacheConfig, Config, Policy};
@@ -97,5 +93,4 @@ pub use mem::{
     Addr, MemMap, MemorySystem, Region, SimRam, NULL, OFFLOAD_HIST_BUCKETS, OFFLOAD_LANE_CAP,
 };
 pub use stats::{CacheStats, OffloadStats, StatsSnapshot, VaultStats};
-#[cfg(feature = "trace")]
 pub use trace::{LatencyHist, TraceSink, Tracer};

@@ -107,7 +107,6 @@ impl Machine {
     /// the already-attached instance. Once attached, every timed memory
     /// access in every subsequent simulation over this machine is traced,
     /// and region-policy violations are recorded instead of panicking.
-    #[cfg(feature = "analysis")]
     pub fn attach_analysis(&self) -> Arc<crate::analysis::Analysis> {
         if let Some(a) = self.mem.analysis() {
             return Arc::clone(a);
@@ -129,7 +128,6 @@ impl Machine {
     /// already-attached instance. Once attached, every subsequent simulation
     /// over this machine records op-lifecycle spans and memory events —
     /// untimed, so simulated cycle counts are unchanged.
-    #[cfg(feature = "trace")]
     pub fn attach_tracer(&self) -> Arc<crate::trace::Tracer> {
         if let Some(t) = self.mem.tracer() {
             return Arc::clone(t);

@@ -15,19 +15,16 @@
 //! [`crate::engine::ThreadCtx`] combines both.
 
 use std::sync::atomic::{AtomicU64, Ordering};
-#[cfg(any(feature = "analysis", feature = "trace"))]
 use std::sync::{Arc, OnceLock};
 
 use parking_lot::Mutex;
 
-#[cfg(feature = "analysis")]
 use crate::analysis::Analysis;
 use crate::backend::{BackendKind, MemBackend, NativeRam};
 use crate::cache::{Access, Cache};
 use crate::config::Config;
 use crate::dram::{DramTiming, Vault};
 use crate::stats::{OffloadStats, StatsSnapshot};
-#[cfg(feature = "trace")]
 use crate::trace::Tracer;
 
 /// Simulated 32-bit address.
@@ -395,11 +392,9 @@ pub struct MemorySystem {
     parts_t: Vec<Mutex<PartTiming>>,
     /// Correctness checkers, attached at most once per machine (see
     /// [`crate::analysis`]). Empty = zero checking overhead.
-    #[cfg(feature = "analysis")]
     analysis: OnceLock<Arc<Analysis>>,
     /// Cycle-level event tracer, attached at most once per machine (see
     /// [`crate::trace`]). Empty = zero tracing overhead.
-    #[cfg(feature = "trace")]
     tracer: OnceLock<Arc<Tracer>>,
 }
 
@@ -451,9 +446,7 @@ impl MemorySystem {
             dram,
             host_t: Mutex::new(host_t),
             parts_t,
-            #[cfg(feature = "analysis")]
             analysis: OnceLock::new(),
-            #[cfg(feature = "trace")]
             tracer: OnceLock::new(),
         }
     }
@@ -461,26 +454,22 @@ impl MemorySystem {
     /// Attach the engine-integrated checkers. The first attach wins;
     /// subsequent calls are ignored (use [`MemorySystem::analysis`] to get
     /// the attached instance).
-    #[cfg(feature = "analysis")]
     pub fn attach_analysis(&self, a: Arc<Analysis>) {
         let _ = self.analysis.set(a);
     }
 
     /// The attached checkers, if any.
-    #[cfg(feature = "analysis")]
     pub fn analysis(&self) -> Option<&Arc<Analysis>> {
         self.analysis.get()
     }
 
     /// Attach the event tracer. The first attach wins; subsequent calls are
     /// ignored (use [`MemorySystem::tracer`] to get the attached instance).
-    #[cfg(feature = "trace")]
     pub fn attach_tracer(&self, t: Arc<Tracer>) {
         let _ = self.tracer.set(t);
     }
 
     /// The attached tracer, if any.
-    #[cfg(feature = "trace")]
     pub fn tracer(&self) -> Option<&Arc<Tracer>> {
         self.tracer.get()
     }
@@ -533,7 +522,7 @@ impl MemorySystem {
         }
         // Vault busy window captured under the timing lock, recorded into the
         // tracer after releasing it (the tracer lock never nests inside it).
-        let mut _vault_busy: Option<(usize, u64, u64)> = None;
+        let mut vault_busy: Option<(usize, u64, u64)> = None;
         let lat = {
             let t = &mut *self.host_t.lock();
             let mut lat = t.l1[core].latency;
@@ -561,7 +550,7 @@ impl MemorySystem {
                     // Off-chip link round trip: only host-side DRAM fills pay it.
                     lat += self.host_link_cycles;
                     let dlat = t.vaults[v].access(now + lat, local, false, &self.dram);
-                    _vault_busy = Some((v, now + lat, now + lat + dlat));
+                    vault_busy = Some((v, now + lat, now + lat + dlat));
                     lat += dlat;
                 }
             }
@@ -570,9 +559,8 @@ impl MemorySystem {
             }
             lat
         };
-        #[cfg(feature = "trace")]
         if let Some(tr) = self.tracer.get() {
-            if let Some((v, start, end)) = _vault_busy {
+            if let Some((v, start, end)) = vault_busy {
                 tr.llc_miss(core, now);
                 tr.vault_busy(v, start, end);
             }
@@ -597,7 +585,7 @@ impl MemorySystem {
             Region::Spad(p) if p == part => return 1,
             r => panic!("NMP core {part} accessed foreign region {r:?} at {addr:#x}"),
         }
-        let mut _vault_busy: Option<(usize, u64, u64)> = None;
+        let mut vault_busy: Option<(usize, u64, u64)> = None;
         let lat = {
             let t = &mut *self.parts_t[part].lock();
             let block = addr & !(self.cfg.nmp_buffer_bytes - 1);
@@ -607,7 +595,7 @@ impl MemorySystem {
             } else {
                 let local = addr - self.map.part_base(part);
                 let lat = t.vault.access(now, local, is_write, &self.dram);
-                _vault_busy = Some((self.cfg.main_vaults + part, now, now + lat));
+                vault_busy = Some((self.cfg.main_vaults + part, now, now + lat));
                 if is_write {
                     // Write-through; keep the buffer coherent if it holds this block.
                     if t.nmp_buf != Some(block) && t.nmp_buf.is_some() {
@@ -619,9 +607,8 @@ impl MemorySystem {
                 lat
             }
         };
-        #[cfg(feature = "trace")]
         if let Some(tr) = self.tracer.get() {
-            if let Some((v, start, end)) = _vault_busy {
+            if let Some((v, start, end)) = vault_busy {
                 tr.vault_busy(v, start, end);
             }
         }
@@ -684,13 +671,10 @@ impl MemorySystem {
     /// counter track when a tracer is attached.
     pub fn note_pqueue_stale(&self, part: usize, now: u64) {
         self.offload.pq_stale[part].fetch_add(1, Ordering::Relaxed);
-        #[cfg(feature = "trace")]
         if let Some(tr) = self.tracer.get() {
             let total: u64 = self.offload.pq_stale.iter().map(|a| a.load(Ordering::Relaxed)).sum();
             tr.counter("pq_stale_probes", now, total);
         }
-        #[cfg(not(feature = "trace"))]
-        let _ = now;
     }
 
     /// Snapshot every counter. L1 counters are aggregated across cores.
@@ -702,11 +686,8 @@ impl MemorySystem {
         // past the caller's current cycle so the counters read here reflect
         // the same prefix of work the sequential engine would have applied.
         crate::engine::quiesce_for_global_mutation();
-        #[cfg(feature = "analysis")]
         let (races_detected, policy_violations) =
             self.analysis.get().map_or((0, 0), |a| (a.race_count(), a.policy_count()));
-        #[cfg(not(feature = "analysis"))]
-        let (races_detected, policy_violations) = (0, 0);
         let (l1, l2, mut vaults, mmio_reads, mmio_writes) = {
             let t = self.host_t.lock();
             let mut l1 = crate::stats::CacheStats::default();

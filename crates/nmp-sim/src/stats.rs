@@ -220,8 +220,8 @@ pub struct StatsSnapshot {
     pub nmp_buffer_hits: u64,
     /// How many of the vaults are host main-memory vaults.
     pub main_vaults: usize,
-    /// Racy access pairs found by the attached race detector (0 when the
-    /// `analysis` feature is off or no analysis is attached). Cumulative —
+    /// Racy access pairs found by the attached race detector (0 when
+    /// no analysis is attached). Cumulative —
     /// not cleared by `reset_stats`.
     pub races_detected: u64,
     /// Region-policy violations recorded by the attached lint (same

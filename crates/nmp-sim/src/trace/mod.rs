@@ -1,4 +1,4 @@
-//! Cycle-level tracing and latency observability (cargo feature `trace`).
+//! Cycle-level tracing and latency observability .
 //!
 //! A [`Tracer`] is attached to a [`crate::Machine`] (via
 //! `Machine::attach_tracer`, mirroring the `analysis` subsystem) and records
@@ -18,7 +18,7 @@
 //! Everything is *untimed*: recording happens as a side effect of timed
 //! accesses that already exist, never adds simulated cycles, and is a no-op
 //! when no tracer is attached — simulated cycle counts are identical with
-//! and without the feature. Events land in a bounded drop-oldest ring
+//! and without a tracer. Events land in a bounded drop-oldest ring
 //! ([`Config::trace_buffer_events`](crate::Config::trace_buffer_events)), so
 //! memory stays bounded on long runs.
 //!

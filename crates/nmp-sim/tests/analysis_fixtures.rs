@@ -4,7 +4,6 @@
 //! fixtures (a seeded racy program, a host thread touching an NMP
 //! partition) must be flagged. These guard the analysis layer itself: a
 //! detector that never fires would pass every structure test.
-#![cfg(feature = "analysis")]
 
 use std::sync::Arc;
 

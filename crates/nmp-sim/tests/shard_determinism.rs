@@ -15,8 +15,6 @@
 //! policy violation opens all gates (fail-fast ordering is preserved but
 //! not byte-reproduced; see DESIGN.md §4.9).
 
-#![cfg(all(feature = "trace", feature = "analysis"))]
-
 use std::sync::Arc;
 
 use nmp_sim::{Config, Machine, ThreadKind};

@@ -19,6 +19,7 @@
 //! the run (CI teardown). `--out -` prints the JSON to stdout only.
 
 use std::process::exit;
+use std::str::FromStr;
 
 use hybrids_server::loadgen::{self, LoadgenOpts};
 use workloads::{CacheMix, KeyDist};
@@ -32,33 +33,42 @@ fn usage() -> ! {
     exit(2)
 }
 
+/// The value following `flag`, parsed; a missing or malformed one is a
+/// usage error.
+fn value<T: FromStr>(flag: &str, args: &mut impl Iterator<Item = String>) -> T {
+    let Some(raw) = args.next() else {
+        eprintln!("{flag} needs a value");
+        usage()
+    };
+    raw.parse().unwrap_or_else(|_| {
+        eprintln!("{flag}: cannot parse {raw:?}");
+        usage()
+    })
+}
+
 fn main() {
     let mut opts = LoadgenOpts::default();
     let mut out_path: Option<String> = None;
     let mut args = std::env::args().skip(1);
     while let Some(flag) = args.next() {
-        let mut val = |name: &str| args.next().unwrap_or_else(|| panic!("{name} needs a value"));
         match flag.as_str() {
-            "--addr" => opts.addr = val("--addr"),
-            "--conns" => opts.conns = val("--conns").parse().expect("--conns: u32"),
-            "--ops" => opts.per_conn = val("--ops").parse().expect("--ops: u32"),
-            "--seed" => opts.seed = val("--seed").parse().expect("--seed: u64"),
-            "--keys" => opts.keys = val("--keys").parse().expect("--keys: u32"),
-            "--rate" => opts.rate = Some(val("--rate").parse().expect("--rate: u32")),
-            "--client-threads" => {
-                opts.client_threads =
-                    val("--client-threads").parse().expect("--client-threads: u32")
-            }
-            "--pipeline" => opts.pipeline = val("--pipeline").parse().expect("--pipeline: u32"),
+            "--addr" => opts.addr = value(&flag, &mut args),
+            "--conns" => opts.conns = value(&flag, &mut args),
+            "--ops" => opts.per_conn = value(&flag, &mut args),
+            "--seed" => opts.seed = value(&flag, &mut args),
+            "--keys" => opts.keys = value(&flag, &mut args),
+            "--rate" => opts.rate = Some(value(&flag, &mut args)),
+            "--client-threads" => opts.client_threads = value(&flag, &mut args),
+            "--pipeline" => opts.pipeline = value(&flag, &mut args),
             "--mix" => {
-                let s = val("--mix");
+                let s: String = value(&flag, &mut args);
                 opts.mix = CacheMix::parse(&s).unwrap_or_else(|| {
                     eprintln!("--mix wants get/set/delete percentages summing to 100, e.g. 90/9/1");
                     exit(2)
                 });
             }
             "--dist" => {
-                opts.dist = match val("--dist").as_str() {
+                opts.dist = match value::<String>(&flag, &mut args).as_str() {
                     "zipfian" => KeyDist::Zipfian,
                     "uniform" => KeyDist::Uniform,
                     other => {
@@ -69,7 +79,7 @@ fn main() {
             }
             "--no-preload" => opts.preload = false,
             "--shutdown" => opts.shutdown = true,
-            "--out" => out_path = Some(val("--out")),
+            "--out" => out_path = Some(value(&flag, &mut args)),
             "--help" | "-h" => usage(),
             other => {
                 eprintln!("unknown flag: {other}");

@@ -6,7 +6,7 @@
 //! (minus wall-clock fields), same stats snapshot, same analysis report,
 //! and a byte-identical Chrome-trace export, for the skip list, B+ tree,
 //! and priority queue in both blocking (`inflight = 1`) and lane-pipelined
-//! (`inflight = 4`) modes.
+//! (`inflight = 4`) modes, and for the hash map lane-pipelined.
 //!
 //! This is the acceptance gate for the shard refactor: if any conservative
 //! barrier, deferred-replay merge, or frontier rule is wrong, some counter
@@ -79,6 +79,30 @@ fn btree_fp(shards: usize, inflight: usize, policy: Policy) -> String {
     let mut fp = fold(&m, &tracer, Some(r));
     fp.push_str(&format!("report={:?}\n", analysis.report()));
     fp
+}
+
+/// Hot zipfian point-op stream (`WorkloadSpec::hashmap_mixed`) over a small
+/// key space: with `inflight = 4`, same-key requests meet in one combiner
+/// pass, so `Policy::Adaptive` coalesces them. Returns the fingerprint and
+/// the run's `offload_coalesced`.
+fn hashmap_fp(shards: usize, inflight: usize, policy: Policy) -> (String, u64) {
+    let ks = KeySpace::new(64, 2, 256);
+    let m = Machine::new(Config::tiny().with_shards(shards).with_policy(policy));
+    let tracer = m.attach_tracer();
+    let analysis = m.attach_analysis();
+    let hm = HybridHashMap::new(Arc::clone(&m), 64, 42, inflight.max(1));
+    hm.populate((0..ks.total_initial()).map(|i| (ks.initial_key(i), i)));
+    let spec = RunSpec {
+        workload: WorkloadSpec::hashmap_mixed(91, 4, 120, KeyDist::Zipfian),
+        warmup_per_thread: 10,
+        inflight,
+        app_footprint_lines: 0,
+    };
+    let r = run_index(&m, &hm, &ks, &spec);
+    let coalesced = r.offload_coalesced;
+    let mut fp = fold(&m, &tracer, Some(r));
+    fp.push_str(&format!("report={:?}\n", analysis.report()));
+    (fp, coalesced)
 }
 
 fn pqueue_fp(shards: usize, inflight: usize, policy: Policy) -> String {
@@ -170,6 +194,11 @@ fn btree_pipelined_is_shard_invariant() {
 }
 
 #[test]
+fn hashmap_pipelined_is_shard_invariant() {
+    assert_eq!(hashmap_fp(1, 4, Policy::Fixed), hashmap_fp(2, 4, Policy::Fixed));
+}
+
+#[test]
 fn pqueue_blocking_is_shard_invariant() {
     assert_eq!(pqueue_fp(1, 1, Policy::Fixed), pqueue_fp(2, 1, Policy::Fixed));
 }
@@ -201,6 +230,13 @@ fn btree_pipelined_adaptive_is_shard_invariant() {
 #[test]
 fn pqueue_pipelined_adaptive_is_shard_invariant() {
     assert_eq!(pqueue_fp(1, 4, Policy::Adaptive), pqueue_fp(4, 4, Policy::Adaptive));
+}
+
+#[test]
+fn hashmap_pipelined_adaptive_is_shard_invariant() {
+    let (reference, coalesced) = hashmap_fp(1, 4, Policy::Adaptive);
+    assert!(coalesced > 0, "the stream must exercise the coalescing path");
+    assert_eq!(reference, hashmap_fp(4, 4, Policy::Adaptive).0);
 }
 
 #[test]
