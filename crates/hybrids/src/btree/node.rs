@@ -18,7 +18,7 @@
 // xtask: accessor-module — all raw (untimed) B+ tree memory access lives
 // here; other modules go through these helpers.
 
-use nmp_sim::{Addr, Arena, MemBackend, ThreadCtx};
+use nmp_sim::{Addr, Arena, Ram, ThreadCtx};
 use workloads::{Key, Value};
 
 /// Node size in bytes (one cache block in the Table 1 configuration).
@@ -71,7 +71,7 @@ impl Meta {
 // ---- untimed (population / inspection) ----
 
 /// Untimed node initialization: zero everything, then write the header.
-pub fn raw_init(ram: &dyn MemBackend, node: Addr, level: u32, slotuse: u32) {
+pub fn raw_init(ram: &Ram, node: Addr, level: u32, slotuse: u32) {
     ram.write_u64(node, (Meta { level, slotuse, locked: false }.pack() as u64) << 32);
     for w in 1..16 {
         ram.write_u64(node + w * 8, 0);
@@ -79,62 +79,62 @@ pub fn raw_init(ram: &dyn MemBackend, node: Addr, level: u32, slotuse: u32) {
 }
 
 /// Untimed read of the metadata word.
-pub fn raw_meta(ram: &dyn MemBackend, node: Addr) -> Meta {
+pub fn raw_meta(ram: &Ram, node: Addr) -> Meta {
     Meta::unpack(ram.read_u32(node + 4))
 }
 
 /// Untimed write of the metadata word.
-pub fn raw_set_meta(ram: &dyn MemBackend, node: Addr, m: Meta) {
+pub fn raw_set_meta(ram: &Ram, node: Addr, m: Meta) {
     ram.write_u32(node + 4, m.pack());
 }
 
 /// Untimed read of the seqlock word.
-pub fn raw_seq(ram: &dyn MemBackend, node: Addr) -> u32 {
+pub fn raw_seq(ram: &Ram, node: Addr) -> u32 {
     ram.read_u32(node)
 }
 
 /// Untimed write of the seqlock word.
-pub fn raw_set_seq(ram: &dyn MemBackend, node: Addr, seq: u32) {
+pub fn raw_set_seq(ram: &Ram, node: Addr, seq: u32) {
     ram.write_u32(node, seq);
 }
 
 /// Untimed read of key slot `i`.
-pub fn raw_key(ram: &dyn MemBackend, node: Addr, i: u32) -> Key {
+pub fn raw_key(ram: &Ram, node: Addr, i: u32) -> Key {
     debug_assert!(i < INNER_MAX);
     ram.read_u32(node + KEYS_OFF + 4 * i)
 }
 
 /// Untimed read of a tree's root-word cell.
-pub fn raw_root(ram: &dyn MemBackend, root_word: Addr) -> Addr {
+pub fn raw_root(ram: &Ram, root_word: Addr) -> Addr {
     ram.read_u32(root_word)
 }
 
 /// Untimed initialization of a tree's root-word cell (structure build).
-pub fn raw_set_root(ram: &dyn MemBackend, root_word: Addr, root: Addr) {
+pub fn raw_set_root(ram: &Ram, root_word: Addr, root: Addr) {
     ram.write_u32(root_word, root);
 }
 
 /// Untimed word-for-word node copy (push-down subtree relocation).
-pub fn raw_copy_node(ram: &dyn MemBackend, old: Addr, new: Addr) {
+pub fn raw_copy_node(ram: &Ram, old: Addr, new: Addr) {
     for w in 0..NODE_BYTES / 8 {
         ram.write_u64(new + w * 8, ram.read_u64(old + w * 8));
     }
 }
 
 /// Untimed write of key slot `i`.
-pub fn raw_set_key(ram: &dyn MemBackend, node: Addr, i: u32, k: Key) {
+pub fn raw_set_key(ram: &Ram, node: Addr, i: u32, k: Key) {
     ram.write_u32(node + KEYS_OFF + 4 * i, k);
 }
 
 /// Payload slot `i`: value in a leaf, child pointer in an inner node
 /// (children have one more slot than keys).
-pub fn raw_payload(ram: &dyn MemBackend, node: Addr, i: u32) -> u32 {
+pub fn raw_payload(ram: &Ram, node: Addr, i: u32) -> u32 {
     debug_assert!(i <= INNER_MAX);
     ram.read_u32(node + PAYLOAD_OFF + 4 * i)
 }
 
 /// Untimed write of payload slot `i` (see [`raw_payload`]).
-pub fn raw_set_payload(ram: &dyn MemBackend, node: Addr, i: u32, v: u32) {
+pub fn raw_set_payload(ram: &Ram, node: Addr, i: u32, v: u32) {
     debug_assert!(i <= INNER_MAX);
     ram.write_u32(node + PAYLOAD_OFF + 4 * i, v);
 }
@@ -401,12 +401,12 @@ pub fn split_inner(ctx: &mut ThreadCtx, arena: &Arena, node: Addr) -> (Key, Addr
 }
 
 /// Leaf next-pointer (range-scan support; partition-local in NMP leaves).
-pub fn raw_next_leaf(ram: &dyn MemBackend, node: Addr) -> Addr {
+pub fn raw_next_leaf(ram: &Ram, node: Addr) -> Addr {
     ram.read_u32(node + 120)
 }
 
 /// Untimed write of the leaf next-pointer (see [`raw_next_leaf`]).
-pub fn raw_set_next_leaf(ram: &dyn MemBackend, node: Addr, next: Addr) {
+pub fn raw_set_next_leaf(ram: &Ram, node: Addr, next: Addr) {
     ram.write_u32(node + 120, next);
 }
 

@@ -476,9 +476,9 @@ mod tests {
     #[test]
     fn native_backend_serves_same_semantics() {
         // The exact blocking-op contract, but executed by real OS threads
-        // over the native memory backend (DESIGN.md §4.11): combiners run
+        // under the native engine (DESIGN.md §4.11): combiners run
         // as native daemons, host threads hit the same offload client.
-        let m = Machine::new_native(Config::tiny());
+        let m = Machine::new(Config::tiny());
         let hm = HybridHashMap::new(Arc::clone(&m), 64, 42, 2);
         let mut run = m.native_run();
         hm.spawn_services_on(&mut run);

@@ -14,7 +14,7 @@
 // xtask: accessor-module — all raw (untimed) hash-map memory access lives
 // here; other modules go through these helpers.
 
-use nmp_sim::{Addr, Arena, MemBackend, ThreadCtx};
+use nmp_sim::{Addr, Arena, Ram, ThreadCtx};
 use workloads::{Key, Value};
 
 /// Bytes per chain node (power of two; see module docs).
@@ -35,7 +35,7 @@ pub fn free_node(arena: &Arena, node: Addr) {
 // ---- untimed (population / invariant checking) ----
 
 /// Untimed full-node initialization.
-pub fn raw_init(ram: &dyn MemBackend, node: Addr, key: Key, value: Value, next: Addr) {
+pub fn raw_init(ram: &Ram, node: Addr, key: Key, value: Value, next: Addr) {
     ram.write_u64(node, key as u64);
     ram.write_u64(node + 8, value as u64);
     ram.write_u64(node + 16, next as u64);
@@ -43,32 +43,32 @@ pub fn raw_init(ram: &dyn MemBackend, node: Addr, key: Key, value: Value, next: 
 }
 
 /// Untimed key read.
-pub fn raw_key(ram: &dyn MemBackend, node: Addr) -> Key {
+pub fn raw_key(ram: &Ram, node: Addr) -> Key {
     ram.read_u64(node) as u32
 }
 
 /// Untimed value read.
-pub fn raw_value(ram: &dyn MemBackend, node: Addr) -> Value {
+pub fn raw_value(ram: &Ram, node: Addr) -> Value {
     ram.read_u64(node + 8) as u32
 }
 
 /// Untimed next-pointer read.
-pub fn raw_next(ram: &dyn MemBackend, node: Addr) -> Addr {
+pub fn raw_next(ram: &Ram, node: Addr) -> Addr {
     ram.read_u64(node + 16) as u32
 }
 
 /// Untimed read of a bucket head slot.
-pub fn raw_head(ram: &dyn MemBackend, slot: Addr) -> Addr {
+pub fn raw_head(ram: &Ram, slot: Addr) -> Addr {
     ram.read_u64(slot) as u32
 }
 
 /// Untimed write of a bucket head slot.
-pub fn raw_set_head(ram: &dyn MemBackend, slot: Addr, head: Addr) {
+pub fn raw_set_head(ram: &Ram, slot: Addr, head: Addr) {
     ram.write_u64(slot, head as u64);
 }
 
 /// Untimed write of one packed directory routing word.
-pub fn raw_set_route(ram: &dyn MemBackend, dir: Addr, bucket: u32, word: u64) {
+pub fn raw_set_route(ram: &Ram, dir: Addr, bucket: u32, word: u64) {
     ram.write_u64(dir + bucket * 8, word);
 }
 
@@ -112,7 +112,7 @@ mod tests {
 
     #[test]
     fn raw_roundtrip() {
-        let ram = nmp_sim::SimRam::new(4096);
+        let ram = nmp_sim::Ram::new(4096);
         raw_init(&ram, 64, 0xBEEF, 7, 0x120);
         assert_eq!(raw_key(&ram, 64), 0xBEEF);
         assert_eq!(raw_value(&ram, 64), 7);

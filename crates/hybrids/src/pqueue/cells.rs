@@ -10,7 +10,7 @@
 // xtask: accessor-module — all raw (untimed) minima-cell memory access
 // lives here; other modules go through these helpers.
 
-use nmp_sim::{Addr, MemBackend, ThreadCtx};
+use nmp_sim::{Addr, Ram, ThreadCtx};
 use workloads::Key;
 
 /// Minimum-cache word: bit 32 = partition non-empty, low 32 bits = min key.
@@ -31,7 +31,7 @@ fn cell(base: Addr, p: usize) -> Addr {
 }
 
 /// Untimed cell write (structure build / bulk population).
-pub fn raw_set(ram: &dyn MemBackend, base: Addr, p: usize, word: u64) {
+pub fn raw_set(ram: &Ram, base: Addr, p: usize, word: u64) {
     ram.write_u64(cell(base, p), word);
 }
 
@@ -59,7 +59,7 @@ mod tests {
 
     #[test]
     fn raw_set_targets_cell() {
-        let ram = nmp_sim::SimRam::new(4096);
+        let ram = nmp_sim::Ram::new(4096);
         raw_set(&ram, 256, 3, pack(9, true));
         assert_eq!(ram.read_u64(256 + 24), PRESENT | 9);
     }

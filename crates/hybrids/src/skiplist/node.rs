@@ -20,7 +20,7 @@
 // xtask: accessor-module — all raw (untimed) skiplist memory access lives
 // here; everything else must go through these typed helpers.
 
-use nmp_sim::{Addr, MemBackend, ThreadCtx};
+use nmp_sim::{Addr, Ram, ThreadCtx};
 use workloads::{mix64, Key, Value};
 
 /// Byte offset of the first next-pointer word.
@@ -109,7 +109,7 @@ pub fn height_for_key(key: Key, seed: u64, max: u32) -> u32 {
 
 /// Untimed node initialization: header, value, cross word, null nexts.
 pub fn raw_init(
-    ram: &dyn MemBackend,
+    ram: &Ram,
     node: Addr,
     key: Key,
     value: Value,
@@ -126,39 +126,39 @@ pub fn raw_init(
 }
 
 /// Untimed read of the header word.
-pub fn raw_header(ram: &dyn MemBackend, node: Addr) -> Header {
+pub fn raw_header(ram: &Ram, node: Addr) -> Header {
     unpack_w0(ram.read_u64(node))
 }
 
 /// Untimed read of the value word.
-pub fn raw_value(ram: &dyn MemBackend, node: Addr) -> Value {
+pub fn raw_value(ram: &Ram, node: Addr) -> Value {
     ram.read_u64(node + 8) as u32
 }
 
 /// Untimed read of the stored-levels count (this portion's level count,
 /// not the full height).
-pub fn raw_levels(ram: &dyn MemBackend, node: Addr) -> u32 {
+pub fn raw_levels(ram: &Ram, node: Addr) -> u32 {
     ((ram.read_u64(node + 16) >> 32) & 0xFF) as u32
 }
 
 /// Untimed read of the cross pointer (host `nmp_ptr` / NMP `host_ptr`).
-pub fn raw_cross(ram: &dyn MemBackend, node: Addr) -> Addr {
+pub fn raw_cross(ram: &Ram, node: Addr) -> Addr {
     ram.read_u64(node + 16) as u32
 }
 
 /// Untimed write of the cross pointer (preserves the levels field).
-pub fn raw_set_cross(ram: &dyn MemBackend, node: Addr, cross: Addr) {
+pub fn raw_set_cross(ram: &Ram, node: Addr, cross: Addr) {
     let levels = raw_levels(ram, node);
     ram.write_u64(node + 16, pack_w2(cross, levels));
 }
 
 /// Untimed read of the level-`l` next pointer.
-pub fn raw_next(ram: &dyn MemBackend, node: Addr, l: u32) -> (Addr, bool) {
+pub fn raw_next(ram: &Ram, node: Addr, l: u32) -> (Addr, bool) {
     unpack_next(ram.read_u64(node + next_off(l)))
 }
 
 /// Untimed write of the level-`l` next pointer.
-pub fn raw_set_next(ram: &dyn MemBackend, node: Addr, l: u32, ptr: Addr, mark: bool) {
+pub fn raw_set_next(ram: &Ram, node: Addr, l: u32, ptr: Addr, mark: bool) {
     ram.write_u64(node + next_off(l), pack_next(ptr, mark));
 }
 
@@ -241,11 +241,10 @@ pub fn init_node(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmp_sim::SimRam;
 
     #[test]
     fn header_roundtrip() {
-        let ram = SimRam::new(4096);
+        let ram = Ram::new(4096);
         raw_init(&ram, 64, 0xBEEF, 7, 5, 3, 0x100);
         let h = raw_header(&ram, 64);
         assert_eq!(h.key, 0xBEEF);
@@ -294,7 +293,7 @@ mod tests {
 
     #[test]
     fn raw_set_next_roundtrip() {
-        let ram = SimRam::new(4096);
+        let ram = Ram::new(4096);
         raw_init(&ram, 64, 1, 1, 2, 2, 0);
         raw_set_next(&ram, 64, 1, 0x200, true);
         assert_eq!(raw_next(&ram, 64, 1), (0x200, true));
@@ -303,7 +302,7 @@ mod tests {
 
     #[test]
     fn cross_update_preserves_levels() {
-        let ram = SimRam::new(4096);
+        let ram = Ram::new(4096);
         raw_init(&ram, 64, 1, 1, 6, 4, 0);
         raw_set_cross(&ram, 64, 0xABC0);
         assert_eq!(raw_cross(&ram, 64), 0xABC0);

@@ -24,7 +24,7 @@ pub struct SeqFound {
 }
 
 /// Allocate and zero a partition sentinel with `levels` next pointers.
-pub fn make_sentinel(arena: &Arena, ram: &dyn nmp_sim::MemBackend, levels: u32) -> Addr {
+pub fn make_sentinel(arena: &Arena, ram: &nmp_sim::Ram, levels: u32) -> Addr {
     let head = node::alloc_node(arena, levels);
     node::raw_init(ram, head, 0, 0, levels, levels, NULL);
     head

@@ -211,12 +211,12 @@ mod tests {
 }
 
 #[cfg(test)]
-mod randomized_tests {
+pub(crate) mod randomized_tests {
     //! Seeded randomized tests (deterministic xorshift stand-in for the
     //! property tests the crate had when proptest was available).
     use super::*;
 
-    fn xorshift(state: &mut u64) -> u64 {
+    pub(crate) fn xorshift(state: &mut u64) -> u64 {
         let mut x = *state;
         x ^= x << 13;
         x ^= x >> 7;

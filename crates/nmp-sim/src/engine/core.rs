@@ -23,6 +23,7 @@ use std::thread::{self, Thread};
 use parking_lot::Mutex;
 
 use crate::analysis::MemOp;
+use crate::backend::Ram;
 use crate::config::Config;
 use crate::mem::{Addr, MemorySystem, Region};
 
@@ -145,8 +146,8 @@ pub struct ThreadCtx {
     /// yield and handed to the shard scheduler through `ThreadShared::gate`.
     pub(super) next_gate: u32,
     /// Native mode (see [`crate::engine::NativeRun`]): the thread is a free
-    /// running OS thread, every accessor goes straight to the data-plane
-    /// backend (real atomics, no timing, no engine yield), and `idle` is an
+    /// running OS thread, every accessor performs only its data op on the
+    /// [`Ram`] (no timing, no engine yield, no tracing), and `idle` is an
     /// OS-level yield. `false` under both simulation engines.
     pub(super) native: bool,
 }
@@ -253,13 +254,22 @@ impl ThreadCtx {
         }
     }
 
-    /// Route a direct (non-MMIO) access: with an analysis attached,
-    /// region-policy violations are recorded and charged a fallback latency
-    /// instead of panicking inside the memory system.
-    fn route(&mut self, addr: Addr, is_write: bool, site: &'static Location<'static>) -> u64 {
+    /// Price an access about to be issued: the region-policy check first
+    /// (with an analysis attached, a violation is recorded and charged a
+    /// fallback latency instead of panicking inside the memory system), then
+    /// the timing model — the MMIO window if `mmio`, else this thread kind's
+    /// direct path.
+    fn route(
+        &mut self,
+        addr: Addr,
+        is_write: bool,
+        mmio: bool,
+        site: &'static Location<'static>,
+    ) -> u64 {
+        assert!(!mmio || matches!(self.kind, ThreadKind::Host { .. }), "MMIO is a host-side path");
         let now = self.now();
         if let Some(a) = self.mem.analysis() {
-            if a.check_policy(self.id, self.kind, addr, is_write, false, now, site) {
+            if a.check_policy(self.id, self.kind, addr, is_write, mmio, now, site) {
                 // The access escapes the ownership map; gate on every shard
                 // so the effect is still applied in global key order.
                 self.next_gate = barrier::GATE_ALL;
@@ -267,6 +277,7 @@ impl ThreadCtx {
             }
         }
         let lat = match self.kind {
+            _ if mmio => self.mem.mmio_access(now, addr, is_write),
             ThreadKind::Host { core } => self.mem.host_access(core, now, addr, is_write),
             ThreadKind::Nmp { part } => self.mem.nmp_access(part, now, addr, is_write),
         };
@@ -276,145 +287,103 @@ impl ThreadCtx {
         lat
     }
 
-    /// Route an MMIO access, with the same policy interception as [`route`].
-    fn mmio_route(&mut self, addr: Addr, is_write: bool, site: &'static Location<'static>) -> u64 {
-        assert!(matches!(self.kind, ThreadKind::Host { .. }), "MMIO is a host-side path");
-        let now = self.now();
-        if let Some(a) = self.mem.analysis() {
-            if a.check_policy(self.id, self.kind, addr, is_write, true, now, site) {
-                self.next_gate = barrier::GATE_ALL;
-                return POLICY_FALLBACK_LAT;
-            }
-        }
-        let lat = self.mem.mmio_access(now, addr, is_write);
-        if let Some(rt) = &self.sharded {
-            self.next_gate = self.gate_for(rt, addr);
-        }
-        lat
-    }
-
-    /// Feed one completed access to the attached analysis. Fires at the
-    /// access's completion time — the engine's single serialization point —
+    /// The one access path behind every public accessor. `data` is the
+    /// access itself, on the machine's [`Ram`]: a native thread does nothing
+    /// else; a simulated thread first prices it, sleeps until its completion
+    /// time and then applies it, so effects land in global simulated-time
+    /// order. `data` names the [`MemOp`] it performed next to its value (a
+    /// CAS only knows afterwards) for the attached analysis, which is fed at
+    /// that same completion time — the engine's single serialization point —
     /// so the race detector sees the global sequentially-consistent order.
-    fn trace(
-        &self,
+    #[inline]
+    fn access<T>(
+        &mut self,
         addr: Addr,
         bytes: u32,
-        op: MemOp,
+        is_write: bool,
         mmio: bool,
         site: &'static Location<'static>,
-    ) {
+        data: impl FnOnce(&Ram) -> (MemOp, T),
+    ) -> T {
+        if self.native {
+            return data(self.mem.ram()).1;
+        }
+        let lat = self.route(addr, is_write, mmio, site);
+        self.sleep(lat);
+        let (op, out) = data(self.mem.ram());
         if let Some(a) = self.mem.analysis() {
             a.on_access(self.id, self.clock, addr, bytes, op, mmio, site);
         }
+        out
     }
 
     /// Timed 64-bit load.
     #[track_caller]
     pub fn read_u64(&mut self, addr: Addr) -> u64 {
-        if self.native {
-            return self.mem.ram().read_u64(addr);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::Read, false, site);
-        self.mem.ram().read_u64(addr)
+        self.access(addr, 8, false, false, site, |ram| (MemOp::Read, ram.read_u64(addr)))
     }
 
     /// Timed 64-bit store.
     #[track_caller]
     pub fn write_u64(&mut self, addr: Addr, value: u64) {
-        if self.native {
-            return self.mem.ram().write_u64(addr, value);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, true, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::Write, false, site);
-        self.mem.ram().write_u64(addr, value);
+        self.access(addr, 8, true, false, site, |ram| (MemOp::Write, ram.write_u64(addr, value)))
     }
 
     /// Timed 32-bit load.
     #[track_caller]
     pub fn read_u32(&mut self, addr: Addr) -> u32 {
-        if self.native {
-            return self.mem.ram().read_u32(addr);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 4, MemOp::Read, false, site);
-        self.mem.ram().read_u32(addr)
+        self.access(addr, 4, false, false, site, |ram| (MemOp::Read, ram.read_u32(addr)))
     }
 
     /// Timed 32-bit store.
     #[track_caller]
     pub fn write_u32(&mut self, addr: Addr, value: u32) {
-        if self.native {
-            return self.mem.ram().write_u32(addr, value);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, true, site);
-        self.sleep(lat);
-        self.trace(addr, 4, MemOp::Write, false, site);
-        self.mem.ram().write_u32(addr, value);
+        self.access(addr, 4, true, false, site, |ram| (MemOp::Write, ram.write_u32(addr, value)))
     }
 
     /// Timed 64-bit load with *acquire* ordering: everything the releasing
     /// thread did before its matching release-store happens-before the code
     /// after this load. Identical timing to [`ThreadCtx::read_u64`]; the
-    /// annotation only informs the race detector.
+    /// ordering is real on the [`Ram`] and tells the race detector that this
+    /// is a synchronization read.
     #[track_caller]
     pub fn read_u64_acquire(&mut self, addr: Addr) -> u64 {
-        if self.native {
-            return self.mem.ram().read_u64_acquire(addr);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::ReadAcquire, false, site);
-        self.mem.ram().read_u64(addr)
+        self.access(addr, 8, false, false, site, |ram| {
+            (MemOp::ReadAcquire, ram.read_u64_acquire(addr))
+        })
     }
 
     /// Timed 64-bit store with *release* ordering (see
     /// [`ThreadCtx::read_u64_acquire`]).
     #[track_caller]
     pub fn write_u64_release(&mut self, addr: Addr, value: u64) {
-        if self.native {
-            return self.mem.ram().write_u64_release(addr, value);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, true, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::WriteRelease, false, site);
-        self.mem.ram().write_u64(addr, value);
+        self.access(addr, 8, true, false, site, |ram| {
+            (MemOp::WriteRelease, ram.write_u64_release(addr, value))
+        })
     }
 
     /// Timed 32-bit acquire load (see [`ThreadCtx::read_u64_acquire`]).
     #[track_caller]
     pub fn read_u32_acquire(&mut self, addr: Addr) -> u32 {
-        if self.native {
-            return self.mem.ram().read_u32_acquire(addr);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 4, MemOp::ReadAcquire, false, site);
-        self.mem.ram().read_u32(addr)
+        self.access(addr, 4, false, false, site, |ram| {
+            (MemOp::ReadAcquire, ram.read_u32_acquire(addr))
+        })
     }
 
     /// Timed 32-bit release store (see [`ThreadCtx::read_u64_acquire`]).
     #[track_caller]
     pub fn write_u32_release(&mut self, addr: Addr, value: u32) {
-        if self.native {
-            return self.mem.ram().write_u32_release(addr, value);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, true, site);
-        self.sleep(lat);
-        self.trace(addr, 4, MemOp::WriteRelease, false, site);
-        self.mem.ram().write_u32(addr, value);
+        self.access(addr, 4, true, false, site, |ram| {
+            (MemOp::WriteRelease, ram.write_u32_release(addr, value))
+        })
     }
 
     /// Timed *speculative* 64-bit load: an optimistic read under a seqlock
@@ -422,28 +391,16 @@ impl ThreadCtx {
     /// the sequence word. The race detector neither checks nor orders it.
     #[track_caller]
     pub fn read_u64_speculative(&mut self, addr: Addr) -> u64 {
-        if self.native {
-            return self.mem.ram().read_u64(addr);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::ReadSpeculative, false, site);
-        self.mem.ram().read_u64(addr)
+        self.access(addr, 8, false, false, site, |ram| (MemOp::ReadSpeculative, ram.read_u64(addr)))
     }
 
     /// Timed speculative 32-bit load (see
     /// [`ThreadCtx::read_u64_speculative`]).
     #[track_caller]
     pub fn read_u32_speculative(&mut self, addr: Addr) -> u32 {
-        if self.native {
-            return self.mem.ram().read_u32(addr);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 4, MemOp::ReadSpeculative, false, site);
-        self.mem.ram().read_u32(addr)
+        self.access(addr, 4, false, false, site, |ram| (MemOp::ReadSpeculative, ram.read_u32(addr)))
     }
 
     /// Timed atomic compare-and-swap on a 64-bit word. Returns `Ok(())` on
@@ -452,83 +409,55 @@ impl ThreadCtx {
     /// operation for the race detector: acquire, plus release on success.
     #[track_caller]
     pub fn cas_u64(&mut self, addr: Addr, expect: u64, new: u64) -> Result<(), u64> {
-        if self.native {
-            return self.mem.ram().cas_u64(addr, expect, new);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, true, site);
-        self.sleep(lat);
-        let result = self.mem.ram().cas_u64(addr, expect, new);
-        self.trace(addr, 8, MemOp::Cas { success: result.is_ok() }, false, site);
-        result
+        self.access(addr, 8, true, false, site, |ram| {
+            let result = ram.cas_u64(addr, expect, new);
+            (MemOp::Cas { success: result.is_ok() }, result)
+        })
     }
 
     /// Timed atomic compare-and-swap on a 32-bit word.
     #[track_caller]
     pub fn cas_u32(&mut self, addr: Addr, expect: u32, new: u32) -> Result<(), u32> {
-        if self.native {
-            return self.mem.ram().cas_u32(addr, expect, new);
-        }
         let site = Location::caller();
-        let lat = self.route(addr, true, site);
-        self.sleep(lat);
-        let result = self.mem.ram().cas_u32(addr, expect, new);
-        self.trace(addr, 4, MemOp::Cas { success: result.is_ok() }, false, site);
-        result
+        self.access(addr, 4, true, false, site, |ram| {
+            let result = ram.cas_u32(addr, expect, new);
+            (MemOp::Cas { success: result.is_ok() }, result)
+        })
     }
 
     /// Timed host MMIO load from a scratchpad word (host threads only).
     #[track_caller]
     pub fn mmio_read_u64(&mut self, addr: Addr) -> u64 {
-        if self.native {
-            return self.mem.ram().read_u64(addr);
-        }
         let site = Location::caller();
-        let lat = self.mmio_route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::Read, true, site);
-        self.mem.ram().read_u64(addr)
+        self.access(addr, 8, false, true, site, |ram| (MemOp::Read, ram.read_u64(addr)))
     }
 
     /// Timed host MMIO store to a scratchpad word (host threads only).
     #[track_caller]
     pub fn mmio_write_u64(&mut self, addr: Addr, value: u64) {
-        if self.native {
-            return self.mem.ram().write_u64(addr, value);
-        }
         let site = Location::caller();
-        let lat = self.mmio_route(addr, true, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::Write, true, site);
-        self.mem.ram().write_u64(addr, value);
+        self.access(addr, 8, true, true, site, |ram| (MemOp::Write, ram.write_u64(addr, value)))
     }
 
     /// Timed MMIO acquire load (the host side of the publication-slot
     /// control-word handoff; see [`ThreadCtx::read_u64_acquire`]).
     #[track_caller]
     pub fn mmio_read_u64_acquire(&mut self, addr: Addr) -> u64 {
-        if self.native {
-            return self.mem.ram().read_u64_acquire(addr);
-        }
         let site = Location::caller();
-        let lat = self.mmio_route(addr, false, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::ReadAcquire, true, site);
-        self.mem.ram().read_u64(addr)
+        self.access(addr, 8, false, true, site, |ram| {
+            (MemOp::ReadAcquire, ram.read_u64_acquire(addr))
+        })
     }
 
     /// Timed MMIO release store (publishes a publication-slot request; see
     /// [`ThreadCtx::read_u64_acquire`]).
     #[track_caller]
     pub fn mmio_write_u64_release(&mut self, addr: Addr, value: u64) {
-        if self.native {
-            return self.mem.ram().write_u64_release(addr, value);
-        }
         let site = Location::caller();
-        let lat = self.mmio_route(addr, true, site);
-        self.sleep(lat);
-        self.trace(addr, 8, MemOp::WriteRelease, true, site);
-        self.mem.ram().write_u64(addr, value);
+        self.access(addr, 8, true, true, site, |ram| {
+            (MemOp::WriteRelease, ram.write_u64_release(addr, value))
+        })
     }
 }
 

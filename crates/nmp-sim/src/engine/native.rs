@@ -1,15 +1,14 @@
-//! Native (real-thread) execution over a [`crate::backend::NativeRam`]
-//! machine.
+//! Native (real-thread) execution over a machine's [`crate::backend::Ram`].
 //!
 //! A [`NativeRun`] mirrors the [`Simulation`] spawning surface — host
 //! threads, NMP combiner daemons, the same [`ThreadCtx`] handed to each
 //! body — but every logical thread is a free-running OS thread. There is no
 //! scheduler, no cycle accounting, and no region-policy interception: the
-//! [`ThreadCtx`] accessors route straight to the data-plane backend, where
-//! the acquire/release annotations of the publication-list ctrl-word
-//! protocol become real hardware orderings (see [`crate::backend`]). The
-//! simulator remains the correctness oracle; a native run serves the same
-//! structure code at hardware speed.
+//! [`ThreadCtx`] accessors perform only their data op, the same one a
+//! simulation performs on the same words, and here the acquire/release
+//! orderings of the publication-list ctrl-word protocol are what orders the
+//! threads (see [`crate::backend`]). The simulator remains the correctness
+//! oracle; a native run serves the same structure code at hardware speed.
 //!
 //! [`Spawner`] is the object-safe common denominator of both run types, so
 //! service-spawning code (e.g. flat-combining daemons) can be written once
@@ -21,7 +20,6 @@ use std::thread::{self, JoinHandle};
 
 use parking_lot::Mutex;
 
-use crate::backend::BackendKind;
 use crate::mem::MemorySystem;
 
 use super::barrier;
@@ -51,7 +49,7 @@ impl Spawner for Simulation {
     }
 }
 
-/// A native run: real OS threads over a native-backend machine.
+/// A native run: real OS threads over a machine's memory.
 ///
 /// Threads start executing the moment they are spawned (there is no
 /// deferred `run()`); [`NativeRun::finish`] joins the workers, signals stop
@@ -67,15 +65,8 @@ pub struct NativeRun {
 }
 
 impl NativeRun {
-    /// Start a run over `mem`. Panics unless the memory system is built on
-    /// the native backend — real concurrent threads need the real atomic
-    /// orderings only [`crate::backend::NativeRam`] provides.
+    /// Start a run over `mem`.
     pub fn new(mem: Arc<MemorySystem>) -> Self {
-        assert_eq!(
-            mem.backend_kind(),
-            BackendKind::Native,
-            "NativeRun needs a native-backend machine (Machine::new_native)"
-        );
         let cpu_step = mem.config().cpu_step_cycles;
         NativeRun {
             mem,
@@ -212,7 +203,7 @@ mod tests {
 
     #[test]
     fn native_threads_share_memory() {
-        let m = Machine::new_native(Config::tiny());
+        let m = Machine::new(Config::tiny());
         let addr = m.host_arena().alloc(8);
         m.ram().write_u64(addr, 41);
         let mut run = m.native_run();
@@ -226,7 +217,7 @@ mod tests {
 
     #[test]
     fn native_daemon_exits_on_stop() {
-        let m = Machine::new_native(Config::tiny());
+        let m = Machine::new(Config::tiny());
         let spad = m.map().spad_base(0);
         let mut run = m.native_run();
         run.spawn_daemon("nmp0", ThreadKind::Nmp { part: 0 }, move |ctx| {
@@ -250,7 +241,7 @@ mod tests {
 
     #[test]
     fn native_cas_is_atomic_across_threads() {
-        let m = Machine::new_native(Config::tiny());
+        let m = Machine::new(Config::tiny());
         let addr = m.host_arena().alloc(8);
         let mut run = m.native_run();
         for core in 0..4 {
@@ -272,7 +263,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "native thread(s) panicked")]
     fn native_panic_propagates() {
-        let m = Machine::new_native(Config::tiny());
+        let m = Machine::new(Config::tiny());
         let mut run = m.native_run();
         run.spawn_daemon("d", ThreadKind::Nmp { part: 0 }, |ctx| {
             while !ctx.stop_requested() {
@@ -283,17 +274,23 @@ mod tests {
         run.finish();
     }
 
+    /// One machine, one RAM: a simulation and a native run over the same
+    /// machine see each other's stores.
     #[test]
-    #[should_panic(expected = "needs a native-backend machine")]
-    fn native_run_rejects_sim_machine() {
+    fn one_machine_serves_both_engines() {
         let m = Machine::new(Config::tiny());
-        let _ = m.native_run();
-    }
-
-    #[test]
-    #[should_panic(expected = "need a simulated-backend machine")]
-    fn simulation_rejects_native_machine() {
-        let m = Machine::new_native(Config::tiny());
-        let _ = m.simulation();
+        let addr = m.host_arena().alloc(8);
+        let mut sim = m.simulation();
+        sim.spawn("sim", ThreadKind::Host { core: 0 }, move |ctx| {
+            ctx.write_u32_release(addr + 4, 7)
+        });
+        sim.run();
+        let mut run = m.native_run();
+        run.spawn("native", ThreadKind::Host { core: 0 }, move |ctx| {
+            assert_eq!(ctx.read_u32_acquire(addr + 4), 7);
+            assert_eq!(ctx.cas_u32(addr, 0, 9), Ok(()));
+        });
+        run.finish();
+        assert_eq!(m.ram().read_u64(addr), (7 << 32) | 9);
     }
 }

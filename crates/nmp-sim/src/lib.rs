@@ -14,6 +14,11 @@
 //! * a deterministic discrete-event engine that interleaves logical host /
 //!   NMP threads at memory-access granularity.
 //!
+//! The machine's bytes live in one [`Ram`] (real atomics, real orderings).
+//! A [`Simulation`] and a [`NativeRun`] — free-running OS threads, no cycle
+//! accounting — are two engines over it: they differ in timing, yielding
+//! and tracing, never in the loads, stores and CASes they execute.
+//!
 //! See `DESIGN.md` at the repository root for the fidelity argument and the
 //! list of deliberate simplifications relative to gem5/SMCSim.
 //!
@@ -85,12 +90,10 @@ pub mod trace;
 pub use alloc::Arena;
 pub use analysis::{AccessDecl, EffectSpec, OpSpec, SpecError, Topology};
 pub use analysis::{Analysis, HistEvent, HistOp, HistoryRecorder, Report};
-pub use backend::{BackendKind, MemBackend, NativeRam};
+pub use backend::Ram;
 pub use config::{CacheConfig, Config, Policy};
 pub use engine::{NativeRun, SimOutcome, Simulation, Spawner, ThreadCtx, ThreadFn, ThreadKind};
 pub use machine::Machine;
-pub use mem::{
-    Addr, MemMap, MemorySystem, Region, SimRam, NULL, OFFLOAD_HIST_BUCKETS, OFFLOAD_LANE_CAP,
-};
+pub use mem::{Addr, MemMap, MemorySystem, Region, NULL, OFFLOAD_HIST_BUCKETS, OFFLOAD_LANE_CAP};
 pub use stats::{CacheStats, OffloadStats, StatsSnapshot, VaultStats};
 pub use trace::{LatencyHist, TraceSink, Tracer};

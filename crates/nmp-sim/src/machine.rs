@@ -1,15 +1,18 @@
-//! A [`Machine`] bundles the simulated memory system with per-region
-//! allocators — the substrate that data structures are built on.
+//! A [`Machine`] bundles the memory system with per-region allocators — the
+//! substrate that data structures are built on. One machine serves both
+//! engines: [`Machine::simulation`] runs deterministic, cycle-accounted
+//! logical threads over its [`Ram`], [`Machine::native_run`] free-running OS
+//! threads over the same words.
 
 use std::sync::Arc;
 
 use crate::alloc::Arena;
-use crate::backend::{BackendKind, MemBackend};
+use crate::backend::Ram;
 use crate::config::Config;
 use crate::engine::{NativeRun, Simulation};
 use crate::mem::{MemMap, MemorySystem};
 
-/// The simulated machine: memory system + allocators for every region.
+/// The machine: memory system + allocators for every region.
 pub struct Machine {
     mem: Arc<MemorySystem>,
     host_arena: Arena,
@@ -17,29 +20,21 @@ pub struct Machine {
 }
 
 impl Machine {
-    /// Build a machine (memory system + arenas) for `cfg` on the
-    /// cycle-accurate simulated backend.
+    /// Build a machine (memory system + arenas) for `cfg`.
     pub fn new(cfg: Config) -> Arc<Self> {
         let mem = Arc::new(MemorySystem::new(cfg));
-        Arc::new(Self::from_memory(mem))
-    }
-
-    /// Build a machine for `cfg` on the native backend: same address map
-    /// and arenas, but the data plane is real memory with real atomics and
-    /// threads run through [`Machine::native_run`] at hardware speed with
-    /// no cycle accounting.
-    pub fn new_native(cfg: Config) -> Arc<Self> {
-        let mem = Arc::new(MemorySystem::new_with_backend(cfg, BackendKind::Native));
-        Arc::new(Self::from_memory(mem))
-    }
-
-    fn from_memory(mem: Arc<MemorySystem>) -> Machine {
         let map = *mem.map();
         let host_arena = Arena::new("host-heap", map.host_base, map.host_size);
         let part_arenas = (0..map.parts)
             .map(|p| Arena::new("nmp-partition", map.part_base(p), map.part_size))
             .collect();
-        Machine { mem, host_arena, part_arenas }
+        Arc::new(Machine { mem, host_arena, part_arenas })
+    }
+
+    /// Alias of [`Machine::new`], kept only because the frozen `benchmark/`
+    /// package names it; the next `benchmark` PR drops it.
+    pub fn new_native(cfg: Config) -> Arc<Self> {
+        Self::new(cfg)
     }
 
     /// The machine's memory system (timed access plane).
@@ -48,13 +43,8 @@ impl Machine {
     }
 
     /// Raw backing storage (untimed data plane, e.g. for population).
-    pub fn ram(&self) -> &dyn MemBackend {
+    pub fn ram(&self) -> &Ram {
         self.mem.ram()
-    }
-
-    /// Which data-plane substrate this machine is built on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.mem.backend_kind()
     }
 
     /// The static address map of this machine.
@@ -82,22 +72,13 @@ impl Machine {
         self.part_arenas.len()
     }
 
-    /// Start building a simulation over this machine's memory. Requires
-    /// the simulated backend: cycle accounting over native memory would be
-    /// meaningless (and the determinism argument would not hold).
+    /// Start building a simulation over this machine's memory.
     pub fn simulation(self: &Arc<Self>) -> Simulation {
-        assert_eq!(
-            self.backend_kind(),
-            BackendKind::Sim,
-            "simulations need a simulated-backend machine (Machine::new); \
-             use Machine::native_run on a native machine"
-        );
         Simulation::with_memory(Arc::clone(&self.mem))
     }
 
-    /// Start a native (real-thread) run over this machine's memory.
-    /// Requires the native backend: real concurrent threads need the real
-    /// atomic orderings `NativeRam` provides.
+    /// Start a native (real-thread) run over this machine's memory: no
+    /// scheduler, no cycle accounting, hardware speed.
     pub fn native_run(self: &Arc<Self>) -> NativeRun {
         NativeRun::new(Arc::clone(&self.mem))
     }

@@ -10,7 +10,7 @@
 //! ```
 //!
 //! Address 0 is reserved as the null pointer. The *data plane* (what bytes
-//! hold) is [`SimRam`]; the *timing plane* (what an access costs and which
+//! hold) is [`Ram`]; the *timing plane* (what an access costs and which
 //! cache/DRAM state it touches) is [`MemorySystem`]. The engine's
 //! [`crate::engine::ThreadCtx`] combines both.
 
@@ -20,7 +20,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::Mutex;
 
 use crate::analysis::Analysis;
-use crate::backend::{BackendKind, MemBackend, NativeRam};
+use crate::backend::Ram;
 use crate::cache::{Access, Cache};
 use crate::config::Config;
 use crate::dram::{DramTiming, Vault};
@@ -111,151 +111,6 @@ impl MemMap {
         } else {
             Region::Spad(((addr - self.spad_base0) / self.spad_size) as usize)
         }
-    }
-}
-
-/// Backing storage for the simulated physical memory. All accesses are
-/// untimed; sharing is safe because the engine runs one logical thread at a
-/// time and engine handoffs establish happens-before edges.
-pub struct SimRam {
-    words: Vec<AtomicU64>,
-}
-
-impl SimRam {
-    /// Allocate zeroed backing storage of `total_bytes` (rounded up to 8).
-    pub fn new(total_bytes: u32) -> Self {
-        let n = (total_bytes as usize).div_ceil(8);
-        let mut words = Vec::with_capacity(n);
-        words.resize_with(n, || AtomicU64::new(0));
-        SimRam { words }
-    }
-
-    #[inline]
-    fn word(&self, addr: Addr) -> &AtomicU64 {
-        &self.words[(addr / 8) as usize]
-    }
-
-    /// Untimed 8-byte read; `addr` must be 8-aligned.
-    #[inline]
-    pub fn read_u64(&self, addr: Addr) -> u64 {
-        debug_assert_eq!(addr % 8, 0, "unaligned u64 read at {addr:#x}");
-        self.word(addr).load(Ordering::Relaxed)
-    }
-
-    /// Untimed 8-byte write; `addr` must be 8-aligned.
-    #[inline]
-    pub fn write_u64(&self, addr: Addr, value: u64) {
-        debug_assert_eq!(addr % 8, 0, "unaligned u64 write at {addr:#x}");
-        self.word(addr).store(value, Ordering::Relaxed)
-    }
-
-    /// Untimed 4-byte read; `addr` must be 4-aligned.
-    #[inline]
-    pub fn read_u32(&self, addr: Addr) -> u32 {
-        debug_assert_eq!(addr % 4, 0, "unaligned u32 read at {addr:#x}");
-        let w = self.word(addr & !7).load(Ordering::Relaxed);
-        if addr.is_multiple_of(8) {
-            w as u32
-        } else {
-            (w >> 32) as u32
-        }
-    }
-
-    /// Untimed 4-byte write; `addr` must be 4-aligned.
-    #[inline]
-    pub fn write_u32(&self, addr: Addr, value: u32) {
-        debug_assert_eq!(addr % 4, 0, "unaligned u32 write at {addr:#x}");
-        let waddr = addr & !7;
-        let w = self.word(waddr).load(Ordering::Relaxed);
-        let nw = if addr.is_multiple_of(8) {
-            (w & 0xFFFF_FFFF_0000_0000) | value as u64
-        } else {
-            (w & 0x0000_0000_FFFF_FFFF) | ((value as u64) << 32)
-        };
-        self.word(waddr).store(nw, Ordering::Relaxed)
-    }
-
-    /// Capacity in bytes (total simulated physical memory).
-    pub fn len_bytes(&self) -> usize {
-        self.words.len() * 8
-    }
-
-    /// Untimed 8-byte compare-and-swap; `addr` must be 8-aligned. Under the
-    /// engine's one-thread-at-a-time execution this is equivalent to a
-    /// read-then-write, but it is implemented atomically so the semantics
-    /// match the native backend word for word.
-    pub fn cas_u64(&self, addr: Addr, expect: u64, new: u64) -> Result<(), u64> {
-        debug_assert_eq!(addr % 8, 0, "unaligned u64 CAS at {addr:#x}");
-        self.word(addr)
-            .compare_exchange(expect, new, Ordering::Relaxed, Ordering::Relaxed)
-            .map(|_| ())
-    }
-
-    /// Untimed 4-byte compare-and-swap on one half of the containing word;
-    /// `addr` must be 4-aligned (see [`SimRam::cas_u64`]).
-    pub fn cas_u32(&self, addr: Addr, expect: u32, new: u32) -> Result<(), u32> {
-        let cur = self.read_u32(addr);
-        if cur != expect {
-            return Err(cur);
-        }
-        self.write_u32(addr, new);
-        Ok(())
-    }
-}
-
-/// The simulated data plane is the relaxed end of the backend contract:
-/// the deterministic engine runs one logical thread at a time, so engine
-/// handoffs establish every happens-before edge and the synchronization
-/// variants need no hardware ordering of their own (the acquire/release
-/// *annotations* at the [`crate::engine::ThreadCtx`] layer still feed the
-/// race detector).
-impl MemBackend for SimRam {
-    fn kind(&self) -> BackendKind {
-        BackendKind::Sim
-    }
-
-    fn len_bytes(&self) -> usize {
-        SimRam::len_bytes(self)
-    }
-
-    fn read_u64(&self, addr: Addr) -> u64 {
-        SimRam::read_u64(self, addr)
-    }
-
-    fn write_u64(&self, addr: Addr, value: u64) {
-        SimRam::write_u64(self, addr, value)
-    }
-
-    fn read_u32(&self, addr: Addr) -> u32 {
-        SimRam::read_u32(self, addr)
-    }
-
-    fn write_u32(&self, addr: Addr, value: u32) {
-        SimRam::write_u32(self, addr, value)
-    }
-
-    fn read_u64_acquire(&self, addr: Addr) -> u64 {
-        SimRam::read_u64(self, addr)
-    }
-
-    fn write_u64_release(&self, addr: Addr, value: u64) {
-        SimRam::write_u64(self, addr, value)
-    }
-
-    fn read_u32_acquire(&self, addr: Addr) -> u32 {
-        SimRam::read_u32(self, addr)
-    }
-
-    fn write_u32_release(&self, addr: Addr, value: u32) {
-        SimRam::write_u32(self, addr, value)
-    }
-
-    fn cas_u64(&self, addr: Addr, expect: u64, new: u64) -> Result<(), u64> {
-        SimRam::cas_u64(self, addr, expect, new)
-    }
-
-    fn cas_u32(&self, addr: Addr, expect: u32, new: u32) -> Result<(), u32> {
-        SimRam::cas_u32(self, addr, expect, new)
     }
 }
 
@@ -379,7 +234,7 @@ struct PartTiming {
 /// ever takes the locks it owns, so cross-shard timing state is never
 /// touched directly (cross-shard *data* travels through the engine inbox).
 pub struct MemorySystem {
-    backing: Box<dyn MemBackend>,
+    backing: Ram,
     map: MemMap,
     cfg: Config,
     mmio_read_cycles: u64,
@@ -399,24 +254,11 @@ pub struct MemorySystem {
 }
 
 impl MemorySystem {
-    /// Build the timed memory hierarchy (caches, vaults, MMIO) for `cfg`,
-    /// backed by the cycle-accurate simulated data plane ([`SimRam`]).
+    /// Build the memory system for `cfg`: the timed hierarchy (caches,
+    /// vaults, MMIO) over zeroed [`Ram`].
     pub fn new(cfg: Config) -> Self {
-        Self::new_with_backend(cfg, BackendKind::Sim)
-    }
-
-    /// Build the memory system for `cfg` on the chosen data-plane backend.
-    /// The timing plane is constructed either way (the address map and
-    /// configuration live there), but a [`BackendKind::Native`] machine is
-    /// expected to run through [`crate::engine::NativeRun`], which bypasses
-    /// the timed access paths entirely.
-    pub fn new_with_backend(cfg: Config, backend: BackendKind) -> Self {
         cfg.validate();
         let map = MemMap::new(&cfg);
-        let backing: Box<dyn MemBackend> = match backend {
-            BackendKind::Sim => Box::new(SimRam::new(map.total_bytes)),
-            BackendKind::Native => Box::new(NativeRam::new(map.total_bytes)),
-        };
         let dram = DramTiming::from_config(&cfg);
         let host_t = HostTiming {
             l1: (0..cfg.host_cores).map(|_| Cache::new(&cfg.l1)).collect(),
@@ -435,7 +277,7 @@ impl MemorySystem {
             })
             .collect();
         MemorySystem {
-            backing,
+            backing: Ram::new(map.total_bytes),
             map,
             mmio_read_cycles: cfg.cycles(cfg.mmio_read_ns),
             mmio_write_cycles: cfg.cycles(cfg.mmio_write_ns),
@@ -474,16 +316,9 @@ impl MemorySystem {
         self.tracer.get()
     }
 
-    /// Raw backing storage (untimed data plane). Dispatches through the
-    /// [`MemBackend`] trait so population/collection helpers work on both
-    /// the simulated and native substrates.
-    pub fn ram(&self) -> &dyn MemBackend {
-        &*self.backing
-    }
-
-    /// Which data-plane substrate this memory system is built on.
-    pub fn backend_kind(&self) -> BackendKind {
-        self.backing.kind()
+    /// Raw backing storage (untimed data plane).
+    pub fn ram(&self) -> &Ram {
+        &self.backing
     }
 
     /// The static address map.
@@ -905,23 +740,6 @@ mod tests {
         let last_block = m.host_base + m.host_size - block;
         assert_eq!(m.region_of(last_block), Region::Host);
         assert_eq!(m.region_of(last_block + block - 1), Region::Host);
-    }
-
-    #[test]
-    fn ram_u64_roundtrip() {
-        let r = SimRam::new(1024);
-        r.write_u64(64, 0xDEAD_BEEF_CAFE_F00D);
-        assert_eq!(r.read_u64(64), 0xDEAD_BEEF_CAFE_F00D);
-    }
-
-    #[test]
-    fn ram_u32_halves_independent() {
-        let r = SimRam::new(1024);
-        r.write_u32(64, 0x1111_1111);
-        r.write_u32(68, 0x2222_2222);
-        assert_eq!(r.read_u32(64), 0x1111_1111);
-        assert_eq!(r.read_u32(68), 0x2222_2222);
-        assert_eq!(r.read_u64(64), 0x2222_2222_1111_1111);
     }
 
     #[test]

@@ -6,6 +6,18 @@
 
 use serde::{Deserialize, Serialize};
 
+/// `later - earlier` for one counter of a snapshot pair. Panics naming the
+/// counter when it ran backwards — in every build profile: a bare `-` would
+/// wrap to ~2^64 in the release builds every harness runs.
+fn sub(counter: impl std::fmt::Display, later: u64, earlier: u64) -> u64 {
+    later.checked_sub(earlier).unwrap_or_else(|| {
+        panic!(
+            "delta_since: counter `{counter}` went backwards ({later} < {earlier}); \
+             snapshots must come from the same run, in order"
+        )
+    })
+}
+
 /// Counters for one cache level (aggregated across all caches of the level).
 #[derive(Debug, Default, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
 pub struct CacheStats {
@@ -182,20 +194,25 @@ impl OffloadStats {
 
     /// Counter-wise `self - earlier`, tolerating an `earlier` snapshot
     /// taken before any offload runtime existed (empty vectors read as
-    /// all-zero).
+    /// all-zero). Panics naming the counter if `earlier` has more events.
     pub fn delta_since(&self, earlier: &OffloadStats) -> OffloadStats {
-        fn dv(a: &[u64], b: &[u64]) -> Vec<u64> {
-            a.iter().enumerate().map(|(i, &x)| x - b.get(i).copied().unwrap_or(0)).collect()
+        fn dv(name: &str, a: &[u64], b: &[u64]) -> Vec<u64> {
+            a.iter()
+                .enumerate()
+                .map(|(i, &x)| {
+                    sub(format_args!("offload.{name}[{i}]"), x, b.get(i).copied().unwrap_or(0))
+                })
+                .collect()
         }
         OffloadStats {
-            posted: dv(&self.posted, &earlier.posted),
-            completed: dv(&self.completed, &earlier.completed),
-            retries: dv(&self.retries, &earlier.retries),
-            lock_path: dv(&self.lock_path, &earlier.lock_path),
-            lane_posted: dv(&self.lane_posted, &earlier.lane_posted),
-            combined_hist: dv(&self.combined_hist, &earlier.combined_hist),
-            pq_stale: dv(&self.pq_stale, &earlier.pq_stale),
-            coalesced: dv(&self.coalesced, &earlier.coalesced),
+            posted: dv("posted", &self.posted, &earlier.posted),
+            completed: dv("completed", &self.completed, &earlier.completed),
+            retries: dv("retries", &self.retries, &earlier.retries),
+            lock_path: dv("lock_path", &self.lock_path, &earlier.lock_path),
+            lane_posted: dv("lane_posted", &self.lane_posted, &earlier.lane_posted),
+            combined_hist: dv("combined_hist", &self.combined_hist, &earlier.combined_hist),
+            pq_stale: dv("pq_stale", &self.pq_stale, &earlier.pq_stale),
+            coalesced: dv("coalesced", &self.coalesced, &earlier.coalesced),
         }
     }
 }
@@ -252,40 +269,56 @@ impl StatsSnapshot {
         self.vaults[self.main_vaults..].iter().map(|v| v.reads).sum()
     }
 
-    /// Counter-wise `self - earlier`. Panics if `earlier` has more events
-    /// (snapshots must come from the same run, in order).
+    /// Counter-wise `self - earlier`. Panics naming the counter if `earlier`
+    /// has more events (snapshots must come from the same run, in order).
     pub fn delta_since(&self, earlier: &StatsSnapshot) -> StatsSnapshot {
-        fn dc(a: &CacheStats, b: &CacheStats) -> CacheStats {
+        fn dc(name: &str, a: &CacheStats, b: &CacheStats) -> CacheStats {
             CacheStats {
-                hits: a.hits - b.hits,
-                misses: a.misses - b.misses,
-                writebacks: a.writebacks - b.writebacks,
-                invalidations: a.invalidations - b.invalidations,
+                hits: sub(format_args!("{name}.hits"), a.hits, b.hits),
+                misses: sub(format_args!("{name}.misses"), a.misses, b.misses),
+                writebacks: sub(format_args!("{name}.writebacks"), a.writebacks, b.writebacks),
+                invalidations: sub(
+                    format_args!("{name}.invalidations"),
+                    a.invalidations,
+                    b.invalidations,
+                ),
             }
         }
         assert_eq!(self.vaults.len(), earlier.vaults.len());
+        let dv =
+            |i: usize, field: &str, a: u64, b: u64| sub(format_args!("vaults[{i}].{field}"), a, b);
         StatsSnapshot {
-            l1: dc(&self.l1, &earlier.l1),
-            l2: dc(&self.l2, &earlier.l2),
+            l1: dc("l1", &self.l1, &earlier.l1),
+            l2: dc("l2", &self.l2, &earlier.l2),
             vaults: self
                 .vaults
                 .iter()
                 .zip(&earlier.vaults)
-                .map(|(a, b)| VaultStats {
-                    reads: a.reads - b.reads,
-                    writes: a.writes - b.writes,
-                    row_hits: a.row_hits - b.row_hits,
-                    row_misses: a.row_misses - b.row_misses,
-                    row_conflicts: a.row_conflicts - b.row_conflicts,
-                    bank_wait_cycles: a.bank_wait_cycles - b.bank_wait_cycles,
+                .enumerate()
+                .map(|(i, (a, b))| VaultStats {
+                    reads: dv(i, "reads", a.reads, b.reads),
+                    writes: dv(i, "writes", a.writes, b.writes),
+                    row_hits: dv(i, "row_hits", a.row_hits, b.row_hits),
+                    row_misses: dv(i, "row_misses", a.row_misses, b.row_misses),
+                    row_conflicts: dv(i, "row_conflicts", a.row_conflicts, b.row_conflicts),
+                    bank_wait_cycles: dv(
+                        i,
+                        "bank_wait_cycles",
+                        a.bank_wait_cycles,
+                        b.bank_wait_cycles,
+                    ),
                 })
                 .collect(),
-            mmio_reads: self.mmio_reads - earlier.mmio_reads,
-            mmio_writes: self.mmio_writes - earlier.mmio_writes,
-            nmp_buffer_hits: self.nmp_buffer_hits - earlier.nmp_buffer_hits,
+            mmio_reads: sub("mmio_reads", self.mmio_reads, earlier.mmio_reads),
+            mmio_writes: sub("mmio_writes", self.mmio_writes, earlier.mmio_writes),
+            nmp_buffer_hits: sub("nmp_buffer_hits", self.nmp_buffer_hits, earlier.nmp_buffer_hits),
             main_vaults: self.main_vaults,
-            races_detected: self.races_detected - earlier.races_detected,
-            policy_violations: self.policy_violations - earlier.policy_violations,
+            races_detected: sub("races_detected", self.races_detected, earlier.races_detected),
+            policy_violations: sub(
+                "policy_violations",
+                self.policy_violations,
+                earlier.policy_violations,
+            ),
             offload: self.offload.delta_since(&earlier.offload),
         }
     }
@@ -355,10 +388,18 @@ mod tests {
     }
 
     #[test]
-    #[should_panic]
+    #[should_panic(expected = "`vaults[0].reads` went backwards (1 < 2)")]
     fn delta_rejects_reordered_snapshots() {
         let a = snap(1, 1);
         let b = snap(2, 2);
         let _ = a.delta_since(&b);
+    }
+
+    #[test]
+    #[should_panic(expected = "`offload.retries[1]` went backwards (0 < 3)")]
+    fn offload_delta_rejects_reordered_snapshots() {
+        let later = OffloadStats { retries: vec![5, 0], ..Default::default() };
+        let earlier = OffloadStats { retries: vec![5, 3], ..Default::default() };
+        let _ = later.delta_since(&earlier);
     }
 }

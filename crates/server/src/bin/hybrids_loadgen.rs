@@ -1,13 +1,13 @@
 //! `hybrids-loadgen` — drive a running `hybrids-server` with a
-//! deterministic get/set/delete mix and write the throughput/latency
-//! report to `BENCH_9.json`.
+//! deterministic get/set/delete mix and print the throughput/latency
+//! report as one JSON line on stdout.
 //!
 //! ```text
 //! hybrids-loadgen [--addr 127.0.0.1:11211] [--conns 4] [--ops 5000]
 //!                 [--mix 90/9/1] [--dist zipfian|uniform] [--keys 4096]
 //!                 [--seed 42] [--rate OPS_PER_SEC] [--client-threads 0]
 //!                 [--pipeline 1] [--no-preload] [--shutdown]
-//!                 [--out BENCH_9.json]
+//!                 [--out PATH]
 //! ```
 //!
 //! `--ops` is per connection; `--rate` switches to open-loop arrivals
@@ -16,7 +16,7 @@
 //! connections over a small client pool (closed-loop only; `0` = one
 //! thread per connection), each connection keeping `--pipeline` requests
 //! outstanding. `--shutdown` sends the server the `shutdown` verb after
-//! the run (CI teardown). `--out -` prints the JSON to stdout only.
+//! the run (CI teardown). `--out PATH` also writes the JSON to a file.
 
 use std::process::exit;
 use std::str::FromStr;
@@ -96,9 +96,8 @@ fn main() {
         }
     };
     let json = serde_json::to_string(&report).expect("serialize report");
-    let out_path = out_path.unwrap_or_else(|| "BENCH_9.json".into());
     println!("{json}");
-    if out_path != "-" {
+    if let Some(out_path) = out_path {
         if let Err(e) = std::fs::write(&out_path, format!("{json}\n")) {
             eprintln!("hybrids-loadgen: writing {out_path} failed: {e}");
             exit(1)

@@ -1,5 +1,5 @@
 //! `hybrids-server` — serve a `HybridHashMap` over the memcached text
-//! protocol, on the native memory backend.
+//! protocol, on real OS threads (a native run).
 //!
 //! ```text
 //! hybrids-server [--addr 127.0.0.1:11211] [--workers 4]

@@ -1,11 +1,11 @@
-//! # hybrids-server — a cache front end over the native memory backend
+//! # hybrids-server — a cache front end over a native run
 //!
 //! This crate turns the reproduction's [`HybridHashMap`] into a running
 //! network service: a memcached-text-protocol server whose connection
 //! workers are host threads of a [`nmp_sim::NativeRun`], executing the
 //! *same* offload-client code the cycle-accurate simulator verifies — but
-//! over real atomics at hardware speed (see `DESIGN.md` §4.11 for the
-//! backend boundary).
+//! on free-running OS threads at hardware speed (see `DESIGN.md` §4.11:
+//! one RAM, two engines).
 //!
 //! The pieces:
 //!
@@ -20,10 +20,10 @@
 //!   reactor executing its own connections' requests (connection state
 //!   machines, idle timer wheel, write backpressure, graceful drain),
 //! * [`server`] — the `hybrids-server` facade: reactor-worker host
-//!   threads + per-partition combiner daemons over one native machine,
+//!   threads + per-partition combiner daemons of one native run,
 //! * [`loadgen`] — the `hybrids-loadgen` client: deterministic
 //!   workload-driven request streams, closed- and open-loop latency
-//!   measurement, and the `BENCH_9.json` report.
+//!   measurement, and the JSON report.
 //!
 //! [`HybridHashMap`]: hybrids::hashmap::HybridHashMap
 #![warn(missing_docs)]

@@ -72,13 +72,6 @@ pub struct LoadgenOpts {
     /// (memcached pipelining; clamped to at least 1). Matching the
     /// server's `max_inflight` keeps every connection's lane busy.
     pub pipeline: u32,
-    /// Multiplexed client only: a connection whose *first* response has
-    /// not arrived within this deadline is declared starved — the server
-    /// never adopted it — and is closed with its remaining requests
-    /// counted unserved (`starved_conns` in the report). A server that
-    /// maps connections to threads never serves the surplus, so without
-    /// this probe a run against one would hang forever.
-    pub starve_timeout_ms: u64,
 }
 
 impl Default for LoadgenOpts {
@@ -96,17 +89,16 @@ impl Default for LoadgenOpts {
             rate: None,
             client_threads: 0,
             pipeline: 1,
-            starve_timeout_ms: 250,
         }
     }
 }
 
-/// The run summary written to `BENCH_9.json`.
+/// The run summary `hybrids-loadgen` prints.
 #[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct LoadReport {
     /// Artifact tag (`serve_throughput`).
     pub experiment: String,
-    /// Memory backend serving the requests (`native`).
+    /// Engine serving the requests (always `native`: real OS threads).
     pub backend: String,
     /// Connections driven.
     pub conns: u32,
@@ -137,11 +129,6 @@ pub struct LoadReport {
     /// Open-loop total offered rate (requests/second); `None` when
     /// closed-loop.
     pub offered_rate: Option<u32>,
-    /// Connections the server answered at least once.
-    pub served_conns: u32,
-    /// Connections whose first response missed the starve deadline;
-    /// their remaining requests are excluded from `total_ops`.
-    pub starved_conns: u32,
 }
 
 /// Per-connection tallies folded into the report.
@@ -150,52 +137,29 @@ struct ConnStats {
     latencies_ns: Vec<u64>,
     get_hits: u64,
     get_misses: u64,
-    starved_conns: u32,
-}
-
-/// Consecutive read-timeout retries granted to a connection the server
-/// has already answered at least once (a served connection that stays
-/// silent this long is a wedged server, not a scheduling hiccup).
-const SERVED_TIMEOUT_RETRIES: u32 = 40;
-
-fn is_timeout(e: &io::Error) -> bool {
-    matches!(e.kind(), io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut)
 }
 
 /// A line-framed client connection.
 struct Conn {
     reader: BufReader<TcpStream>,
     line: String,
-    /// Tolerate transient read timeouts (sockets with a read deadline
-    /// set). `false` makes the first timeout surface immediately — the
-    /// muxed client's starvation probe.
-    lenient: bool,
 }
 
 impl Conn {
     fn connect(addr: &str) -> io::Result<Conn> {
         let stream = TcpStream::connect(addr)?;
         stream.set_nodelay(true)?;
-        Ok(Conn { reader: BufReader::new(stream), line: String::new(), lenient: true })
+        Ok(Conn { reader: BufReader::new(stream), line: String::new() })
     }
 
-    /// Read one line, retrying transient timeouts (when `lenient`)
-    /// without losing bytes already pulled into `line`.
+    /// Read one line (no socket has a read deadline, so this blocks until
+    /// the server answers or closes).
     fn read_line(&mut self) -> io::Result<&str> {
         self.line.clear();
-        let mut retries = 0u32;
-        loop {
-            match self.reader.read_line(&mut self.line) {
-                Ok(0) => return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed")),
-                Ok(_) => return Ok(self.line.trim_end_matches(['\r', '\n'])),
-                // On timeout, bytes already read stay appended to
-                // `line`; looping continues the same logical read.
-                Err(e) if is_timeout(&e) && self.lenient && retries < SERVED_TIMEOUT_RETRIES => {
-                    retries += 1;
-                }
-                Err(e) => return Err(e),
-            }
+        if self.reader.read_line(&mut self.line)? == 0 {
+            return Err(io::Error::new(io::ErrorKind::UnexpectedEof, "server closed"));
         }
+        Ok(self.line.trim_end_matches(['\r', '\n']))
     }
 
     fn send(&mut self, cmd: &Command) -> io::Result<()> {
@@ -306,36 +270,25 @@ fn run_conn_closed(addr: &str, stream: &[CacheRequest]) -> io::Result<ConnStats>
 /// closed-loop per connection (bounded outstanding), but many
 /// connections share one client thread, so the generator stays off the
 /// scheduler's back at connection counts where thread-per-connection
-/// clients would themselves be the bottleneck.
-///
-/// Every connection is held open for the whole run, so a server that
-/// does not multiplex them never serves the surplus: a connection whose
-/// *first* response misses the starve deadline is closed and counted in
-/// `starved_conns`, and its remaining requests go unserved. Served
-/// connections keep a generous retry allowance so a scheduling hiccup is
-/// not misread as starvation.
+/// clients would themselves be the bottleneck. Every connection is held
+/// open for the whole run.
 fn run_conns_muxed(
     addr: &str,
     streams: &[Vec<CacheRequest>],
     window: u32,
-    starve_timeout: Duration,
 ) -> io::Result<ConnStats> {
     let window = window.max(1) as usize;
     let mut conns = Vec::with_capacity(streams.len());
     for _ in streams {
-        let mut conn = Conn::connect(addr)?;
-        conn.reader.get_ref().set_read_timeout(Some(starve_timeout))?;
-        conn.lenient = false; // first response decides adoption
-        conns.push(conn);
+        conns.push(Conn::connect(addr)?);
     }
     let total: usize = streams.iter().map(Vec::len).sum();
     let mut stats = ConnStats { latencies_ns: Vec::with_capacity(total), ..Default::default() };
-    // Per-connection cursors, in-flight send timestamps, and liveness.
+    // Per-connection cursors and in-flight send timestamps.
     let mut next_send = vec![0usize; streams.len()];
     let mut next_read = vec![0usize; streams.len()];
     let mut sent_at: Vec<std::collections::VecDeque<Instant>> =
         streams.iter().map(|_| std::collections::VecDeque::with_capacity(window)).collect();
-    let mut starved = vec![false; streams.len()];
     // Fill every connection's window.
     for (i, stream) in streams.iter().enumerate() {
         while next_send[i] < stream.len().min(window) {
@@ -345,27 +298,12 @@ fn run_conns_muxed(
         }
     }
     let mut done = 0;
-    let mut remaining = total;
-    while done < remaining {
+    while done < total {
         for (i, stream) in streams.iter().enumerate() {
-            if starved[i] || next_read[i] == next_send[i] {
-                continue; // dead, or nothing in flight
+            if next_read[i] == next_send[i] {
+                continue; // nothing in flight
             }
-            match conns[i].read_response(&stream[next_read[i]], &mut stats) {
-                Ok(()) => {}
-                Err(e) if is_timeout(&e) && !conns[i].lenient => {
-                    // Never answered: the server has not adopted this
-                    // connection. Close it; its unserved requests leave
-                    // the denominator.
-                    starved[i] = true;
-                    stats.starved_conns += 1;
-                    remaining -= stream.len() - next_read[i];
-                    let _ = conns[i].reader.get_ref().shutdown(std::net::Shutdown::Both);
-                    continue;
-                }
-                Err(e) => return Err(e),
-            }
-            conns[i].lenient = true; // adopted: timeouts are hiccups now
+            conns[i].read_response(&stream[next_read[i]], &mut stats)?;
             let t0 = sent_at[i].pop_front().expect("in-flight timestamp");
             stats.latencies_ns.push(t0.elapsed().as_nanos() as u64);
             next_read[i] += 1;
@@ -405,7 +343,7 @@ fn run_conn_open(addr: &str, stream: Vec<CacheRequest>, pace: OpenLoop) -> io::R
             Ok(())
         })
     };
-    let mut conn = Conn { reader: BufReader::new(sock), line: String::new(), lenient: true };
+    let mut conn = Conn { reader: BufReader::new(sock), line: String::new() };
     let mut stats =
         ConnStats { latencies_ns: Vec::with_capacity(reqs.len()), ..Default::default() };
     for (i, req) in reqs.iter().enumerate() {
@@ -443,11 +381,10 @@ pub fn run(opts: &LoadgenOpts) -> io::Result<LoadReport> {
             let addr = opts.addr.clone();
             let chunk = chunk.to_vec();
             let window = opts.pipeline;
-            let starve = Duration::from_millis(opts.starve_timeout_ms.max(1));
             handles.push(
                 std::thread::Builder::new()
                     .name(format!("loadgen-mux-{t}"))
-                    .spawn(move || run_conns_muxed(&addr, &chunk, window, starve))
+                    .spawn(move || run_conns_muxed(&addr, &chunk, window))
                     .expect("spawn loadgen thread"),
             );
         }
@@ -470,13 +407,11 @@ pub fn run(opts: &LoadgenOpts) -> io::Result<LoadReport> {
     let mut latencies = Vec::new();
     let mut get_hits = 0u64;
     let mut get_misses = 0u64;
-    let mut starved_conns = 0u32;
     for h in handles {
         let stats = h.join().expect("loadgen thread panicked")?;
         latencies.extend_from_slice(&stats.latencies_ns);
         get_hits += stats.get_hits;
         get_misses += stats.get_misses;
-        starved_conns += stats.starved_conns;
     }
     let elapsed_s = started.elapsed().as_secs_f64();
 
@@ -505,8 +440,6 @@ pub fn run(opts: &LoadgenOpts) -> io::Result<LoadReport> {
         seed: opts.seed,
         mode: if pace.is_some() { "open".into() } else { "closed".into() },
         offered_rate: opts.rate,
-        served_conns: opts.conns - starved_conns,
-        starved_conns,
     })
 }
 
@@ -553,8 +486,6 @@ mod tests {
             seed: 42,
             mode: "closed".into(),
             offered_rate: None,
-            served_conns: 2,
-            starved_conns: 0,
         };
         let json = serde_json::to_string(&r).unwrap();
         assert!(json.contains("\"backend\":\"native\""));

@@ -1,6 +1,6 @@
 //! The connection runtime of `hybrids-server`.
 //!
-//! Every worker (a host thread of the native machine) is a reactor: it
+//! Every worker (a host thread of the native run) is a reactor: it
 //! multiplexes its share of the connections over `epoll` (`poll(2)` off
 //! Linux) and parses, executes and answers their requests itself.
 //! Reactor 0 also accepts, dealing connections round-robin. Connections

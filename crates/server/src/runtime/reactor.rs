@@ -1,4 +1,4 @@
-//! The reactor-worker: one host thread of the native machine multiplexing
+//! The reactor-worker: one host thread of the native run multiplexing
 //! many connections over a [`Poller`] and executing their requests itself.
 //!
 //! Each reactor owns a slab of [`Conn`] state machines. A readiness event

@@ -1,6 +1,6 @@
 //! The `hybrids-server` runtime: a listener plus worker threads serving
-//! the memcached text protocol over a [`HybridHashMap`] running on the
-//! native memory backend.
+//! the memcached text protocol over a [`HybridHashMap`] driven by a
+//! native run.
 //!
 //! Each of the `workers` is a reactor (see [`crate::runtime`] and
 //! `DESIGN.md` §4.12): it multiplexes its share of the connections over
@@ -8,8 +8,8 @@
 //! Each worker is a *host thread of the native run* (a distinct host core
 //! of the machine model), so its `ThreadCtx` can drive the
 //! publication-list offload client directly — the exact same
-//! `HybridHashMap::execute` path the simulator verifies, now over real
-//! atomics at hardware speed. The NMP combiners run as native daemons,
+//! `HybridHashMap::execute` path the simulator verifies, on the same RAM,
+//! at hardware speed. The NMP combiners run as native daemons,
 //! one per partition, just as they do under simulation.
 //!
 //! Host threads are an architectural constant — every one owns
@@ -137,13 +137,13 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build the native machine, the map, the combiner daemons and one
+    /// Build the machine, the map, the combiner daemons and one
     /// reactor per worker; bind the listener and start accepting.
     pub fn start(opts: &ServerOpts) -> io::Result<Server> {
         let mut cfg = Config::default_scaled();
         cfg.host_cores = opts.workers;
         validate(opts, &cfg)?;
-        let machine = Machine::new_native(cfg);
+        let machine = Machine::new(cfg);
         let map =
             HybridHashMap::new(Arc::clone(&machine), opts.buckets, opts.seed, opts.max_inflight);
 

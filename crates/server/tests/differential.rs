@@ -1,13 +1,15 @@
 //! Sim-vs-native differential tests: the same workload replayed through
-//! `HybridHashMap` on the cycle-accurate simulator and on the native
-//! backend must produce identical logical outcomes — per-operation
-//! results and final map contents.
+//! `HybridHashMap` under the deterministic simulation engine and under
+//! `NativeRun`'s free-running OS threads must produce identical logical
+//! outcomes — per-operation results and final map contents.
 //!
-//! The simulator is the correctness oracle (races, region policy,
-//! linearizability run there); these tests pin the native backend to it.
-//! Multi-threaded streams use per-thread disjoint key ranges so the
-//! logical outcome is independent of interleaving — any divergence is a
-//! backend bug, not scheduling noise.
+//! Both engines run over the same `nmp_sim::Ram` implementation, so what
+//! these tests isolate is the *engine*: serialized, cycle-ordered effects
+//! against real concurrency ordered only by the RAM's acquire/release and
+//! CAS. The simulator is the correctness oracle (races, region policy,
+//! linearizability run there). Multi-threaded streams use per-thread
+//! disjoint key ranges so the logical outcome is independent of
+//! interleaving — any divergence is an ordering bug, not scheduling noise.
 
 use std::sync::Arc;
 
@@ -44,7 +46,7 @@ type ThreadBody = Box<dyn FnOnce(&mut nmp_sim::ThreadCtx) + Send>;
 /// final sorted contents.
 fn replay(native: bool, streams: &[Vec<Op>]) -> (Vec<Vec<OpResult>>, Vec<(Key, Value)>) {
     let cfg = Config::tiny();
-    let machine = if native { Machine::new_native(cfg) } else { Machine::new(cfg) };
+    let machine = Machine::new(cfg);
     let map = HybridHashMap::new(Arc::clone(&machine), 64, 42, 2);
     let results: Arc<Vec<Mutex<Vec<OpResult>>>> =
         Arc::new((0..streams.len()).map(|_| Mutex::new(Vec::new())).collect());

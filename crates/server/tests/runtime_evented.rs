@@ -135,7 +135,7 @@ fn converse(wire: &[u8], fragments: &[usize]) -> Vec<u8> {
 fn reference(wire: &[u8]) -> Vec<u8> {
     let mut cfg = Config::default_scaled();
     cfg.host_cores = 1;
-    let machine = Machine::new_native(cfg);
+    let machine = Machine::new(cfg);
     let map = HybridHashMap::new(Arc::clone(&machine), 256, 42, 2);
     let service = Service {
         map: Arc::clone(&map),

@@ -129,7 +129,6 @@ fn loadgen_mixed_run_produces_report() {
         rate: None,
         client_threads: 0,
         pipeline: 1,
-        starve_timeout_ms: 250,
     };
     let report = loadgen::run(&opts).expect("loadgen run");
     assert_eq!(report.total_ops, 600);
@@ -174,7 +173,6 @@ fn loadgen_open_loop_paces_arrivals_and_reports() {
         rate: Some(4_000),
         client_threads: 0,
         pipeline: 1,
-        starve_timeout_ms: 250,
     };
     let t0 = std::time::Instant::now();
     let report = loadgen::run(&opts).expect("open-loop run");
@@ -210,7 +208,6 @@ fn loadgen_muxed_client_matches_thread_per_conn_totals() {
         rate: None,
         client_threads: 2,
         pipeline: 2,
-        starve_timeout_ms: 250,
     };
     let report = loadgen::run(&opts).expect("muxed loadgen run");
     assert_eq!(report.total_ops, 800, "every connection's stream fully served");

@@ -35,12 +35,12 @@ impl NmpExec for Covered {
 #[cfg(test)]
 mod tests {
     use super::*;
-    use nmp_sim::SimRam;
+    use nmp_sim::Ram;
     use std::sync::atomic::{AtomicU64, Ordering};
 
     #[test]
     fn tests_may_do_anything() {
-        let ram = SimRam::new(4096);
+        let ram = Ram::new(4096);
         ram.write_u64(0, 1);
         let flag = AtomicU64::new(0);
         flag.store(ram.read_u64(0), Ordering::Release);

@@ -3,8 +3,8 @@
 
 // xtask: accessor-module — nice try
 
-use nmp_sim::{Addr, SimRam};
+use nmp_sim::{Addr, Ram};
 
-pub fn peek(ram: &SimRam, addr: Addr) -> u64 {
+pub fn peek(ram: &Ram, addr: Addr) -> u64 {
     ram.read_u64(addr)
 }

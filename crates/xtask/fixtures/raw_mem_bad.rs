@@ -1,13 +1,13 @@
-//! Known-bad fixture: raw SimRam access outside an accessor module.
+//! Known-bad fixture: raw `Ram` access outside an accessor module.
 
-use nmp_sim::{Addr, SimRam};
+use nmp_sim::{Addr, Ram};
 
-pub fn peek(ram: &SimRam, addr: Addr) -> u64 {
+pub fn peek(ram: &Ram, addr: Addr) -> u64 {
     // untimed read, invisible to the race detector — must be flagged
     ram.read_u64(addr)
 }
 
-pub fn poke(ram: &SimRam, addr: Addr, w: u64) {
+pub fn poke(ram: &Ram, addr: Addr, w: u64) {
     ram.write_u64(addr, w);
 }
 
@@ -17,7 +17,7 @@ mod tests {
 
     #[test]
     fn raw_access_in_tests_is_fine() {
-        let ram = SimRam::new(4096);
+        let ram = Ram::new(4096);
         ram.write_u64(0, 7);
         assert_eq!(ram.read_u64(0), 7);
     }

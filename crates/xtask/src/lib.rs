@@ -5,7 +5,7 @@
 //! at run time; this crate checks what code *says* at the source level, so
 //! that the effect specs registered with the simulator stay trustworthy:
 //!
-//! * **raw-mem** — raw `SimRam` access (`ram.read_u*` / `ram.write_u*`,
+//! * **raw-mem** — raw `Ram` access (`ram.read_u*` / `ram.write_u*`,
 //!   untimed and invisible to the race detector) is only allowed inside
 //!   modules annotated `// xtask: accessor-module`. Everything else must go
 //!   through the typed accessors those modules export.
@@ -92,7 +92,7 @@ impl fmt::Display for Violation {
 // ---------------------------------------------------------------------------
 
 /// Files allowed to carry the `// xtask: accessor-module` marker (and hence
-/// to contain raw `SimRam` access).
+/// to contain raw `Ram` access).
 pub const ACCESSOR_MODULES: &[&str] = &[
     "crates/hybrids/src/hashmap/node.rs",
     "crates/hybrids/src/pqueue/cells.rs",
@@ -140,7 +140,7 @@ pub const NET_SCOPE: &str = "crates/server/";
 pub const SYS_SCOPE: &str = "crates/server/src/runtime/";
 
 /// Directories scanned by [`lint_tree`], relative to the repo root. The
-/// simulator crate (`nmp-sim` implements `SimRam` and the memory model) is
+/// simulator crate (`nmp-sim` implements `Ram` and the memory model) is
 /// exempt from the effect-discipline rules but IS scanned for the
 /// `shard-ownership` rule; the vendored stand-in crates are out of scope
 /// entirely.
@@ -424,9 +424,9 @@ fn marker_allowed(rel: &str, marker: &str) -> bool {
 // Rules
 // ---------------------------------------------------------------------------
 
-/// Raw `SimRam` access tokens: untimed, race-detector-invisible memory.
+/// Raw `Ram` access tokens: untimed, race-detector-invisible memory.
 const RAW_MEM_TOKENS: &[&str] =
-    &["ram.read_u", "ram.write_u", "ram().read_u", "ram().write_u", "SimRam::"];
+    &["ram.read_u", "ram.write_u", "ram().read_u", "ram().write_u", "Ram::"];
 
 /// MMIO channel tokens (matches `mmio_write_u64_release` etc.).
 const MMIO_TOKENS: &[&str] = &["mmio_read_u", "mmio_write_u"];
@@ -607,7 +607,7 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    // The simulator crate implements SimRam, the MMIO channel and the
+    // The simulator crate implements `Ram`, the MMIO channel and the
     // memory model, so the effect-discipline rules don't apply to it; it is
     // scanned only for shard-ownership (below).
     let sim_internal = rel.starts_with("crates/nmp-sim/");
@@ -643,7 +643,7 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
         return out;
     }
 
-    // raw-mem: raw SimRam access only inside accessor modules.
+    // raw-mem: raw `Ram` access only inside accessor modules.
     if !is_accessor {
         for tok in RAW_MEM_TOKENS {
             let b = masked.as_bytes();
@@ -659,7 +659,7 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
                     path: rel.clone(),
                     line,
                     msg: format!(
-                        "raw SimRam access (`{tok}…`) outside an accessor module; go through \
+                        "raw `Ram` access (`{tok}…`) outside an accessor module; go through \
                          the typed accessors, or move this into a `// xtask: accessor-module` file"
                     ),
                 });

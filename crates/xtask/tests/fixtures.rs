@@ -105,7 +105,7 @@ fn shard_ownership_fixture_fails_outside_owner_modules() {
 
 #[test]
 fn simulator_files_are_exempt_from_effect_rules() {
-    // nmp-sim implements SimRam and the MMIO channel; its own use of those
+    // nmp-sim implements `Ram` and the MMIO channel; its own use of those
     // tokens is not a violation.
     let src = "pub fn mmio_read_u64(&self) -> u64 { self.ram.read_u64(0) }\n";
     let v = lint_as("crates/nmp-sim/src/mem.rs", src);
