@@ -1,7 +1,7 @@
 //! Run the figure/table harnesses from one binary:
 //!
 //! ```text
-//! cargo run --release -p hybrids-bench --bin figures -- [--scale smoke|ci|scaled|paper] [--shards N] [--policy fixed|adaptive] [fig5 fig6 fig7 fig8 table2 fig4 newstructs trace | all]
+//! cargo run --release -p hybrids-bench --bin figures -- [--scale smoke|ci|scaled|paper] [--policy fixed|adaptive] [fig5 fig6 fig7 fig8 table2 fig4 newstructs trace | all]
 //! ```
 //!
 //! Each experiment is the same code `cargo bench` runs (the bench targets
@@ -12,18 +12,12 @@ use std::process::Command;
 
 fn main() {
     let mut scale = None;
-    let mut shards = None;
     let mut policy = None;
     let mut figs: Vec<String> = Vec::new();
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
             "--scale" => scale = args.next(),
-            "--shards" => {
-                let n = args.next().expect("--shards needs a value");
-                let _: usize = n.parse().expect("--shards must be an integer");
-                shards = Some(n);
-            }
             "--policy" => {
                 let p = args.next().expect("--policy needs a value");
                 nmp_sim::Policy::parse(&p).expect("--policy must be 'fixed' or 'adaptive'");
@@ -78,9 +72,6 @@ fn main() {
         }
         if let Some(s) = &scale {
             cmd.env("HYBRIDS_SCALE", s);
-        }
-        if let Some(n) = &shards {
-            cmd.env("NMP_SIM_SHARDS", n);
         }
         if let Some(p) = &policy {
             cmd.env("HYBRIDS_POLICY", p);

@@ -75,34 +75,23 @@ fn run_one(
 
 fn main() {
     let mut scale = Scale::from_env();
-    // `--shards N` sets the engine shard knob (0 = per-vault, 1 = legacy
-    // loop; `NMP_SIM_SHARDS`, when set, still wins inside the engine);
-    // `--policy fixed|adaptive` selects the offload policy — both for this
-    // report only.
+    // `--policy fixed|adaptive` selects the offload policy for this report
+    // only.
     let mut args = std::env::args().skip(1);
     while let Some(a) = args.next() {
         match a.as_str() {
-            "--shards" => {
-                let n = args.next().expect("--shards needs a value");
-                scale.cfg.shards = n.parse().expect("--shards must be a non-negative integer");
-            }
             "--policy" => {
                 let p = args.next().expect("--policy needs a value");
                 scale = scale.with_policy(
                     nmp_sim::Policy::parse(&p).expect("--policy must be 'fixed' or 'adaptive'"),
                 );
             }
-            other => panic!(
-                "unknown trace-report flag `{other}` \
-                 (supported: --shards N, --policy fixed|adaptive)"
-            ),
+            other => {
+                panic!("unknown trace-report flag `{other}` (supported: --policy fixed|adaptive)")
+            }
         }
     }
-    eprintln!(
-        "[trace-report] engine vault shards: {}, policy: {}",
-        scale.cfg.resolved_vault_shards(),
-        scale.cfg.policy.label()
-    );
+    eprintln!("[trace-report] policy: {}", scale.cfg.policy.label());
     let threads = scale.cfg.host_cores as u32;
     let map_mix = sensitivity(&scale, Mix::read_insert_remove(50, 25, 25), InsertDist::UniformGap);
     let mut rows = Vec::new();

@@ -17,8 +17,7 @@
 //!
 //! `HYBRIDS_OPS` overrides measured operations per thread, `HYBRIDS_POLICY`
 //! (`fixed|adaptive`) the offload policy and `HYBRIDS_RESULTS_DIR` where the
-//! records go. `NMP_SIM_SHARDS` (read by the engine itself) picks the
-//! engine shard count. A value that does not parse is an error.
+//! records go. A value that does not parse is an error.
 
 use std::fmt::Write as _;
 use std::sync::Arc;
@@ -346,8 +345,6 @@ pub struct Record {
     pub lat_p50_cycles: f64,
     pub lat_p95_cycles: f64,
     pub lat_p99_cycles: f64,
-    /// Engine vault shards the run resolved to (`1` = legacy single loop).
-    pub shards: u32,
     /// Priority-queue stale minima-cache probes in the measured window
     /// (zero for non-pqueue structures).
     pub pq_stale_probes: u64,
@@ -390,7 +387,6 @@ impl Record {
             lat_p50_cycles: r.lat_p50_cycles,
             lat_p95_cycles: r.lat_p95_cycles,
             lat_p99_cycles: r.lat_p99_cycles,
-            shards: scale.cfg.resolved_vault_shards() as u32,
             pq_stale_probes: r.stats.offload.pq_stale_total(),
             policy: scale.cfg.policy.label().into(),
             offload_coalesced: r.offload_coalesced,
@@ -641,13 +637,13 @@ pub fn save_records(experiment: &str, records: &[Record]) {
     let mut csv = String::new();
     if fresh {
         csv.push_str(
-            "experiment,scale,variant,workload,threads,mops,dram_reads_per_op,host_dram_reads_per_op,nmp_dram_reads_per_op,mmio_per_op,energy_nj_per_op,cycles,measured_ops,succeeded_ops,wall_ms,sim_cycles_per_sec,offload_posted,offload_retries,offload_lock_path,offload_mean_batch,lat_p50_cycles,lat_p95_cycles,lat_p99_cycles,shards,pq_stale_probes,policy,offload_coalesced\n",
+            "experiment,scale,variant,workload,threads,mops,dram_reads_per_op,host_dram_reads_per_op,nmp_dram_reads_per_op,mmio_per_op,energy_nj_per_op,cycles,measured_ops,succeeded_ops,wall_ms,sim_cycles_per_sec,offload_posted,offload_retries,offload_lock_path,offload_mean_batch,lat_p50_cycles,lat_p95_cycles,lat_p99_cycles,pq_stale_probes,policy,offload_coalesced\n",
         );
     }
     for r in records {
         let _ = writeln!(
             csv,
-            "{},{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{},{},{},{:.3},{:.0},{},{},{},{:.3},{:.1},{:.1},{:.1},{},{},{},{}",
+            "{},{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{},{},{},{:.3},{:.0},{},{},{},{:.3},{:.1},{:.1},{:.1},{},{},{}",
             r.experiment,
             r.scale,
             r.variant,
@@ -671,7 +667,6 @@ pub fn save_records(experiment: &str, records: &[Record]) {
             r.lat_p50_cycles,
             r.lat_p95_cycles,
             r.lat_p99_cycles,
-            r.shards,
             r.pq_stale_probes,
             r.policy,
             r.offload_coalesced

@@ -41,8 +41,7 @@
 //! issuing thread's own completion count and simulated clock, and the
 //! ctrl-word occupancy bits written by the combiner and read back by the
 //! same host thread. No wall-clock time, no cross-OS-thread counter reads
-//! — so
-//! byte-identical traces survive any `NMP_SIM_SHARDS` setting, which is
+//! — so traces are byte-identical under both engine topologies, which is
 //! what makes the adaptive battery in `tests/shard_determinism.rs`
 //! possible.
 

@@ -135,11 +135,11 @@ impl fmt::Display for Report {
     }
 }
 
-/// A deferred analysis side effect. Under the sharded engine, each logical
-/// thread logs these instead of applying them live; the shard runner merges
-/// the logs in global `(cycle, spawn id, seq)` order after the run and
-/// replays them through [`Analysis::replay`], reproducing exactly the feed
-/// order of the legacy single-loop engine.
+/// A deferred analysis side effect. Inside a simulation each logical thread
+/// logs these instead of applying them live; the shard runner merges the
+/// logs in global `(cycle, spawn id, seq)` order after the run and replays
+/// them through [`Analysis::replay`] — the feed order of a sequential
+/// scheduler, whichever shard ran ahead.
 #[derive(Clone)]
 pub(crate) enum AnalysisEv {
     /// One timed access observed at the serialization point.
@@ -216,8 +216,8 @@ impl Analysis {
     }
 
     /// Record one timed memory access (the engine's serialization point).
-    /// Under the sharded engine the access is deferred to the calling
-    /// thread's log and replayed in global key order after the run.
+    /// Inside a simulation the access is deferred to the calling thread's
+    /// log and replayed in global key order after the run.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_access(
         &self,

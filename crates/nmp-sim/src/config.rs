@@ -19,7 +19,7 @@ use serde::{Deserialize, Serialize};
 /// configured (`host_pipeline_idle_cycles`, `nmp_idle_poll_cycles`, the
 /// driver's `inflight`); `Adaptive` lets the offload runtime retune those
 /// levers online — as a pure function of simulated state, so determinism
-/// (including byte-identity across engine shard counts) is preserved.
+/// (including byte-identity across the engine's two topologies) is preserved.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize, Default)]
 pub enum Policy {
     /// Hand-tuned constants from the config, unchanged at run time.
@@ -145,14 +145,13 @@ pub struct Config {
     /// when no tracer is attached.
     pub trace_buffer_events: usize,
 
-    /// Simulation-engine shard workers: `0` = auto (one vault shard per NMP
-    /// partition plus a host shard), `1` = the legacy single event loop, `n`
-    /// = at most `n` vault shards (clamped to the partition count) plus the
-    /// host shard. Results are byte-identical across all values; this knob
-    /// only trades simulator wall-clock speed (see DESIGN.md §4.9). The
-    /// `NMP_SIM_SHARDS` environment variable overrides it at run time.
+    /// Test switch: schedule every logical thread from one shard — the
+    /// sequential min-`(clock, id)` order by construction — instead of the
+    /// host shard plus one vault shard per NMP partition. Results are
+    /// byte-identical either way; the determinism suites run both and
+    /// compare (see DESIGN.md §4.9). Nothing else sets it.
     #[serde(default)]
-    pub shards: usize,
+    pub single_loop: bool,
 
     /// Offload-runtime tuning policy ([`Policy::Fixed`] reproduces the
     /// hand-tuned constants; [`Policy::Adaptive`] self-tunes online).
@@ -196,7 +195,7 @@ impl Config {
             host_heap_bytes: 192 * 1024 * 1024,
             part_heap_bytes: 64 * 1024 * 1024,
             trace_buffer_events: 1 << 16,
-            shards: 0,
+            single_loop: false,
             policy: Policy::Fixed,
         }
     }
@@ -242,9 +241,10 @@ impl Config {
         self.num_vaults - self.main_vaults
     }
 
-    /// Set the engine shard knob (`0` = auto, `1` = legacy single loop).
-    pub fn with_shards(mut self, shards: usize) -> Self {
-        self.shards = shards;
+    /// Select the single-shard reference topology (see
+    /// [`Config::single_loop`]); for determinism tests only.
+    pub fn with_single_loop(mut self) -> Self {
+        self.single_loop = true;
         self
     }
 
@@ -265,36 +265,6 @@ impl Config {
             ("scaled", Config::default_scaled()),
             ("tiny", Config::tiny()),
         ]
-    }
-
-    /// Resolve the `shards` knob to the number of *vault* shards the engine
-    /// will run (the host shard is extra): `0` maps to one per NMP
-    /// partition, anything else is clamped to the partition count. A result
-    /// of `0` vault shards cannot occur (`shards == 1` selects the legacy
-    /// loop before this is consulted).
-    pub fn vault_shards(&self) -> usize {
-        match self.shards {
-            0 => self.nmp_partitions(),
-            n => n.min(self.nmp_partitions()),
-        }
-    }
-
-    /// Like [`Config::vault_shards`] but honoring the `NMP_SIM_SHARDS`
-    /// environment override the engine consults, so harnesses can report
-    /// the shard count a run will actually use. `1` = legacy single loop.
-    ///
-    /// # Panics
-    /// If `NMP_SIM_SHARDS` is set to anything but a non-negative integer:
-    /// a mistyped override must not silently select a different engine.
-    pub fn resolved_vault_shards(&self) -> usize {
-        let shards = match std::env::var("NMP_SIM_SHARDS") {
-            Ok(v) => parse_shards(&v).unwrap_or_else(|e| panic!("NMP_SIM_SHARDS={e}")),
-            Err(_) => self.shards,
-        };
-        match shards {
-            0 => self.nmp_partitions(),
-            n => n.min(self.nmp_partitions()),
-        }
     }
 
     /// Convert nanoseconds to clock cycles (rounded to nearest, min 1).
@@ -338,17 +308,6 @@ impl Default for Config {
     fn default() -> Self {
         Self::default_scaled()
     }
-}
-
-/// Parse an `NMP_SIM_SHARDS` value; the error names the value and the
-/// accepted set.
-fn parse_shards(value: &str) -> Result<usize, String> {
-    value.parse().map_err(|_| {
-        format!(
-            "{value:?} is not a non-negative integer \
-             (0 = one shard per vault, 1 = the single-loop reference engine)"
-        )
-    })
 }
 
 #[cfg(test)]
@@ -486,24 +445,17 @@ mod tests {
     }
 
     #[test]
-    fn shards_knob_defaults_and_clamps() {
-        // Configs serialized before the knob existed deserialize to auto.
+    fn single_loop_is_off_unless_asked_for() {
+        // Configs serialized before the switch existed select the default
+        // topology, and so does every stock preset.
         let j = serde_json::to_string(&Config::paper()).unwrap();
-        let pruned = j.replace(",\"shards\":0", "");
+        let pruned = j.replace(",\"single_loop\":false", "");
+        assert_ne!(j, pruned, "serialized config must carry the switch");
         let back: Config = serde_json::from_str(&pruned).unwrap();
-        assert_eq!(back.shards, 0);
-        assert_eq!(Config::paper().vault_shards(), 8);
-        assert_eq!(Config::paper().with_shards(4).vault_shards(), 4);
-        assert_eq!(Config::tiny().with_shards(8).vault_shards(), 2);
-    }
-
-    #[test]
-    fn shards_override_parses_strictly() {
-        assert_eq!(parse_shards("0"), Ok(0));
-        assert_eq!(parse_shards("4"), Ok(4));
-        for bad in ["four", "-1", "", " 2"] {
-            let e = parse_shards(bad).unwrap_err();
-            assert!(e.contains(bad) && e.contains("non-negative integer"), "{e}");
+        assert!(!back.single_loop);
+        for (name, cfg) in Config::stock_configs() {
+            assert!(!cfg.single_loop, "stock config {name} selects the reference topology");
         }
+        assert!(Config::tiny().with_single_loop().single_loop);
     }
 }

@@ -1,4 +1,4 @@
-//! Conservative time-window barriers for the sharded engine.
+//! Conservative time-window barriers between the scheduler's shards.
 //!
 //! Each shard publishes a *frontier*: the packed `(cycle, spawn id)` key of
 //! the earliest event it could still execute. Frontiers are monotonically
@@ -20,7 +20,7 @@ const ID_BITS: u32 = 16;
 /// simulated time at 1 GHz — far beyond any experiment in this repo).
 pub(super) const MAX_CLOCK: u64 = (1 << (64 - ID_BITS)) - 1;
 
-/// Largest spawn id a sharded simulation may use.
+/// Largest spawn id a simulation may use.
 pub(super) const MAX_THREADS: usize = 1 << ID_BITS;
 
 /// Pack `(cycle, spawn id)` into a totally ordered `u64` key.
@@ -64,7 +64,7 @@ fn spin_until<F: Fn() -> bool>(cond: F) {
     }
 }
 
-/// Shared synchronization state of one sharded run: per-shard frontiers and
+/// Shared synchronization state of one simulation run: per-shard frontiers and
 /// the keyed stop protocol.
 pub(super) struct ShardCtl {
     /// Packed min pending key per shard (`u64::MAX` once a shard drained).
@@ -137,7 +137,7 @@ impl ShardCtl {
         }
     }
 
-    /// The keyed stop query: would the sequential engine's stop flag be set
+    /// The keyed stop query: would a sequential scheduler's stop flag be set
     /// when the turn at `key` is scheduled? True exactly when every
     /// non-daemon has finished *and* did so at a turn key below `key`.
     /// Waits until every shard's non-daemon frontier passes `key` first, so
@@ -164,7 +164,8 @@ impl ShardCtl {
         self.nd_live.load(Ordering::Acquire) == 0
     }
 
-    /// Safety valve mirroring the legacy loop's `schedules_after_stop`.
+    /// Safety valve: a daemon that never observes the stop would otherwise
+    /// spin the run forever.
     pub(super) fn count_after_stop(&self) {
         let n = self.after_stop.fetch_add(1, Ordering::Relaxed);
         assert!(n < 10_000_000, "daemon threads are not honoring stop_requested()");
@@ -172,7 +173,7 @@ impl ShardCtl {
 
     /// Block until every *other* shard's frontier is strictly past `key`:
     /// the caller may then mutate cross-shard state (e.g. a global stats
-    /// reset at a measurement barrier) exactly as the sequential engine
+    /// reset at a measurement barrier) exactly as a sequential scheduler
     /// would. Only valid at quiescence — when the other shards' events in
     /// `(key, frontier)` are effect-free polls — which the driver's
     /// measurement barrier guarantees (no offload is in flight).

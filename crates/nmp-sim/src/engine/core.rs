@@ -1,19 +1,24 @@
 //! Deterministic discrete-event engine with logical threads.
 //!
 //! Each logical thread (a host hardware thread or an NMP core) runs real
-//! Rust code on its own OS thread, but **exactly one logical thread executes
-//! at a time**: the engine always resumes the runnable thread with the
-//! smallest `(local clock, spawn id)`. Every timed memory operation is a
-//! yield point, so threads interleave at memory-access granularity — the
-//! granularity at which concurrent data-structure races actually occur —
-//! and, because all latencies are deterministic functions of simulator
-//! state, an entire simulation is bit-for-bit reproducible.
+//! Rust code on its own OS thread, and the scheduler (`engine/shard.rs`)
+//! resumes threads in `(local clock, spawn id)` order: **effects on shared
+//! words apply exactly as if one logical thread executed at a time**, the
+//! runnable thread with the smallest key first. Every timed memory
+//! operation is a yield point, so threads interleave at memory-access
+//! granularity — the granularity at which concurrent data-structure races
+//! actually occur — and, because all latencies are deterministic functions
+//! of simulator state, an entire simulation is bit-for-bit reproducible.
 //!
 //! Memory operations take effect at their *completion* time: the issuing
 //! thread charges the latency, sleeps, and applies the data-plane effect
-//! when it is next scheduled (at which point it is again the minimum-clock
-//! thread, so effects are applied in global simulated-time order — a
-//! sequentially-consistent execution).
+//! when it is next scheduled (at which point its key is below every key
+//! that could still touch the same words, so effects are applied in global
+//! simulated-time order — a sequentially-consistent execution).
+//!
+//! This file holds the thread-side half: [`ThreadCtx`] and its accessors,
+//! the [`Simulation`] builder, and the worker wrapper every logical thread
+//! runs in.
 
 use std::panic::{self, AssertUnwindSafe, Location};
 use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
@@ -69,12 +74,40 @@ pub(super) struct ThreadShared {
     /// worker wrapper for the engine to surface in its own panic.
     pub(super) panic_note: Mutex<Option<String>>,
     /// Cross-shard gate of the pending (yet-to-apply) effect; read by the
-    /// shard scheduler before resuming this thread. Unused by the legacy
-    /// loop.
+    /// shard scheduler before resuming this thread.
     pub(super) gate: AtomicU32,
-    /// Deferred trace/analysis log, stashed by the sharded worker wrapper
-    /// and merged after the run drains.
+    /// Deferred trace/analysis log, stashed by the worker wrapper and merged
+    /// after the run drains.
     pub(super) deferred: Mutex<Option<inbox::ThreadLog>>,
+}
+
+impl ThreadShared {
+    /// Shared state of a not-yet-started logical thread on a `cfg` machine.
+    ///
+    /// # Panics
+    /// If `kind` names a host core or NMP partition `cfg` does not have.
+    pub(super) fn new(name: String, kind: ThreadKind, daemon: bool, cfg: &Config) -> Self {
+        match kind {
+            ThreadKind::Host { core } => {
+                assert!(core < cfg.host_cores, "core {core} out of range")
+            }
+            ThreadKind::Nmp { part } => {
+                assert!(part < cfg.nmp_partitions(), "partition {part} out of range")
+            }
+        }
+        ThreadShared {
+            name,
+            kind,
+            daemon,
+            state: AtomicU32::new(ST_INIT),
+            clock: AtomicU64::new(0),
+            handle: Mutex::new(None),
+            panicked: AtomicBool::new(false),
+            panic_note: Mutex::new(None),
+            gate: AtomicU32::new(barrier::GATE_NONE),
+            deferred: Mutex::new(None),
+        }
+    }
 }
 
 pub(super) struct EngineShared {
@@ -138,18 +171,16 @@ pub struct ThreadCtx {
     pub(super) clock: u64,
     pub(super) pending: u64,
     pub(super) cpu_step: u64,
-    /// Sharded-run context (`None` under the legacy loop).
-    pub(super) sharded: Option<Arc<ShardedRt>>,
-    /// Index of the shard that owns this thread (0 under the legacy loop).
+    /// The simulation's scheduler. `None` ⇔ native mode (see
+    /// [`crate::engine::NativeRun`]): the thread is a free running OS
+    /// thread, every accessor performs only its data op on the [`Ram`] (no
+    /// timing, no engine yield, no tracing), and `idle` is an OS-level yield.
+    pub(super) rt: Option<Arc<ShardedRt>>,
+    /// Index of the shard that owns this thread (0 in a native run).
     pub(super) my_shard: usize,
     /// Gate of the effect the next `sleep` leaves pending; consumed by the
     /// yield and handed to the shard scheduler through `ThreadShared::gate`.
     pub(super) next_gate: u32,
-    /// Native mode (see [`crate::engine::NativeRun`]): the thread is a free
-    /// running OS thread, every accessor performs only its data op on the
-    /// [`Ram`] (no timing, no engine yield, no tracing), and `idle` is an
-    /// OS-level yield. `false` under both simulation engines.
-    pub(super) native: bool,
 }
 
 impl ThreadCtx {
@@ -186,32 +217,26 @@ impl ThreadCtx {
     }
 
     /// Commit accrued time plus `extra_lat` and hand control back to the
-    /// scheduler; returns when this thread is next due to run.
+    /// scheduler; returns when this thread is next due to run. Simulated
+    /// threads only.
+    ///
+    /// The handoff is peer-to-peer: the yielding thread runs its shard's
+    /// scheduling step itself — when its own new key is still the shard
+    /// minimum it resumes immediately with no OS round-trip at all (the
+    /// common case for vault-local bursts).
     fn sleep(&mut self, extra_lat: u64) {
         debug_assert!(extra_lat >= 1, "timed ops must advance time");
+        let rt = self.rt.as_deref().expect("native threads never reach the scheduler");
         self.clock += self.pending + extra_lat;
         self.pending = 0;
         let gate = std::mem::replace(&mut self.next_gate, barrier::GATE_NONE);
         self.ts.clock.store(self.clock, Ordering::Release);
-        if let Some(rt) = &self.sharded {
-            // Sharded path: peer-to-peer handoff. The yielding thread runs
-            // its shard's scheduling step itself — when its own new key is
-            // still the shard minimum it resumes immediately with no OS
-            // round-trip at all (the common case for vault-local bursts).
-            self.ts.gate.store(gate, Ordering::Relaxed);
-            self.ts.state.store(ST_YIELD, Ordering::Release);
-            let rt = Arc::clone(rt);
-            if rt.sched_step(self.my_shard, Some(self.id)) != Some(self.id) {
-                let ts = Arc::clone(&self.ts);
-                spin_wait(move || ts.state.load(Ordering::Acquire) == ST_GO);
-            }
-            inbox::set_clock(self.clock);
-        } else {
-            self.ts.state.store(ST_YIELD, Ordering::Release);
-            unpark(&self.eng.engine_thread);
-            let ts = Arc::clone(&self.ts);
-            spin_wait(move || ts.state.load(Ordering::Acquire) == ST_GO);
+        self.ts.gate.store(gate, Ordering::Relaxed);
+        self.ts.state.store(ST_YIELD, Ordering::Release);
+        if rt.sched_step(self.my_shard, Some(self.id)) != Some(self.id) {
+            spin_wait(|| self.ts.state.load(Ordering::Acquire) == ST_GO);
         }
+        inbox::set_clock(self.clock);
     }
 
     /// Yield a full poll interval (used by spin/poll loops so they always
@@ -219,7 +244,7 @@ impl ThreadCtx {
     /// time to burn; the poll loop yields the OS thread instead (and the
     /// local clock still advances so `now`-based heuristics stay monotone).
     pub fn idle(&mut self, cycles: u64) {
-        if self.native {
+        if self.rt.is_none() {
             self.clock += self.pending + cycles.max(1);
             self.pending = 0;
             thread::yield_now();
@@ -231,26 +256,30 @@ impl ThreadCtx {
     /// True once every non-daemon thread has finished; daemon loops (NMP
     /// cores) should exit promptly when they observe this.
     pub fn stop_requested(&self) -> bool {
-        if self.eng.stop.load(Ordering::Acquire) {
-            return true;
-        }
-        match &self.sharded {
-            // Sharded path: the keyed stop query answers "would the legacy
-            // loop's stop flag be set when this turn was scheduled?".
+        match &self.rt {
+            // The keyed stop query answers "had every non-daemon finished
+            // when the sequential order scheduled this turn?".
             Some(rt) => rt.ctl().stop_query(barrier::pack(self.clock, self.id)),
-            None => false,
+            None => self.eng.stop.load(Ordering::Acquire),
         }
     }
 
     /// Cross-shard gate for a policy-clean access about to be issued. The
     /// scratchpads are the only region shared between shards (host MMIO on
     /// one side, the owning NMP core on the other); everything else is
-    /// shard-local.
-    fn gate_for(&self, rt: &ShardedRt, addr: Addr) -> u32 {
-        match (self.kind, self.mem.map().region_of(addr)) {
-            (ThreadKind::Host { .. }, Region::Spad(p)) => barrier::gate_on(rt.shard_of_part(p)),
-            (ThreadKind::Nmp { .. }, Region::Spad(_)) => barrier::gate_on(shard::HOST_SHARD),
-            _ => barrier::GATE_NONE,
+    /// shard-local — and so is a scratchpad whose other side lives in this
+    /// thread's own shard (always, under the single-loop topology).
+    fn gate_for(&self, addr: Addr) -> u32 {
+        let rt = self.rt.as_deref().expect("native threads never reach the scheduler");
+        let peer = match (self.kind, self.mem.map().region_of(addr)) {
+            (ThreadKind::Host { .. }, Region::Spad(p)) => rt.shard_of_part(p),
+            (ThreadKind::Nmp { .. }, Region::Spad(_)) => shard::HOST_SHARD,
+            _ => return barrier::GATE_NONE,
+        };
+        if peer == self.my_shard {
+            barrier::GATE_NONE
+        } else {
+            barrier::gate_on(peer)
         }
     }
 
@@ -281,9 +310,7 @@ impl ThreadCtx {
             ThreadKind::Host { core } => self.mem.host_access(core, now, addr, is_write),
             ThreadKind::Nmp { part } => self.mem.nmp_access(part, now, addr, is_write),
         };
-        if let Some(rt) = &self.sharded {
-            self.next_gate = self.gate_for(rt, addr);
-        }
+        self.next_gate = self.gate_for(addr);
         lat
     }
 
@@ -305,7 +332,7 @@ impl ThreadCtx {
         site: &'static Location<'static>,
         data: impl FnOnce(&Ram) -> (MemOp, T),
     ) -> T {
-        if self.native {
+        if self.rt.is_none() {
             return data(self.mem.ram()).1;
         }
         let lat = self.route(addr, is_write, mmio, site);
@@ -502,17 +529,7 @@ pub struct Simulation {
 impl Simulation {
     /// Build a simulation with a fresh memory system for `cfg`.
     pub fn new(cfg: Config) -> Self {
-        let cpu_step = cfg.cpu_step_cycles;
-        Simulation {
-            mem: Arc::new(MemorySystem::new(cfg)),
-            eng: Arc::new(EngineShared {
-                engine_thread: Mutex::new(None),
-                stop: AtomicBool::new(false),
-            }),
-            threads: Vec::new(),
-            bodies: Vec::new(),
-            cpu_step,
-        }
+        Self::with_memory(Arc::new(MemorySystem::new(cfg)))
     }
 
     /// Build a simulation around an existing memory system (lets callers
@@ -559,43 +576,13 @@ impl Simulation {
     }
 
     fn spawn_inner(&mut self, name: String, kind: ThreadKind, daemon: bool, f: ThreadFn) {
-        if let ThreadKind::Host { core } = kind {
-            assert!(core < self.mem.config().host_cores, "core {core} out of range");
-        }
-        if let ThreadKind::Nmp { part } = kind {
-            assert!(part < self.mem.config().nmp_partitions(), "partition {part} out of range");
-        }
-        self.threads.push(Arc::new(ThreadShared {
-            name,
-            kind,
-            daemon,
-            state: AtomicU32::new(ST_INIT),
-            clock: AtomicU64::new(0),
-            handle: Mutex::new(None),
-            panicked: AtomicBool::new(false),
-            panic_note: Mutex::new(None),
-            gate: AtomicU32::new(barrier::GATE_NONE),
-            deferred: Mutex::new(None),
-        }));
+        self.threads.push(Arc::new(ThreadShared::new(name, kind, daemon, self.mem.config())));
         self.bodies.push(f);
-    }
-
-    /// Resolve how many vault shards this run uses: the config knob (or the
-    /// `NMP_SIM_SHARDS` environment override), clamped to the partition
-    /// count, with `0` meaning one shard per partition. `1` selects the
-    /// legacy single-loop engine.
-    fn resolved_vault_shards(&self) -> usize {
-        self.mem.config().resolved_vault_shards()
     }
 
     /// Run to completion on the calling thread; returns per-thread clocks.
     /// Propagates the first panic raised inside any logical thread.
-    ///
-    /// Dispatches to the legacy single-loop engine (`shards == 1`) or the
-    /// sharded per-vault loops (`shards != 1`); both produce byte-identical
-    /// results (see `DESIGN.md` §4.9).
     pub fn run(self) -> SimOutcome {
-        let vault_shards = self.resolved_vault_shards();
         let Simulation { mem, eng, threads, bodies, cpu_step } = self;
         assert!(!threads.is_empty(), "no threads spawned");
         *eng.engine_thread.lock() = Some(thread::current());
@@ -612,29 +599,26 @@ impl Simulation {
             t.on_sim_start(&roster);
         }
 
-        if vault_shards > 1 {
-            return shard::run_sharded(mem, eng, threads, bodies, cpu_step, vault_shards);
-        }
-        run_legacy(mem, eng, threads, bodies, cpu_step)
+        shard::run(mem, eng, threads, bodies, cpu_step)
     }
 }
 
-/// Spawn one OS thread per logical thread. Shared by both engines; `rt`
-/// selects the sharded worker protocol (deferral context, peer-to-peer
-/// handoff on exit) when present.
+/// Spawn one OS thread per logical thread, each running the worker protocol
+/// of scheduler `rt`: announce, wait for the first GO, install the deferral
+/// context, run the body, and hand the shard's token on at exit.
 pub(super) fn spawn_workers(
     mem: &Arc<MemorySystem>,
     eng: &Arc<EngineShared>,
     threads: &[Arc<ThreadShared>],
     bodies: Vec<ThreadFn>,
     cpu_step: u64,
-    rt: Option<Arc<ShardedRt>>,
+    rt: &Arc<ShardedRt>,
 ) -> Vec<thread::JoinHandle<()>> {
     let mut joins = Vec::with_capacity(bodies.len());
     for (id, (ts, body)) in threads.iter().cloned().zip(bodies).enumerate() {
         let eng2 = Arc::clone(eng);
         let mem2 = Arc::clone(mem);
-        let rt2 = rt.clone();
+        let rt = Arc::clone(rt);
         joins.push(
             thread::Builder::new()
                 .name(format!("sim-{}", ts.name))
@@ -647,10 +631,8 @@ pub(super) fn spawn_workers(
                         let ts2 = Arc::clone(&ts);
                         spin_wait(move || ts2.state.load(Ordering::Acquire) == ST_GO);
                     }
-                    let my_shard = rt2.as_ref().map_or(0, |rt| rt.shard_of(ts.kind));
-                    if let Some(rt) = &rt2 {
-                        inbox::begin_thread(id, my_shard, rt.ctl_arc());
-                    }
+                    let my_shard = rt.shard_of(ts.kind);
+                    inbox::begin_thread(id, my_shard, rt.ctl_arc());
                     let mut ctx = ThreadCtx {
                         kind: ts.kind,
                         id,
@@ -660,17 +642,14 @@ pub(super) fn spawn_workers(
                         clock: ts.clock.load(Ordering::Acquire),
                         pending: 0,
                         cpu_step,
-                        sharded: rt2.clone(),
+                        rt: Some(Arc::clone(&rt)),
                         my_shard,
                         next_gate: barrier::GATE_NONE,
-                        native: false,
                     };
-                    if rt2.is_some() {
-                        inbox::set_clock(ctx.clock);
-                    }
+                    inbox::set_clock(ctx.clock);
                     let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
                     // Start cycle of the turn the body returned in: the key
-                    // at which the legacy scheduler would observe ST_DONE.
+                    // at which the sequential order observes ST_DONE.
                     let final_turn = ctx.clock;
                     let final_clock = ctx.clock + ctx.pending;
                     ctx.ts.clock.store(final_clock, Ordering::Release);
@@ -681,23 +660,16 @@ pub(super) fn spawn_workers(
                             ts.name
                         ));
                         ts.panicked.store(true, Ordering::Release);
-                        if let Some(rt) = &rt2 {
-                            rt.ctl().flag_panic();
-                        }
+                        rt.ctl().flag_panic();
                     }
-                    if let Some(rt) = &rt2 {
-                        if !ts.daemon {
-                            rt.ctl().non_daemon_done(barrier::pack(final_turn, id));
-                        }
-                        ts.state.store(ST_DONE, Ordering::Release);
-                        // Hand the shard's scheduling token to the next
-                        // pending thread (and republish the frontiers).
-                        rt.sched_step(my_shard, Some(id));
-                        *ts.deferred.lock() = Some(inbox::end_thread());
-                    } else {
-                        ts.state.store(ST_DONE, Ordering::Release);
-                        unpark(&eng2.engine_thread);
+                    if !ts.daemon {
+                        rt.ctl().non_daemon_done(barrier::pack(final_turn, id));
                     }
+                    ts.state.store(ST_DONE, Ordering::Release);
+                    // Hand the shard's scheduling token to the next pending
+                    // thread (and republish the frontiers).
+                    rt.sched_step(my_shard, Some(id));
+                    *ts.deferred.lock() = Some(inbox::end_thread());
                 })
                 .expect("spawn sim thread"),
         );
@@ -713,15 +685,9 @@ pub(super) fn await_announcements(threads: &[Arc<ThreadShared>]) {
     }
 }
 
-/// Join all workers, propagate the first panic, and build the outcome.
-/// Shared by both engines.
-pub(super) fn join_and_finish(
-    threads: &[Arc<ThreadShared>],
-    joins: Vec<thread::JoinHandle<()>>,
-) -> SimOutcome {
-    for j in joins {
-        let _ = j.join();
-    }
+/// Propagate the first panic of the (already joined) workers, or build the
+/// outcome.
+pub(super) fn finish(threads: &[Arc<ThreadShared>]) -> SimOutcome {
     if threads.iter().any(|t| t.panicked.load(Ordering::Acquire)) {
         let notes: Vec<String> = threads
             .iter()
@@ -737,77 +703,6 @@ pub(super) fn join_and_finish(
         names: threads.iter().map(|t| t.name.clone()).collect(),
         daemons: threads.iter().map(|t| t.daemon).collect(),
     }
-}
-
-/// The original single-scheduler event loop: one engine thread resumes the
-/// globally minimum-key logical thread, one at a time.
-fn run_legacy(
-    mem: Arc<MemorySystem>,
-    eng: Arc<EngineShared>,
-    threads: Vec<Arc<ThreadShared>>,
-    bodies: Vec<ThreadFn>,
-    cpu_step: u64,
-) -> SimOutcome {
-    let joins = spawn_workers(&mem, &eng, &threads, bodies, cpu_step, None);
-    await_announcements(&threads);
-
-    let mut schedules_after_stop = 0u64;
-    loop {
-        let mut best: Option<(u64, usize)> = None;
-        let mut all_workers_done = true;
-        let mut live_panic = false;
-        for (i, ts) in threads.iter().enumerate() {
-            match ts.state.load(Ordering::Acquire) {
-                ST_YIELD => {
-                    all_workers_done = false;
-                    let c = ts.clock.load(Ordering::Acquire);
-                    if best.is_none_or(|(bc, bi)| (c, i) < (bc, bi)) {
-                        best = Some((c, i));
-                    }
-                }
-                ST_DONE => {
-                    if ts.panicked.load(Ordering::Acquire) {
-                        live_panic = true;
-                    }
-                }
-                _ => all_workers_done = false,
-            }
-        }
-        if live_panic {
-            // Release everything so remaining threads can be joined.
-            eng.stop.store(true, Ordering::Release);
-        }
-        let non_daemons_done = threads
-            .iter()
-            .filter(|t| !t.daemon)
-            .all(|t| t.state.load(Ordering::Acquire) == ST_DONE);
-        if non_daemons_done {
-            eng.stop.store(true, Ordering::Release);
-        }
-        if all_workers_done {
-            break;
-        }
-        let Some((_, i)) = best else {
-            // Threads exist that are neither YIELD nor DONE: still
-            // starting up; give them a moment.
-            thread::yield_now();
-            continue;
-        };
-        if eng.stop.load(Ordering::Acquire) {
-            schedules_after_stop += 1;
-            assert!(
-                schedules_after_stop < 1_000_000,
-                "daemon threads are not honoring stop_requested()"
-            );
-        }
-        let ts = &threads[i];
-        ts.state.store(ST_GO, Ordering::Release);
-        unpark(&ts.handle);
-        let ts2 = Arc::clone(ts);
-        spin_wait(move || ts2.state.load(Ordering::Acquire) != ST_GO);
-    }
-
-    join_and_finish(&threads, joins)
 }
 
 #[cfg(test)]

@@ -1,23 +1,23 @@
 //! The deterministic simulation engine.
 //!
-//! The engine has two execution strategies that produce byte-identical
-//! results (same final memory image, same [`SimOutcome`], same analysis and
-//! trace streams) for the same program and configuration:
+//! One scheduler (`shard`, with `barrier` and `inbox`) drives every
+//! simulation: logical threads are grouped into shards, each shard runs a
+//! minimum-key loop over the threads it owns, cross-shard effects are gated
+//! by conservative time-window barriers on the other shards' clock
+//! frontiers, and trace/analysis side effects are deferred to per-thread
+//! logs merged in `(cycle, spawn id, seq)` order after the run — so effects
+//! and observer streams land in global `(completion cycle, spawn id)` order.
 //!
-//! * **Legacy single loop** (`core`): one scheduler thread resumes the
-//!   globally minimum-key logical thread, one at a time. Selected with
-//!   `Config::shards == 1` (or `NMP_SIM_SHARDS=1`).
-//! * **Sharded loops** (`shard`, `inbox`, `barrier`): a host shard
-//!   plus one shard per vault/partition group, each running its own
-//!   minimum-key loop over the threads it owns. Cross-shard effects are
-//!   gated by conservative time-window barriers on the other shards' clock
-//!   frontiers, and trace/analysis side effects are deferred to per-shard
-//!   buffers merged in `(cycle, spawn id, seq)` order at the serialization
-//!   point — reproducing exactly the `(completion cycle, spawn id)` order
-//!   the legacy loop serializes.
+//! The scheduler has two topologies that produce byte-identical results
+//! (same final memory image, same [`SimOutcome`], same analysis and trace
+//! streams): a host shard plus one shard per NMP partition (always, outside
+//! tests), and a single shard holding every thread (`Config::single_loop`),
+//! which is the sequential order by construction and serves as the
+//! reference of the determinism suites. `core` holds the thread-side half
+//! ([`ThreadCtx`], [`Simulation`]); `native` runs the same bodies as free
+//! OS threads with no scheduler at all.
 //!
-//! See `DESIGN.md` §4.9 for the shard topology and the determinism
-//! argument.
+//! See `DESIGN.md` §4.9 for the topologies and the determinism argument.
 
 mod barrier;
 mod core;

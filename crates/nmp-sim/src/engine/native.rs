@@ -14,7 +14,7 @@
 //! service-spawning code (e.g. flat-combining daemons) can be written once
 //! and attached to either.
 
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
+use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
 use std::thread::{self, JoinHandle};
 
@@ -24,7 +24,7 @@ use crate::mem::MemorySystem;
 
 use super::barrier;
 use super::core::{
-    panic_message, EngineShared, Simulation, ThreadCtx, ThreadFn, ThreadKind, ThreadShared, ST_INIT,
+    panic_message, EngineShared, Simulation, ThreadCtx, ThreadFn, ThreadKind, ThreadShared,
 };
 
 /// Object-safe spawning surface shared by [`Simulation`] and [`NativeRun`]:
@@ -109,26 +109,9 @@ impl NativeRun {
     }
 
     fn spawn_inner(&mut self, name: String, kind: ThreadKind, daemon: bool, f: ThreadFn) {
-        if let ThreadKind::Host { core } = kind {
-            assert!(core < self.mem.config().host_cores, "core {core} out of range");
-        }
-        if let ThreadKind::Nmp { part } = kind {
-            assert!(part < self.mem.config().nmp_partitions(), "partition {part} out of range");
-        }
+        let ts = Arc::new(ThreadShared::new(name.clone(), kind, daemon, self.mem.config()));
         let id = self.next_id;
         self.next_id += 1;
-        let ts = Arc::new(ThreadShared {
-            name: name.clone(),
-            kind,
-            daemon,
-            state: AtomicU32::new(ST_INIT),
-            clock: AtomicU64::new(0),
-            handle: Mutex::new(None),
-            panicked: AtomicBool::new(false),
-            panic_note: Mutex::new(None),
-            gate: AtomicU32::new(barrier::GATE_NONE),
-            deferred: Mutex::new(None),
-        });
         let eng = Arc::clone(&self.eng);
         let mem = Arc::clone(&self.mem);
         let cpu_step = self.cpu_step;
@@ -145,10 +128,9 @@ impl NativeRun {
                     clock: 0,
                     pending: 0,
                     cpu_step,
-                    sharded: None,
+                    rt: None,
                     my_shard: 0,
                     next_gate: barrier::GATE_NONE,
-                    native: true,
                 };
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
                 if let Err(p) = result {

@@ -1,11 +1,18 @@
-//! Per-vault shard loops with peer-to-peer scheduling.
+//! The scheduler: per-shard minimum-key event loops with peer-to-peer
+//! handoff. There is one scheduler and it runs one of two *topologies*.
 //!
-//! Topology: shard 0 (the *host shard*) owns every `ThreadKind::Host`
-//! thread plus the host-side timing state; vault shards `1..=V` own the NMP
-//! partitions round-robin (`partition p → shard 1 + p % V`) together with
-//! their DRAM timing state. Each shard runs its own minimum-key event loop
-//! over the threads it owns.
+//! * **Per-partition** (every run but the determinism suites'): shard 0
+//!   (the *host shard*) owns every `ThreadKind::Host` thread plus the
+//!   host-side timing state; vault shard `1 + p` owns NMP partition `p`
+//!   together with its DRAM timing state. The topology is derived from the
+//!   machine, not configured.
+//! * **Single loop** (`Config::single_loop`, a test switch): every logical
+//!   thread is a member of shard 0. One minimum-key loop over all threads
+//!   *is* the sequential `(cycle, spawn id)` order, by construction — no
+//!   gate, no foreign frontier — so this topology is the reference the
+//!   other one is differentially tested against.
 //!
+//! Each shard runs its own minimum-key event loop over the threads it owns.
 //! There is no scheduler thread: the shard's *scheduling token* is carried
 //! by whichever worker is currently executing. At a yield the worker runs
 //! [`ShardedRt::sched_step`] itself — picking the shard's next minimum-key
@@ -13,12 +20,11 @@
 //! the next effect crosses shards, and waking the chosen thread directly.
 //! When the yielding thread's own new key is still the shard minimum it
 //! simply keeps running: a vault-local event burst (the common case for a
-//! combiner pass) advances with no OS interaction at all, which is where
-//! the sharded engine's speedup comes from on small machines.
+//! combiner pass) advances with no OS interaction at all.
 //!
 //! Determinism: every cross-shard effect is gated until the peer shard's
 //! frontier passes the effect's key, so effects on shared words apply in
-//! global `(cycle, spawn id)` order — exactly the legacy loop's order — and
+//! global `(cycle, spawn id)` order — exactly the single loop's order — and
 //! trace/analysis streams are deferred per thread and replayed in merged
 //! key order after the run drains (see `engine/inbox.rs` and `DESIGN.md`
 //! §4.9).
@@ -30,17 +36,19 @@ use crate::mem::MemorySystem;
 
 use super::barrier::{pack, ShardCtl, MAX_THREADS};
 use super::core::{
-    await_announcements, join_and_finish, spawn_workers, unpark, EngineShared, SimOutcome,
-    ThreadFn, ThreadKind, ThreadShared, ST_DONE, ST_GO, ST_YIELD,
+    await_announcements, finish, spawn_workers, unpark, EngineShared, SimOutcome, ThreadFn,
+    ThreadKind, ThreadShared, ST_DONE, ST_GO, ST_YIELD,
 };
 use super::inbox;
 
-/// Index of the shard owning all host threads and host timing state.
+/// Index of the shard owning all host threads and host timing state (and,
+/// under the single-loop topology, everything else too).
 pub(super) const HOST_SHARD: usize = 0;
 
-/// Shared runtime of one sharded simulation run.
+/// Shared runtime of one simulation run.
 pub(super) struct ShardedRt {
-    vault_shards: usize,
+    /// Topology: all threads in shard 0 instead of one shard per partition.
+    single_loop: bool,
     ctl: Arc<ShardCtl>,
     threads: Vec<Arc<ThreadShared>>,
     /// Spawn ids owned by each shard, in spawn order.
@@ -50,7 +58,11 @@ pub(super) struct ShardedRt {
 impl ShardedRt {
     /// Which shard owns NMP partition `p`.
     pub(super) fn shard_of_part(&self, p: usize) -> usize {
-        1 + p % self.vault_shards
+        if self.single_loop {
+            HOST_SHARD
+        } else {
+            1 + p
+        }
     }
 
     /// Which shard owns a thread of kind `kind`.
@@ -118,38 +130,33 @@ impl ShardedRt {
     }
 }
 
-/// Run the simulation on `1 + vault_shards` peer-scheduled shard loops.
-/// Byte-identical outcome to [`super::core`]'s legacy loop.
-pub(super) fn run_sharded(
+/// Run the simulation on peer-scheduled shard loops: the host shard plus one
+/// per NMP partition, or a single shard under `Config::single_loop`. The
+/// outcome is byte-identical either way.
+pub(super) fn run(
     mem: Arc<MemorySystem>,
     eng: Arc<EngineShared>,
     threads: Vec<Arc<ThreadShared>>,
     bodies: Vec<ThreadFn>,
     cpu_step: u64,
-    vault_shards: usize,
 ) -> SimOutcome {
-    assert!(
-        threads.len() < MAX_THREADS,
-        "sharded engine supports at most {MAX_THREADS} logical threads"
-    );
-    let shards = 1 + vault_shards;
-    let mut members: Vec<Vec<usize>> = vec![Vec::new(); shards];
-    for (i, ts) in threads.iter().enumerate() {
-        let s = match ts.kind {
-            ThreadKind::Host { .. } => HOST_SHARD,
-            ThreadKind::Nmp { part } => 1 + part % vault_shards,
-        };
-        members[s].push(i);
-    }
+    assert!(threads.len() < MAX_THREADS, "engine supports at most {MAX_THREADS} logical threads");
+    let single_loop = mem.config().single_loop;
+    let shards = if single_loop { 1 } else { 1 + mem.config().nmp_partitions() };
     let non_daemons = threads.iter().filter(|t| !t.daemon).count();
-    let rt = Arc::new(ShardedRt {
-        vault_shards,
+    let mut rt = ShardedRt {
+        single_loop,
         ctl: Arc::new(ShardCtl::new(shards, non_daemons)),
         threads: threads.clone(),
-        members,
-    });
+        members: vec![Vec::new(); shards],
+    };
+    for (i, ts) in threads.iter().enumerate() {
+        let s = rt.shard_of(ts.kind);
+        rt.members[s].push(i);
+    }
+    let rt = Arc::new(rt);
 
-    let joins = spawn_workers(&mem, &eng, &threads, bodies, cpu_step, Some(Arc::clone(&rt)));
+    let joins = spawn_workers(&mem, &eng, &threads, bodies, cpu_step, &rt);
     await_announcements(&threads);
 
     // Inject each shard's scheduling token: publish all frontiers and wake
@@ -164,7 +171,7 @@ pub(super) fn run_sharded(
     }
 
     // Replay the deferred trace/analysis streams in merged key order — the
-    // sequential engine's feed order — into the real consumers.
+    // sequential feed order — into the real consumers.
     if let Some(t) = mem.tracer() {
         let mut streams = Vec::new();
         let mut early_dropped = 0u64;
@@ -188,6 +195,5 @@ pub(super) fn run_sharded(
         }
     }
 
-    // Panic propagation and outcome construction (workers already joined).
-    join_and_finish(&threads, Vec::new())
+    finish(&threads)
 }

@@ -205,7 +205,7 @@ impl OffloadCounters {
 
 /// Timing state owned by the host shard: the cache hierarchy, the host
 /// main-memory vaults, and the host-side MMIO issue counters. Exactly one
-/// shard (the host shard, or the single legacy loop) mutates this.
+/// shard (the host shard) mutates this.
 struct HostTiming {
     l1: Vec<Cache>,
     l2: Cache,
@@ -217,7 +217,7 @@ struct HostTiming {
 
 /// Timing state owned by one NMP partition's vault shard: its DRAM vault
 /// and the NMP core's single-block node-register buffer. Only the shard
-/// that owns partition `p` (or the single legacy loop) mutates entry `p`.
+/// that owns partition `p` mutates entry `p`.
 struct PartTiming {
     vault: Vault,
     /// Last block resident in this NMP core's node-register buffer.
@@ -229,10 +229,10 @@ struct PartTiming {
 ///
 /// Timing state is partitioned by shard ownership: `HostTiming` behind one
 /// lock, one `PartTiming` lock per NMP partition, and the immutable
-/// [`DramTiming`] shared read-only. Under the legacy single loop the finer
-/// locks are simply uncontended; under the sharded engine each shard only
-/// ever takes the locks it owns, so cross-shard timing state is never
-/// touched directly (cross-shard *data* travels through the engine inbox).
+/// [`DramTiming`] shared read-only. Each engine shard only ever takes the
+/// locks it owns, so cross-shard timing state is never touched directly
+/// (under the single-loop test topology one shard owns them all and the
+/// finer locks are simply uncontended).
 pub struct MemorySystem {
     backing: Ram,
     map: MemMap,
@@ -517,9 +517,9 @@ impl MemorySystem {
     /// cumulative over the machine's lifetime — [`MemorySystem::reset_stats`]
     /// deliberately does not clear them.
     pub fn snapshot(&self) -> StatsSnapshot {
-        // Under the sharded engine, wait until every other shard has run
-        // past the caller's current cycle so the counters read here reflect
-        // the same prefix of work the sequential engine would have applied.
+        // Wait until every other shard has run past the caller's current
+        // cycle so the counters read here reflect the same prefix of work a
+        // sequential scheduler would have applied.
         crate::engine::quiesce_for_global_mutation();
         let (races_detected, policy_violations) =
             self.analysis.get().map_or((0, 0), |a| (a.race_count(), a.policy_count()));
@@ -585,11 +585,11 @@ impl MemorySystem {
     /// Zero all counters while *keeping* cache/buffer/row state warm.
     /// Used to discard warm-up traffic before a measurement window.
     pub fn reset_stats(&self) {
-        // Sharded engine: this mutates every shard's timing counters, so it
-        // is only legal at quiescent points (the driver's measurement
-        // barrier, where no offload is in flight). Wait for all other
-        // shards to pass the caller's cycle first, which makes the reset
-        // land at the same stream position as under the sequential engine.
+        // This mutates every shard's timing counters, so it is only legal
+        // at quiescent points (the driver's measurement barrier, where no
+        // offload is in flight). Wait for all other shards to pass the
+        // caller's cycle first, which makes the reset land at the same
+        // stream position as under a sequential scheduler.
         crate::engine::quiesce_for_global_mutation();
         self.reset_host_stats();
         for p in 0..self.parts_t.len() {

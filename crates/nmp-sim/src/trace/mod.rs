@@ -218,10 +218,10 @@ impl Tracer {
         self.inner.lock().roster = roster.to_vec();
     }
 
-    /// Route an event into the ring — or, under the sharded engine, into the
+    /// Route an event into the ring — or, inside a simulation, into the
     /// calling logical thread's deferred log, to be merged and replayed in
-    /// global key order after the run (keeps the exported stream
-    /// byte-identical to the legacy loop's).
+    /// global key order after the run (shards run ahead of each other, so
+    /// live pushes would scramble the exported stream).
     fn emit(&self, g: &mut Inner, ev: TraceEvent) {
         if !crate::engine::defer_trace(ev, self.cap) {
             g.events.push(ev);
@@ -229,7 +229,7 @@ impl Tracer {
     }
 
     /// Feed the merged deferred event stream back into the ring after a
-    /// sharded run; `early_dropped` counts events already evicted from the
+    /// simulation; `early_dropped` counts events already evicted from the
     /// per-thread logs by the same drop-oldest bound the ring applies.
     pub(crate) fn replay(&self, events: Vec<TraceEvent>, early_dropped: u64) {
         let mut g = self.inner.lock();

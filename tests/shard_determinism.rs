@@ -1,16 +1,19 @@
-//! Whole-stack byte-identity across engine shard counts.
+//! Whole-stack byte-identity across the scheduler's two topologies.
 //!
-//! The sharded engine (`Config::with_shards`) must be observationally
-//! indistinguishable from the legacy sequential scheduler for real hybrid
+//! The per-partition topology (host shard + one vault shard per partition,
+//! what every other run uses) must be observationally indistinguishable
+//! from the single-loop reference (`Config::with_single_loop`: all threads
+//! in one shard, the sequential order by construction) for real hybrid
 //! structures, not just hand-rolled engine workloads: same `RunResult`
 //! (minus wall-clock fields), same stats snapshot, same analysis report,
 //! and a byte-identical Chrome-trace export, for the skip list, B+ tree,
 //! and priority queue in both blocking (`inflight = 1`) and lane-pipelined
 //! (`inflight = 4`) modes, and for the hash map lane-pipelined.
 //!
-//! This is the acceptance gate for the shard refactor: if any conservative
-//! barrier, deferred-replay merge, or frontier rule is wrong, some counter
-//! or trace byte here diverges.
+//! If any conservative barrier, frontier rule or keyed stop decision is
+//! wrong, some counter or trace byte here diverges. (The deferred-replay
+//! merge is common to both topologies; `engine/inbox.rs`'s unit test and the
+//! frozen digests in `crates/nmp-sim/tests/shard_determinism.rs` pin it.)
 
 use std::sync::Arc;
 
@@ -36,6 +39,16 @@ fn spec(seed: u64, inflight: usize) -> RunSpec {
     }
 }
 
+/// `Config::tiny()` under the chosen topology and policy.
+fn tiny(single_loop: bool, policy: Policy) -> Config {
+    let cfg = Config::tiny().with_policy(policy);
+    if single_loop {
+        cfg.with_single_loop()
+    } else {
+        cfg
+    }
+}
+
 /// Fold one run's observable artifacts into a comparison string, dropping
 /// the two wall-clock-derived `RunResult` fields (everything else is
 /// simulated-time and must reproduce exactly).
@@ -53,9 +66,9 @@ fn fold(m: &Arc<Machine>, tracer: &Arc<nmp_sim::trace::Tracer>, r: Option<RunRes
     fp
 }
 
-fn skiplist_fp(shards: usize, inflight: usize, policy: Policy) -> String {
+fn skiplist_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
     let ks = KeySpace::new(512, 2, 256);
-    let m = Machine::new(Config::tiny().with_shards(shards).with_policy(policy));
+    let m = Machine::new(tiny(single_loop, policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let sl = HybridSkipList::new(Arc::clone(&m), ks, 10, 4, 42, inflight.max(1));
@@ -66,9 +79,9 @@ fn skiplist_fp(shards: usize, inflight: usize, policy: Policy) -> String {
     fp
 }
 
-fn btree_fp(shards: usize, inflight: usize, policy: Policy) -> String {
+fn btree_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
     let ks = KeySpace::new(512, 2, 384);
-    let m = Machine::new(Config::tiny().with_shards(shards).with_policy(policy));
+    let m = Machine::new(tiny(single_loop, policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let pairs: Vec<(Key, Value)> =
@@ -85,9 +98,9 @@ fn btree_fp(shards: usize, inflight: usize, policy: Policy) -> String {
 /// key space: with `inflight = 4`, same-key requests meet in one combiner
 /// pass, so `Policy::Adaptive` coalesces them. Returns the fingerprint and
 /// the run's `offload_coalesced`.
-fn hashmap_fp(shards: usize, inflight: usize, policy: Policy) -> (String, u64) {
+fn hashmap_fp(single_loop: bool, inflight: usize, policy: Policy) -> (String, u64) {
     let ks = KeySpace::new(64, 2, 256);
-    let m = Machine::new(Config::tiny().with_shards(shards).with_policy(policy));
+    let m = Machine::new(tiny(single_loop, policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let hm = HybridHashMap::new(Arc::clone(&m), 64, 42, inflight.max(1));
@@ -105,9 +118,9 @@ fn hashmap_fp(shards: usize, inflight: usize, policy: Policy) -> (String, u64) {
     (fp, coalesced)
 }
 
-fn pqueue_fp(shards: usize, inflight: usize, policy: Policy) -> String {
+fn pqueue_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
     let ks = KeySpace::new(256, 2, 128);
-    let m = Machine::new(Config::tiny().with_shards(shards).with_policy(policy));
+    let m = Machine::new(tiny(single_loop, policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let pq = HybridPqueue::new(Arc::clone(&m), ks, 8, 5, inflight.max(1));
@@ -174,38 +187,38 @@ fn pqueue_fp(shards: usize, inflight: usize, policy: Policy) -> String {
 }
 
 #[test]
-fn skiplist_blocking_is_shard_invariant() {
-    assert_eq!(skiplist_fp(1, 1, Policy::Fixed), skiplist_fp(2, 1, Policy::Fixed));
+fn skiplist_blocking_is_topology_invariant() {
+    assert_eq!(skiplist_fp(true, 1, Policy::Fixed), skiplist_fp(false, 1, Policy::Fixed));
 }
 
 #[test]
-fn skiplist_pipelined_is_shard_invariant() {
-    assert_eq!(skiplist_fp(1, 4, Policy::Fixed), skiplist_fp(2, 4, Policy::Fixed));
+fn skiplist_pipelined_is_topology_invariant() {
+    assert_eq!(skiplist_fp(true, 4, Policy::Fixed), skiplist_fp(false, 4, Policy::Fixed));
 }
 
 #[test]
-fn btree_blocking_is_shard_invariant() {
-    assert_eq!(btree_fp(1, 1, Policy::Fixed), btree_fp(2, 1, Policy::Fixed));
+fn btree_blocking_is_topology_invariant() {
+    assert_eq!(btree_fp(true, 1, Policy::Fixed), btree_fp(false, 1, Policy::Fixed));
 }
 
 #[test]
-fn btree_pipelined_is_shard_invariant() {
-    assert_eq!(btree_fp(1, 4, Policy::Fixed), btree_fp(2, 4, Policy::Fixed));
+fn btree_pipelined_is_topology_invariant() {
+    assert_eq!(btree_fp(true, 4, Policy::Fixed), btree_fp(false, 4, Policy::Fixed));
 }
 
 #[test]
-fn hashmap_pipelined_is_shard_invariant() {
-    assert_eq!(hashmap_fp(1, 4, Policy::Fixed), hashmap_fp(2, 4, Policy::Fixed));
+fn hashmap_pipelined_is_topology_invariant() {
+    assert_eq!(hashmap_fp(true, 4, Policy::Fixed), hashmap_fp(false, 4, Policy::Fixed));
 }
 
 #[test]
-fn pqueue_blocking_is_shard_invariant() {
-    assert_eq!(pqueue_fp(1, 1, Policy::Fixed), pqueue_fp(2, 1, Policy::Fixed));
+fn pqueue_blocking_is_topology_invariant() {
+    assert_eq!(pqueue_fp(true, 1, Policy::Fixed), pqueue_fp(false, 1, Policy::Fixed));
 }
 
 #[test]
-fn pqueue_pipelined_is_shard_invariant() {
-    assert_eq!(pqueue_fp(1, 4, Policy::Fixed), pqueue_fp(2, 4, Policy::Fixed));
+fn pqueue_pipelined_is_topology_invariant() {
+    assert_eq!(pqueue_fp(true, 4, Policy::Fixed), pqueue_fp(false, 4, Policy::Fixed));
 }
 
 // ---- adaptive-policy battery ----
@@ -213,33 +226,32 @@ fn pqueue_pipelined_is_shard_invariant() {
 // Every self-tuning decision (coalesced runs, combiner back-off, lane-depth
 // probes, stall back-off) is required to be a pure function of simulated
 // state, so the whole-stack fingerprint — RunResult, stats snapshot, trace
-// export, analysis report — must stay byte-identical across engine shard
-// counts with `Policy::Adaptive` live. Shard counts above the partition
-// count clamp, so the `4` here also covers the oversubscribed path.
+// export, analysis report — must stay byte-identical across the two
+// topologies with `Policy::Adaptive` live.
 
 #[test]
-fn skiplist_pipelined_adaptive_is_shard_invariant() {
-    assert_eq!(skiplist_fp(1, 4, Policy::Adaptive), skiplist_fp(4, 4, Policy::Adaptive));
+fn skiplist_pipelined_adaptive_is_topology_invariant() {
+    assert_eq!(skiplist_fp(true, 4, Policy::Adaptive), skiplist_fp(false, 4, Policy::Adaptive));
 }
 
 #[test]
-fn btree_pipelined_adaptive_is_shard_invariant() {
-    assert_eq!(btree_fp(1, 4, Policy::Adaptive), btree_fp(4, 4, Policy::Adaptive));
+fn btree_pipelined_adaptive_is_topology_invariant() {
+    assert_eq!(btree_fp(true, 4, Policy::Adaptive), btree_fp(false, 4, Policy::Adaptive));
 }
 
 #[test]
-fn pqueue_pipelined_adaptive_is_shard_invariant() {
-    assert_eq!(pqueue_fp(1, 4, Policy::Adaptive), pqueue_fp(4, 4, Policy::Adaptive));
+fn pqueue_pipelined_adaptive_is_topology_invariant() {
+    assert_eq!(pqueue_fp(true, 4, Policy::Adaptive), pqueue_fp(false, 4, Policy::Adaptive));
 }
 
 #[test]
-fn hashmap_pipelined_adaptive_is_shard_invariant() {
-    let (reference, coalesced) = hashmap_fp(1, 4, Policy::Adaptive);
+fn hashmap_pipelined_adaptive_is_topology_invariant() {
+    let (reference, coalesced) = hashmap_fp(true, 4, Policy::Adaptive);
     assert!(coalesced > 0, "the stream must exercise the coalescing path");
-    assert_eq!(reference, hashmap_fp(4, 4, Policy::Adaptive).0);
+    assert_eq!(reference, hashmap_fp(false, 4, Policy::Adaptive).0);
 }
 
 #[test]
-fn skiplist_blocking_adaptive_is_shard_invariant() {
-    assert_eq!(skiplist_fp(1, 1, Policy::Adaptive), skiplist_fp(4, 1, Policy::Adaptive));
+fn skiplist_blocking_adaptive_is_topology_invariant() {
+    assert_eq!(skiplist_fp(true, 1, Policy::Adaptive), skiplist_fp(false, 1, Policy::Adaptive));
 }
