@@ -15,12 +15,11 @@
 use std::sync::Arc;
 
 use hybrids::driver::{run_index, RunSpec};
-use hybrids::skiplist::{
-    hybrid::split_for, lockfree::NodeLayout, HybridSkipList, LockFreeSkipList,
-};
-use hybrids_bench::{initial_pairs, run_skiplist, ycsb_c, LockFreeIndex, Scale, Variant, SEED};
+use hybrids::skiplist::{hybrid::split_for, lockfree::NodeLayout, HybridSkipList};
 use nmp_sim::Machine;
 use workloads::{InsertDist, KeyDist, WorkloadSpec};
+
+use crate::{initial_pairs, lockfree_skiplist, ycsb_c, Results, Scale, Variant, SEED};
 
 fn zipf_workload(scale: &Scale, theta_x100: u32) -> WorkloadSpec {
     WorkloadSpec {
@@ -37,6 +36,12 @@ fn zipf_workload(scale: &Scale, theta_x100: u32) -> WorkloadSpec {
     }
 }
 
+/// YCSB-C on all host cores, for the two sweeps that build their structure
+/// by hand because the swept parameter is one [`Variant::run`] derives.
+fn spec(scale: &Scale, inflight: usize) -> RunSpec {
+    RunSpec::new(ycsb_c(scale, scale.cfg.host_cores as u32), scale.warmup_per_thread, inflight)
+}
+
 fn skew_sweep(scale: &Scale) {
     println!("\n== ablation 1: workload skew (paper §7's limitation) ==");
     println!(
@@ -45,8 +50,8 @@ fn skew_sweep(scale: &Scale) {
     );
     for theta in [0u32, 50, 90, 99] {
         let wl = zipf_workload(scale, theta);
-        let lf = run_skiplist(scale, Variant::LockFree, wl);
-        let hy = run_skiplist(scale, Variant::HybridNonblocking(4), wl);
+        let lf = Variant::LockFree.run(scale, wl);
+        let hy = Variant::HybridNonblocking(4).run(scale, wl);
         println!(
             "{:<8} {:>18.4} {:>22.4} {:>8.2}",
             theta as f64 / 100.0,
@@ -69,13 +74,7 @@ fn split_sweep(scale: &Scale) {
         let machine = Machine::new(scale.cfg.clone());
         let sl = HybridSkipList::new(Arc::clone(&machine), ks, total, nh, SEED, 4);
         sl.populate(initial_pairs(&ks));
-        let spec = RunSpec {
-            workload: ycsb_c(scale, scale.cfg.host_cores as u32),
-            warmup_per_thread: scale.warmup_per_thread,
-            inflight: 4,
-            app_footprint_lines: 0,
-        };
-        let r = run_index(&machine, &sl, &ks, &spec);
+        let r = run_index(&machine, &sl, &ks, &spec(scale, 4));
         println!(
             "{:<12} {:>14.4} {:>16.2} {:>16}",
             format!("{nh}{}", if nh == nh_star { " (*)" } else { "" }),
@@ -101,8 +100,8 @@ fn link_sweep(scale: &Scale) {
         let mut s = scale.clone();
         s.cfg.host_link_ns = link_ns;
         let wl = ycsb_c(&s, s.cfg.host_cores as u32);
-        let lf = run_skiplist(&s, Variant::LockFree, wl);
-        let hy = run_skiplist(&s, Variant::HybridNonblocking(4), wl);
+        let lf = Variant::LockFree.run(&s, wl);
+        let hy = Variant::HybridNonblocking(4).run(&s, wl);
         println!("{:<12} {:>18.4} {:>22.4} {:>8.2}", link_ns, lf.mops, hy.mops, hy.mops / lf.mops);
     }
     println!("(the NMP advantage is precisely the traffic that skips this link)");
@@ -111,35 +110,25 @@ fn link_sweep(scale: &Scale) {
 fn layout_ablation(scale: &Scale) {
     println!("\n== ablation 4: lock-free baseline node layout ==");
     let ks = scale.skiplist_keyspace();
-    let (total, _) = split_for(ks.total_initial() as u64, scale.cfg.l2.size_bytes as u64);
     println!("{:<16} {:>14} {:>16}", "layout", "Mops/s", "DRAM reads/op");
     for (name, layout) in
         [("packed", NodeLayout::Packed), ("cache-aligned", NodeLayout::CacheAligned)]
     {
         let machine = Machine::new(scale.cfg.clone());
-        let sl = LockFreeSkipList::with_layout(Arc::clone(&machine), total, SEED, layout);
-        sl.populate(initial_pairs(&ks));
-        let idx = Arc::new(LockFreeIndex(Arc::new(sl)));
-        let spec = RunSpec {
-            workload: ycsb_c(scale, scale.cfg.host_cores as u32),
-            warmup_per_thread: scale.warmup_per_thread,
-            inflight: 1,
-            app_footprint_lines: 0,
-        };
-        let r = run_index(&machine, &idx, &ks, &spec);
+        let r = run_index(&machine, &lockfree_skiplist(&machine, ks, layout), &ks, &spec(scale, 1));
         println!("{:<16} {:>14.4} {:>16.2}", name, r.mops, r.dram_reads_per_op);
     }
     println!("(the paper's baseline uses the conventional packed layout; the aligned");
     println!(" variant shows how much of the hybrid's edge is pure node layout)");
 }
 
-fn main() {
-    let mut scale = Scale::from_env();
+pub fn run(scale: &Scale) -> Results {
     // Ablations are extensions: keep them cheap.
-    scale.ops_per_thread = scale.ops_per_thread.min(300);
+    let scale = &Scale { ops_per_thread: scale.ops_per_thread.min(300), ..scale.clone() };
     println!("ablations (scale = {})", scale.name);
-    skew_sweep(&scale);
-    split_sweep(&scale);
-    link_sweep(&scale);
-    layout_ablation(&scale);
+    skew_sweep(scale);
+    split_sweep(scale);
+    link_sweep(scale);
+    layout_ablation(scale);
+    Results::default()
 }

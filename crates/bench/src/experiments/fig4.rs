@@ -9,19 +9,17 @@
 use std::sync::Arc;
 
 use hybrids::api::{Issued, PollOutcome, SimIndex};
-use hybrids::skiplist::{hybrid::split_for, HybridSkipList};
-use hybrids_bench::{initial_pairs, Scale, SEED};
 use nmp_sim::{Machine, ThreadKind};
 use workloads::Op;
+
+use crate::{hybrid_skiplist, Results, Scale};
 
 fn trace(scale: &Scale, inflight: usize) -> (Vec<(u64, u64)>, u64) {
     let mut scale = scale.clone();
     scale.skiplist_keys = scale.skiplist_keys.min(1 << 14);
     let ks = scale.skiplist_keyspace();
     let machine = Machine::new(scale.cfg.clone());
-    let (total, nh) = split_for(ks.total_initial() as u64, scale.cfg.l2.size_bytes as u64);
-    let sl = HybridSkipList::new(Arc::clone(&machine), ks, total, nh, SEED, inflight.max(1));
-    sl.populate(initial_pairs(&ks));
+    let sl = hybrid_skiplist(&machine, ks, inflight);
     let ops: Vec<Op> = (0..8u32).map(|i| Op::Read(ks.initial_key(i * 37 + 5))).collect();
     let spans = Arc::new(parking_lot::Mutex::new(Vec::new()));
     let mut sim = machine.simulation();
@@ -91,16 +89,16 @@ fn render(label: &str, spans: &[(u64, u64)], makespan: u64) {
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: &Scale) -> Results {
     println!("fig4: blocking vs non-blocking NMP calls (scale = {})", scale.name);
-    let (b_spans, b_make) = trace(&scale, 1);
+    let (b_spans, b_make) = trace(scale, 1);
     render("(a) blocking NMP calls", &b_spans, b_make);
-    let (n_spans, n_make) = trace(&scale, 4);
+    let (n_spans, n_make) = trace(scale, 4);
     render("(b) non-blocking NMP calls (4 in flight)", &n_spans, n_make);
     println!(
         "\nnon-blocking speedup on this burst: {:.2}x (overlap visible above)",
         b_make as f64 / n_make as f64
     );
     assert!(n_make <= b_make, "non-blocking must not be slower on an offload-bound burst");
+    Results::default()
 }

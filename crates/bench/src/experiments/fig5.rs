@@ -9,12 +9,11 @@
 //! lock-free throughput. DRAM reads/op: NMP-based > lock-free > hybrid
 //! (paper: ≈60 / 36 / 24).
 
-use hybrids_bench::{run_skiplist, save_records, ycsb_c, Record, Scale, Variant};
+use super::result_of;
+use crate::{ycsb_c, Record, Results, Scale, Variant};
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads: Vec<u32> =
-        [1u32, 2, 4, 8].into_iter().filter(|&t| t as usize <= scale.cfg.host_cores).collect();
+pub fn run(scale: &Scale) -> Results {
+    let threads = scale.thread_sweep();
     let variants = [
         Variant::LockFree,
         Variant::NmpBased,
@@ -27,23 +26,19 @@ fn main() {
     println!("{:<22} {:>7} {:>12} {:>14}", "variant", "threads", "Mops/s", "DRAM reads/op");
     for &t in &threads {
         for v in variants {
-            let r = run_skiplist(&scale, v, ycsb_c(&scale, t));
+            let r = v.run(scale, ycsb_c(scale, t));
             println!("{:<22} {:>7} {:>12.4} {:>14.2}", v.label(), t, r.mops, r.dram_reads_per_op);
-            records.push(Record::new("fig5", &scale, &v, "YCSB-C", &r));
+            records.push(Record::new("fig5", scale, v, "YCSB-C", r));
         }
     }
     // Fig 5a headline ratios at max threads.
-    let at = |label: &str| {
-        records
-            .iter()
-            .find(|r| r.variant == label && r.threads == *threads.last().unwrap())
-            .unwrap()
-    };
+    let last = *threads.last().expect("every scale has at least one host core");
+    let at = |v: &str| result_of(&records, |r| r.variant == v && r.result.threads == last);
     let lf = at("lock-free").mops;
     let nmp = at("NMP-based").mops;
     let hb = at("hybrid-blocking").mops;
     let hn4 = at("hybrid-nonblocking4").mops;
-    println!("\nheadline ratios at {} threads:", threads.last().unwrap());
+    println!("\nheadline ratios at {last} threads:");
     println!("  hybrid-blocking / NMP-based     = {:.2}x  (paper ~1.99x)", hb / nmp);
     println!("  hybrid-blocking / lock-free     = {:.2}x  (paper ~1.46x)", hb / lf);
     println!("  hybrid-nonblocking4 / lock-free = {:.2}x  (paper ~2.46x)", hn4 / lf);
@@ -53,5 +48,5 @@ fn main() {
         at("NMP-based").dram_reads_per_op,
         at("hybrid-blocking").dram_reads_per_op
     );
-    save_records("fig5", &records);
+    records.into()
 }

@@ -8,26 +8,24 @@
 //! host-only; hybrid-nonblocking4 ≈ 2.11× host-only; DRAM reads/op
 //! host-only ≈ 9 vs hybrid ≈ 3.
 
-use hybrids_bench::{run_btree, save_records, ycsb_c, Record, Scale, Variant};
+use super::result_of;
+use crate::{ycsb_c, Record, Results, Scale, Variant};
 
-fn main() {
-    let scale = Scale::from_env();
-    let threads: Vec<u32> =
-        [1u32, 2, 4, 8].into_iter().filter(|&t| t as usize <= scale.cfg.host_cores).collect();
+pub fn run(scale: &Scale) -> Results {
+    let threads = scale.thread_sweep();
     let variants = [Variant::HostOnly, Variant::HybridBtBlocking, Variant::HybridBtNonblocking(4)];
     let mut records = Vec::new();
     println!("fig6: B+ tree YCSB-C baseline (scale = {})", scale.name);
     println!("{:<22} {:>7} {:>12} {:>14}", "variant", "threads", "Mops/s", "DRAM reads/op");
     for &t in &threads {
         for v in variants {
-            let r = run_btree(&scale, v, ycsb_c(&scale, t));
+            let r = v.run(scale, ycsb_c(scale, t));
             println!("{:<22} {:>7} {:>12.4} {:>14.2}", v.label(), t, r.mops, r.dram_reads_per_op);
-            records.push(Record::new("fig6", &scale, &v, "YCSB-C", &r));
+            records.push(Record::new("fig6", scale, v, "YCSB-C", r));
         }
     }
-    let last = *threads.last().unwrap();
-    let at =
-        |label: &str| records.iter().find(|r| r.variant == label && r.threads == last).unwrap();
+    let last = *threads.last().expect("every scale has at least one host core");
+    let at = |v: &str| result_of(&records, |r| r.variant == v && r.result.threads == last);
     let host = at("host-only");
     let hb = at("hybrid-blocking");
     let hn4 = at("hybrid-nonblocking4");
@@ -38,5 +36,5 @@ fn main() {
         "  DRAM reads/op: host-only {:.1}, hybrid {:.1} (paper ~9 / ~3)",
         host.dram_reads_per_op, hb.dram_reads_per_op
     );
-    save_records("fig6", &records);
+    records.into()
 }

@@ -9,20 +9,20 @@
 //! 50-25-25; hybrid-blocking 90%; hybrid-nonblocking4 93%), and at
 //! 50-25-25 the hybrids reach ≈1.61× / ≈3.12× lock-free.
 
-use hybrids_bench::{run_skiplist, save_records, sensitivity, Record, Scale, Variant};
 use workloads::{InsertDist, Mix};
 
-fn main() {
-    let scale = Scale::from_env().in_order();
+use super::result_of;
+use crate::{sensitivity, Record, Results, Scale, Variant};
+
+pub fn run(scale: &Scale) -> Results {
+    let scale = &scale.clone().in_order();
     let variants = [Variant::LockFree, Variant::HybridBlocking, Variant::HybridNonblocking(4)];
     let mut records = Vec::new();
-    let mut results: Vec<(String, String, f64)> = Vec::new();
     println!("fig7: skiplist sensitivity (scale = {}, in-order hosts)", scale.name);
     println!("{:<22} {:>10} {:>12} {:>14}", "variant", "mix", "Mops/s", "DRAM reads/op");
     for mix in Mix::sensitivity_suite() {
         for v in variants {
-            let wl = sensitivity(&scale, mix, InsertDist::UniformGap);
-            let r = run_skiplist(&scale, v, wl);
+            let r = v.run(scale, sensitivity(scale, mix, InsertDist::UniformGap));
             println!(
                 "{:<22} {:>10} {:>12.4} {:>14.2}",
                 v.label(),
@@ -30,22 +30,15 @@ fn main() {
                 r.mops,
                 r.dram_reads_per_op
             );
-            results.push((v.label(), mix.label(), r.mops));
-            records.push(Record::new("fig7", &scale, &v, &mix.label(), &r));
+            records.push(Record::new("fig7", scale, v, &mix.label(), r));
         }
     }
-    let base = results
-        .iter()
-        .find(|(v, m, _)| v == "lock-free" && m == "100-0-0")
-        .map(|(_, _, x)| *x)
-        .unwrap();
+    let get = |v: &str, m: &str| result_of(&records, |r| r.variant == v && r.workload == m).mops;
+    let base = get("lock-free", "100-0-0");
     println!("\nnormalized throughput (lock-free @ 100-0-0 = 1.00):");
-    for (v, m, x) in &results {
-        println!("  {v:<22} {m:>10}  {:.3}", x / base);
+    for r in &records {
+        println!("  {:<22} {:>10}  {:.3}", r.variant, r.workload, r.result.mops / base);
     }
-    let get = |v: &str, m: &str| {
-        results.iter().find(|(a, b, _)| a == v && b == m).map(|(_, _, x)| *x).unwrap()
-    };
     println!("\nretention at 50-25-25 vs own 100-0-0 (paper: 80% / 90% / 93%):");
     for v in ["lock-free", "hybrid-blocking", "hybrid-nonblocking4"] {
         println!("  {v:<22} {:.1}%", get(v, "50-25-25") / get(v, "100-0-0") * 100.0);
@@ -59,5 +52,5 @@ fn main() {
         "  hybrid-nonblocking4 {:.2}x",
         get("hybrid-nonblocking4", "50-25-25") / get("lock-free", "50-25-25")
     );
-    save_records("fig7", &records);
+    records.into()
 }

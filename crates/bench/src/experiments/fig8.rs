@@ -13,14 +13,15 @@
 //! percent with split-heavy inserts (targeted leaves stay cached) and loses
 //! ~6% on fully-uniform; hybrid-nonblocking4 ≈ 1.5× host-only everywhere.
 
-use hybrids_bench::{run_btree, save_records, sensitivity, Record, Scale, Variant};
 use workloads::{InsertDist, Mix};
 
-fn main() {
-    let scale = Scale::from_env().in_order();
+use super::result_of;
+use crate::{sensitivity, Record, Results, Scale, Variant};
+
+pub fn run(scale: &Scale) -> Results {
+    let scale = &scale.clone().in_order();
     let variants = [Variant::HostOnly, Variant::HybridBtBlocking, Variant::HybridBtNonblocking(4)];
     let mut records = Vec::new();
-    let mut results: Vec<(String, String, f64, f64)> = Vec::new();
     println!("fig8/fig9: B+ tree sensitivity (scale = {}, in-order hosts)", scale.name);
     println!("{:<22} {:>18} {:>12} {:>14}", "variant", "workload", "Mops/s", "mem reads/op");
     let mut workloads_list: Vec<(String, Mix, InsertDist)> = Mix::sensitivity_suite()
@@ -34,8 +35,7 @@ fn main() {
     ));
     for (label, mix, dist) in &workloads_list {
         for v in variants {
-            let wl = sensitivity(&scale, *mix, *dist);
-            let r = run_btree(&scale, v, wl);
+            let r = v.run(scale, sensitivity(scale, *mix, *dist));
             println!(
                 "{:<22} {:>18} {:>12.4} {:>14.2}",
                 v.label(),
@@ -43,21 +43,18 @@ fn main() {
                 r.mops,
                 r.dram_reads_per_op
             );
-            results.push((v.label(), label.clone(), r.mops, r.dram_reads_per_op));
-            records.push(Record::new("fig8", &scale, &v, label, &r));
+            records.push(Record::new("fig8", scale, v, label, r));
         }
     }
-    let get = |v: &str, m: &str| {
-        results.iter().find(|(a, b, _, _)| a == v && b == m).map(|(_, _, x, _)| *x).unwrap()
-    };
+    let get = |v: &str, m: &str| result_of(&records, |r| r.variant == v && r.workload == m).mops;
     let base = get("host-only", "100-0-0");
     println!("\nfig8: normalized throughput (host-only @ 100-0-0 = 1.00):");
-    for (v, m, x, _) in &results {
-        println!("  {v:<22} {m:>18}  {:.3}", x / base);
+    for r in &records {
+        println!("  {:<22} {:>18}  {:.3}", r.variant, r.workload, r.result.mops / base);
     }
     println!("\nfig9: memory reads per operation:");
-    for (v, m, _, d) in &results {
-        println!("  {v:<22} {m:>18}  {d:.2}");
+    for r in &records {
+        println!("  {:<22} {:>18}  {:.2}", r.variant, r.workload, r.result.dram_reads_per_op);
     }
     println!("\nheadline shapes:");
     println!(
@@ -76,5 +73,5 @@ fn main() {
         "  hybrid-nonblocking4 / host-only @50-25-25-uniform: {:.2}x (paper ~1.60x)",
         get("hybrid-nonblocking4", "50-25-25-uniform") / get("host-only", "50-25-25-uniform")
     );
-    save_records("fig8_fig9", &records);
+    records.into()
 }

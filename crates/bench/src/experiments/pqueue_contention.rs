@@ -12,17 +12,14 @@
 //! concurrency compound: more threads drain faster than the cache
 //! refreshes, and higher θ starves more partitions.
 
-use hybrids_bench::{
-    pqueue_contention_keyspace, pqueue_skewed_workload, run_pqueue_on, save_records, Record, Scale,
-    Variant,
-};
+use nmp_sim::Machine;
 
-fn main() {
-    let scale = Scale::from_env();
-    let host_cores = scale.cfg.host_cores as u32;
+use crate::{pqueue_contention_keyspace, pqueue_skewed_workload, Record, Results, Scale, Variant};
+
+pub fn run(scale: &Scale) -> Results {
     // θ must stay inside the YCSB generator's domain [0, 1).
     let thetas: &[u32] = &[10, 50, 90, 99];
-    let threads: Vec<u32> = [1u32, 2, 4, 8].iter().copied().filter(|t| *t <= host_cores).collect();
+    let threads = scale.thread_sweep();
     println!("pqueue minima-cache contention sweep (scale = {})", scale.name);
     println!(
         "{:<8} {:>8} {:<16} {:>10} {:>12} {:>12}",
@@ -32,8 +29,9 @@ fn main() {
     for v in [Variant::PqueueBlocking, Variant::PqueueNonblocking(4)] {
         for &theta_x100 in thetas {
             for &t in &threads {
-                let wl = pqueue_skewed_workload(&scale, 40, theta_x100, t);
-                let r = run_pqueue_on(&scale, v, wl, pqueue_contention_keyspace(&scale));
+                let wl = pqueue_skewed_workload(scale, 40, theta_x100, t);
+                let machine = Machine::new(scale.cfg.clone());
+                let r = v.run_on(&machine, scale, pqueue_contention_keyspace(scale), wl);
                 let stale = r.stats.offload.pq_stale_total();
                 let label = format!("{}-th{:.2}-t{}", wl.mix.label(), theta_x100 as f64 / 100.0, t);
                 println!(
@@ -45,9 +43,9 @@ fn main() {
                     stale,
                     stale as f64 / r.measured_ops.max(1) as f64,
                 );
-                records.push(Record::new("pqueue_contention", &scale, &v, &label, &r));
+                records.push(Record::new("pqueue_contention", scale, v, &label, r));
             }
         }
     }
-    save_records("pqueue_contention", &records);
+    records.into()
 }

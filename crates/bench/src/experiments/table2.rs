@@ -11,8 +11,9 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use hybrids::publist::{spawn_combiners, NmpExec, OpCode, PubLists, Request, Response};
-use hybrids_bench::Scale;
 use nmp_sim::{Machine, ThreadCtx, ThreadKind};
+
+use crate::{Results, Scale};
 
 /// No-op executor that records when the NMP core picked the request up.
 struct Probe {
@@ -36,8 +37,7 @@ impl NmpExec for Probe {
     }
 }
 
-fn main() {
-    let scale = Scale::from_env();
+pub fn run(scale: &Scale) -> Results {
     let machine = Machine::new(scale.cfg.clone());
     let lists = Arc::new(PubLists::new(Arc::clone(&machine), 1));
     let noticed = Arc::new(AtomicU64::new(0));
@@ -104,4 +104,5 @@ fn main() {
     );
     let comm = avg(|s| s.0) + avg(|s| s.2);
     println!("  measured request+response communication = {:.2} LLC misses", comm / llc);
+    Results::default()
 }

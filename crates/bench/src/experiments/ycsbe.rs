@@ -7,12 +7,13 @@
 //! per-item cost drops well below the host-only/lock-free baselines' —
 //! NMP turns from a latency play into a bandwidth play.
 
-use hybrids_bench::{run_btree, run_skiplist, save_records, Record, Scale, Variant, SEED};
 use workloads::{InsertDist, KeyDist, Mix, WorkloadSpec};
 
-fn main() {
-    let mut scale = Scale::from_env();
-    scale.ops_per_thread = scale.ops_per_thread.min(200); // scans are ~50x heavier than points
+use crate::{Record, Results, Scale, Variant, SEED};
+
+pub fn run(scale: &Scale) -> Results {
+    // Scans are ~50x heavier than points.
+    let scale = &Scale { ops_per_thread: scale.ops_per_thread.min(200), ..scale.clone() };
     let wl = WorkloadSpec {
         seed: SEED ^ 0xE5CA,
         threads: scale.cfg.host_cores as u32,
@@ -24,15 +25,15 @@ fn main() {
     println!("ycsb-e: 95% scans (1-100 items) / 5% inserts (scale = {})", scale.name);
     println!("{:<22} {:>12} {:>16}", "variant", "Mops/s", "DRAM reads/op");
     let mut records = Vec::new();
-    for v in [Variant::LockFree, Variant::HybridBlocking] {
-        let r = run_skiplist(&scale, v, wl);
-        println!("skiplist {:<13} {:>12.4} {:>16.2}", v.label(), r.mops, r.dram_reads_per_op);
-        records.push(Record::new("ycsb_e", &scale, &v, "YCSB-E", &r));
+    for (structure, v) in [
+        ("skiplist", Variant::LockFree),
+        ("skiplist", Variant::HybridBlocking),
+        ("btree", Variant::HostOnly),
+        ("btree", Variant::HybridBtBlocking),
+    ] {
+        let r = v.run(scale, wl);
+        println!("{structure:<8} {:<13} {:>12.4} {:>16.2}", v.label(), r.mops, r.dram_reads_per_op);
+        records.push(Record::new("ycsb_e", scale, v, "YCSB-E", r));
     }
-    for v in [Variant::HostOnly, Variant::HybridBtBlocking] {
-        let r = run_btree(&scale, v, wl);
-        println!("btree    {:<13} {:>12.4} {:>16.2}", v.label(), r.mops, r.dram_reads_per_op);
-        records.push(Record::new("ycsb_e", &scale, &v, "YCSB-E", &r));
-    }
-    save_records("ycsb_e", &records);
+    records.into()
 }

@@ -1,25 +1,38 @@
-//! Shared experiment harness for regenerating every table and figure of the
-//! HybriDS evaluation (§5). The `benches/` targets (run by `cargo bench`)
-//! call into this library; each prints paper-style rows and writes CSV /
-//! JSONL records under `results/`.
+//! The experiment harness regenerating every table and figure of the
+//! HybriDS evaluation (§5). Each experiment is a function over a [`Scale`]
+//! in [`experiments`]; [`experiments::EXPERIMENTS`] is the only list of
+//! them, and the `figures` binary is the only way to run them:
+//!
+//! ```text
+//! cargo run --release -p hybrids-bench --bin figures -- \
+//!     [--scale smoke|ci|scaled|paper] [--policy fixed|adaptive] [--ops N] [--out DIR] [names | all]
+//! ```
+//!
+//! Experiments print paper-style rows to stdout; [`run_experiment`] appends
+//! their [`Record`]s to `<out>/<experiment>.jsonl` (default `results/`).
 //!
 //! ## Scales
 //!
-//! Cycle-level simulation is slow, so experiments run at one of three
-//! scales selected by the `HYBRIDS_SCALE` environment variable:
+//! Cycle-level simulation is slow, so experiments run at one of four
+//! scales:
 //!
-//! * `ci` (default): a further-scaled machine so `cargo bench` finishes in
+//! * `smoke`: a `Config::tiny()` machine and a handful of ops — the whole
+//!   harness in seconds (`cargo test` and CI run it).
+//! * `ci` (default): a further-scaled machine so a full run finishes in
 //!   minutes — every *ratio* of the paper's setup (structure : LLC,
 //!   host-portion : LLC) is preserved.
 //! * `scaled`: the DESIGN.md default (LLC/16, 2^18-key skiplist).
 //! * `paper`: Table 1 verbatim (1 MB LLC, 2^22-key skiplist, ~30M-key
 //!   B+ tree). Expect very long runs.
 //!
-//! `HYBRIDS_OPS` overrides measured operations per thread, `HYBRIDS_POLICY`
-//! (`fixed|adaptive`) the offload policy and `HYBRIDS_RESULTS_DIR` where the
-//! records go. A value that does not parse is an error.
+//! `--ops` overrides measured operations per thread and `--policy` the
+//! offload policy. A name or value that does not parse is a usage error
+//! reported before anything runs ([`parse_args`]).
 
-use std::fmt::Write as _;
+pub mod experiments;
+
+use std::io::{self, Write as _};
+use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use hybrids::api::SimIndex;
@@ -33,6 +46,8 @@ use hybrids::skiplist::{
 use nmp_sim::{Config, Machine, Policy};
 use serde::Serialize;
 use workloads::{InsertDist, Key, KeyDist, KeySpace, Mix, Op, Value, WorkloadSpec};
+
+use experiments::{Experiment, EXPERIMENTS};
 
 pub const SEED: u64 = 0x5EED_2022;
 
@@ -54,7 +69,7 @@ pub struct Scale {
     pub btree_footprint_lines: u32,
 }
 
-/// The scale a `HYBRIDS_SCALE` value names, if it is one of the four.
+/// The scale a `--scale` value names, if it is one of the four.
 fn scale_by_name(name: &str) -> Option<Scale> {
     match name {
         "smoke" => Some(Scale::smoke()),
@@ -121,8 +136,8 @@ impl Scale {
     }
 
     /// Minimal end-to-end scale: a `Config::tiny()` machine with a handful
-    /// of ops, so the whole bench path (populate → warmup → measure →
-    /// CSV/JSONL) runs in seconds. Used by the CI smoke step.
+    /// of ops, so the whole harness (populate → warmup → measure → JSONL)
+    /// runs in seconds. Used by `cargo test` and the CI smoke step.
     pub fn smoke() -> Self {
         Scale {
             name: "smoke",
@@ -133,25 +148,6 @@ impl Scale {
             warmup_per_thread: 5,
             btree_footprint_lines: 0,
         }
-    }
-
-    /// Resolve from `HYBRIDS_SCALE` / `HYBRIDS_OPS` / `HYBRIDS_POLICY`
-    /// (unset = `ci`). A value that does not parse is an error, not the
-    /// default.
-    pub fn from_env() -> Self {
-        let mut s = match std::env::var("HYBRIDS_SCALE") {
-            Ok(name) => scale_by_name(&name).unwrap_or_else(|| {
-                panic!("HYBRIDS_SCALE={name:?} is not one of smoke|ci|scaled|paper")
-            }),
-            Err(_) => Self::ci(),
-        };
-        if let Ok(ops) = std::env::var("HYBRIDS_OPS") {
-            s.ops_per_thread = ops.parse().expect("HYBRIDS_OPS must be an integer");
-        }
-        if let Ok(p) = std::env::var("HYBRIDS_POLICY") {
-            s.cfg.policy = Policy::parse(&p).expect("HYBRIDS_POLICY must be 'fixed' or 'adaptive'");
-        }
-        s
     }
 
     /// Offload policy variant (`fixed` keeps the hand-tuned knobs,
@@ -166,6 +162,11 @@ impl Scale {
     pub fn in_order(mut self) -> Self {
         self.cfg = self.cfg.with_in_order_hosts();
         self
+    }
+
+    /// Host thread counts of a thread sweep: 1, 2, 4, 8 up to the core count.
+    pub fn thread_sweep(&self) -> Vec<u32> {
+        [1, 2, 4, 8].into_iter().filter(|&t| t as usize <= self.cfg.host_cores).collect()
     }
 
     pub fn partitions(&self) -> u32 {
@@ -234,6 +235,107 @@ impl Variant {
             _ => 1,
         }
     }
+
+    /// The key space this variant's structure is sized for at `scale`.
+    pub fn keyspace(self, scale: &Scale) -> KeySpace {
+        match self {
+            Variant::HostOnly | Variant::HybridBtBlocking | Variant::HybridBtNonblocking(_) => {
+                scale.btree_keyspace()
+            }
+            _ => scale.skiplist_keyspace(),
+        }
+    }
+
+    /// Build, populate and run this variant on a fresh machine of `scale`.
+    pub fn run(self, scale: &Scale, workload: WorkloadSpec) -> RunResult {
+        self.run_on(&Machine::new(scale.cfg.clone()), scale, self.keyspace(scale), workload)
+    }
+
+    /// [`Variant::run`] on a caller-built machine (a tracer attached, say)
+    /// and an explicit key space. Structure sizing is derived here and only
+    /// here: the LLC-driven host/NMP split of §3.3, per-partition NMP levels,
+    /// half-full B+ tree nodes (the paper populates by sorted insertion),
+    /// a ~4 keys/bucket hash directory clamped to fit the LLC.
+    pub fn run_on(
+        self,
+        machine: &Arc<Machine>,
+        scale: &Scale,
+        ks: KeySpace,
+        workload: WorkloadSpec,
+    ) -> RunResult {
+        let lanes = self.inflight();
+        let mut spec = RunSpec::new(workload, scale.warmup_per_thread, lanes);
+        let pairs = || initial_pairs(&ks);
+        match self {
+            // Conventional (non-cache-aligned, full-height-array) layout:
+            // the standard implementation the paper benchmarks against.
+            Variant::LockFree => {
+                run_index(machine, &lockfree_skiplist(machine, ks, NodeLayout::Packed), &ks, &spec)
+            }
+            Variant::NmpBased => {
+                let sl = NmpSkipList::new(Arc::clone(machine), ks, nmp_levels(&ks), SEED, lanes);
+                sl.populate(pairs());
+                run_index(machine, &sl, &ks, &spec)
+            }
+            Variant::HybridBlocking | Variant::HybridNonblocking(_) => {
+                run_index(machine, &hybrid_skiplist(machine, ks, lanes), &ks, &spec)
+            }
+            Variant::HostOnly => {
+                spec = spec.with_footprint(scale.btree_footprint_lines);
+                run_index(machine, &HostBTree::new(Arc::clone(machine), &pairs(), 0.5), &ks, &spec)
+            }
+            Variant::HybridBtBlocking | Variant::HybridBtNonblocking(_) => {
+                spec = spec.with_footprint(scale.btree_footprint_lines);
+                let t = HybridBTree::new(Arc::clone(machine), &pairs(), 0.5, lanes);
+                run_index(machine, &t, &ks, &spec)
+            }
+            Variant::HashMapBlocking | Variant::HashMapNonblocking(_) => {
+                let parts = ks.parts;
+                let max_buckets = (machine.config().l2.size_bytes / 8 / parts).max(1) * parts;
+                let buckets = (ks.total_initial() / 4 / parts).max(1) * parts;
+                let hm =
+                    HybridHashMap::new(Arc::clone(machine), buckets.min(max_buckets), SEED, lanes);
+                hm.populate(pairs());
+                run_index(machine, &hm, &ks, &spec)
+            }
+            Variant::PqueueBlocking | Variant::PqueueNonblocking(_) => {
+                let pq = HybridPqueue::new(Arc::clone(machine), ks, nmp_levels(&ks), SEED, lanes);
+                pq.populate(&pairs());
+                run_index(machine, &pq, &ks, &spec)
+            }
+        }
+    }
+}
+
+fn llc_bytes(machine: &Machine) -> u64 {
+    machine.config().l2.size_bytes as u64
+}
+
+/// Levels of a skiplist holding one partition's share of `ks`: log2(N/P).
+fn nmp_levels(ks: &KeySpace) -> u32 {
+    let per_part = (ks.total_initial() / ks.parts).max(2) as u64;
+    64 - (per_part - 1).leading_zeros()
+}
+
+/// A populated lock-free skiplist over `ks` with as many levels as the
+/// hybrid's host + NMP portions together.
+pub fn lockfree_skiplist(
+    machine: &Arc<Machine>,
+    ks: KeySpace,
+    layout: NodeLayout,
+) -> Arc<LockFreeIndex> {
+    let (total, _) = split_for(ks.total_initial() as u64, llc_bytes(machine));
+    let sl = LockFreeSkipList::with_layout(Arc::clone(machine), total, SEED, layout);
+    sl.populate(initial_pairs(&ks));
+    Arc::new(LockFreeIndex(Arc::new(sl)))
+}
+
+/// A populated hybrid skiplist over `ks`, split at the LLC-derived optimum.
+pub fn hybrid_skiplist(machine: &Arc<Machine>, ks: KeySpace, lanes: usize) -> Arc<HybridSkipList> {
+    let (total, nh) = split_for(ks.total_initial() as u64, llc_bytes(machine));
+    let sl = HybridSkipList::new(Arc::clone(machine), ks, total, nh, SEED, lanes);
+    sl.populate(initial_pairs(&ks));
+    sl
 }
 
 /// Adapter so the lock-free skiplist (a plain structure with no NMP
@@ -317,222 +419,60 @@ impl SimIndex for LockFreeIndex {
     fn spawn_services(self: &Arc<Self>, _sim: &mut nmp_sim::Simulation) {}
 }
 
-/// One measured data point, serialized into the results files.
-#[derive(Debug, Clone, Serialize)]
+/// One measured data point: a [`RunResult`] tagged with what produced it.
+#[derive(Debug, Clone)]
 pub struct Record {
-    pub experiment: String,
-    pub scale: String,
+    pub experiment: &'static str,
+    pub scale: &'static str,
     pub variant: String,
     pub workload: String,
-    pub threads: u32,
-    pub mops: f64,
-    pub dram_reads_per_op: f64,
-    pub host_dram_reads_per_op: f64,
-    pub nmp_dram_reads_per_op: f64,
-    pub mmio_per_op: f64,
-    pub energy_nj_per_op: f64,
-    pub cycles: u64,
-    pub measured_ops: u64,
-    pub succeeded_ops: u64,
-    pub wall_ms: f64,
-    pub sim_cycles_per_sec: f64,
-    pub offload_posted: u64,
-    pub offload_retries: u64,
-    pub offload_lock_path: u64,
-    pub offload_mean_batch: f64,
-    /// End-to-end latency percentiles over the measured window (simulated
-    /// cycles, all op kinds).
-    pub lat_p50_cycles: f64,
-    pub lat_p95_cycles: f64,
-    pub lat_p99_cycles: f64,
-    /// Priority-queue stale minima-cache probes in the measured window
-    /// (zero for non-pqueue structures).
-    pub pq_stale_probes: u64,
     /// Offload policy the run used (`fixed` or `adaptive`).
-    pub policy: String,
-    /// Requests served by coalesced-response replication in the measured
-    /// window (always 0 under the fixed policy).
-    pub offload_coalesced: u64,
+    pub policy: &'static str,
+    pub result: RunResult,
 }
 
 impl Record {
     pub fn new(
-        experiment: &str,
+        experiment: &'static str,
         scale: &Scale,
-        variant: &Variant,
+        variant: Variant,
         workload: &str,
-        r: &RunResult,
+        result: RunResult,
     ) -> Record {
         Record {
-            experiment: experiment.into(),
-            scale: scale.name.into(),
+            experiment,
+            scale: scale.name,
             variant: variant.label(),
             workload: workload.into(),
-            threads: r.threads,
-            mops: r.mops,
-            dram_reads_per_op: r.dram_reads_per_op,
-            host_dram_reads_per_op: r.host_dram_reads_per_op,
-            nmp_dram_reads_per_op: r.nmp_dram_reads_per_op,
-            mmio_per_op: r.mmio_per_op,
-            energy_nj_per_op: r.energy_nj_per_op,
-            cycles: r.cycles,
-            measured_ops: r.measured_ops,
-            succeeded_ops: r.succeeded_ops,
-            wall_ms: r.wall_ms,
-            sim_cycles_per_sec: r.sim_cycles_per_sec,
-            offload_posted: r.offload_posted,
-            offload_retries: r.offload_retries,
-            offload_lock_path: r.offload_lock_path,
-            offload_mean_batch: r.offload_mean_batch,
-            lat_p50_cycles: r.lat_p50_cycles,
-            lat_p95_cycles: r.lat_p95_cycles,
-            lat_p99_cycles: r.lat_p99_cycles,
-            pq_stale_probes: r.stats.offload.pq_stale_total(),
-            policy: scale.cfg.policy.label().into(),
-            offload_coalesced: r.offload_coalesced,
+            policy: scale.cfg.policy.label(),
+            result,
         }
     }
 }
 
-/// Run one skiplist variant on a fresh machine.
-pub fn run_skiplist(scale: &Scale, variant: Variant, workload: WorkloadSpec) -> RunResult {
-    let ks = scale.skiplist_keyspace();
-    let machine = Machine::new(scale.cfg.clone());
-    let pairs = initial_pairs(&ks);
-    let spec = RunSpec {
-        workload,
-        warmup_per_thread: scale.warmup_per_thread,
-        inflight: variant.inflight(),
-        app_footprint_lines: 0,
-    };
-    match variant {
-        Variant::LockFree => {
-            let (total, _) = split_for(ks.total_initial() as u64, scale.cfg.l2.size_bytes as u64);
-            // Conventional (non-cache-aligned, full-height-array) layout:
-            // the standard implementation the paper benchmarks against.
-            let sl = LockFreeSkipList::with_layout(
-                Arc::clone(&machine),
-                total,
-                SEED,
-                NodeLayout::Packed,
-            );
-            sl.populate(pairs);
-            let idx = Arc::new(LockFreeIndex(Arc::new(sl)));
-            run_index(&machine, &idx, &ks, &spec)
-        }
-        Variant::NmpBased => {
-            // Whole structure in NMP: per-partition levels = log2(N/P).
-            let per_part = (ks.total_initial() / ks.parts).max(2) as u64;
-            let levels = 64 - (per_part - 1).leading_zeros();
-            let sl = NmpSkipList::new(Arc::clone(&machine), ks, levels, SEED, spec.inflight.max(1));
-            sl.populate(pairs);
-            run_index(&machine, &sl, &ks, &spec)
-        }
-        Variant::HybridBlocking | Variant::HybridNonblocking(_) => {
-            let (total, nh) = split_for(ks.total_initial() as u64, scale.cfg.l2.size_bytes as u64);
-            let sl = HybridSkipList::new(
-                Arc::clone(&machine),
-                ks,
-                total,
-                nh,
-                SEED,
-                spec.inflight.max(1),
-            );
-            sl.populate(pairs);
-            run_index(&machine, &sl, &ks, &spec)
-        }
-        v => panic!("{v:?} is not a skiplist variant"),
-    }
-}
-
-/// Run one B+ tree variant on a fresh machine. The paper populates by
-/// sorted insertion (≈ half-full nodes): fill = 0.5.
-pub fn run_btree(scale: &Scale, variant: Variant, workload: WorkloadSpec) -> RunResult {
-    let ks = scale.btree_keyspace();
-    let machine = Machine::new(scale.cfg.clone());
-    let pairs = initial_pairs(&ks);
-    let spec = RunSpec {
-        workload,
-        warmup_per_thread: scale.warmup_per_thread,
-        inflight: variant.inflight(),
-        app_footprint_lines: scale.btree_footprint_lines,
-    };
-    match variant {
-        Variant::HostOnly => {
-            let t = HostBTree::new(Arc::clone(&machine), &pairs, 0.5);
-            run_index(&machine, &t, &ks, &spec)
-        }
-        Variant::HybridBtBlocking | Variant::HybridBtNonblocking(_) => {
-            let t = HybridBTree::new(Arc::clone(&machine), &pairs, 0.5, spec.inflight.max(1));
-            run_index(&machine, &t, &ks, &spec)
-        }
-        v => panic!("{v:?} is not a B+ tree variant"),
-    }
-}
-
-/// Run one hybrid hash map variant on a fresh machine. The bucket
-/// directory targets a load factor around 4 keys/bucket, clamped so it
-/// always fits the LLC (the structure's construction-time invariant).
-pub fn run_hashmap(scale: &Scale, variant: Variant, workload: WorkloadSpec) -> RunResult {
-    let ks = scale.skiplist_keyspace();
-    let machine = Machine::new(scale.cfg.clone());
-    let pairs = initial_pairs(&ks);
-    let spec = RunSpec {
-        workload,
-        warmup_per_thread: scale.warmup_per_thread,
-        inflight: variant.inflight(),
-        app_footprint_lines: 0,
-    };
-    match variant {
-        Variant::HashMapBlocking | Variant::HashMapNonblocking(_) => {
-            let parts = ks.parts;
-            let max_buckets = (scale.cfg.l2.size_bytes / 8 / parts).max(1) * parts;
-            let buckets = (ks.total_initial() / 4 / parts).max(1) * parts;
-            let hm = HybridHashMap::new(
-                Arc::clone(&machine),
-                buckets.min(max_buckets),
-                SEED,
-                spec.inflight.max(1),
-            );
-            hm.populate(pairs);
-            run_index(&machine, &hm, &ks, &spec)
-        }
-        v => panic!("{v:?} is not a hash map variant"),
-    }
-}
-
-/// Run one hybrid priority queue variant on a fresh machine. Per-partition
-/// run levels follow the NMP-based sizing: log2 of the partition's share.
-pub fn run_pqueue(scale: &Scale, variant: Variant, workload: WorkloadSpec) -> RunResult {
-    run_pqueue_on(scale, variant, workload, scale.skiplist_keyspace())
-}
-
-/// [`run_pqueue`] with an explicit key space — the contention sweep uses a
-/// deliberately small one so extract-mins can actually drain partitions.
-pub fn run_pqueue_on(
-    scale: &Scale,
-    variant: Variant,
-    workload: WorkloadSpec,
-    ks: KeySpace,
-) -> RunResult {
-    let machine = Machine::new(scale.cfg.clone());
-    let pairs = initial_pairs(&ks);
-    let spec = RunSpec {
-        workload,
-        warmup_per_thread: scale.warmup_per_thread,
-        inflight: variant.inflight(),
-        app_footprint_lines: 0,
-    };
-    match variant {
-        Variant::PqueueBlocking | Variant::PqueueNonblocking(_) => {
-            let per_part = (ks.total_initial() / ks.parts).max(2) as u64;
-            let levels = 64 - (per_part - 1).leading_zeros();
-            let pq =
-                HybridPqueue::new(Arc::clone(&machine), ks, levels, SEED, spec.inflight.max(1));
-            pq.populate(&pairs);
-            run_index(&machine, &pq, &ks, &spec)
-        }
-        v => panic!("{v:?} is not a priority queue variant"),
+impl Serialize for Record {
+    /// One flat row: the tags, every scalar of the [`RunResult`] under its
+    /// own name (the per-op-kind latencies and the raw counter snapshot stay
+    /// out), and the pqueue stale minima-cache probes of the measured
+    /// window (zero for other structures).
+    fn to_value(&self) -> serde::Value {
+        let serde::Value::Object(result) = self.result.to_value() else {
+            unreachable!("RunResult derives Serialize on a struct")
+        };
+        let tag = |k: &str, v: &str| (k.to_string(), v.to_value());
+        let mut row = vec![
+            tag("experiment", self.experiment),
+            tag("scale", self.scale),
+            tag("variant", &self.variant),
+            tag("workload", &self.workload),
+            tag("policy", self.policy),
+        ];
+        row.extend(result.into_iter().filter(|(k, _)| k != "op_latency" && k != "stats"));
+        row.push((
+            "pq_stale_probes".to_string(),
+            self.result.stats.offload.pq_stale_total().to_value(),
+        ));
+        serde::Value::Object(row)
     }
 }
 
@@ -609,80 +549,126 @@ pub fn sensitivity(scale: &Scale, mix: Mix, insert_dist: InsertDist) -> Workload
     }
 }
 
-// ---- output ----
+// ---- running and saving ----
 
-/// Render rows as an aligned text block.
-pub fn render_table(title: &str, rows: &[(String, Vec<(String, f64)>)]) -> String {
-    let mut out = String::new();
-    let _ = writeln!(out, "\n== {title} ==");
-    for (name, cells) in rows {
-        let mut line = format!("  {name:<24}");
-        for (col, v) in cells {
-            let _ = write!(line, " {col}={v:<10.4}");
-        }
-        let _ = writeln!(out, "{}", line.trim_end());
-    }
-    out
+/// What one experiment produced, for [`run_experiment`] to write out.
+#[derive(Debug, Default)]
+pub struct Results {
+    pub records: Vec<Record>,
+    /// Chrome-trace JSON documents by structure name (only `trace` has any).
+    pub traces: Vec<(&'static str, String)>,
 }
 
-/// Append records to `results/<experiment>.{csv,jsonl}` under the repo root
-/// (override with `HYBRIDS_RESULTS_DIR`).
-pub fn save_records(experiment: &str, records: &[Record]) {
-    let dir = std::env::var("HYBRIDS_RESULTS_DIR").unwrap_or_else(|_| {
-        format!("{}/results", env!("CARGO_MANIFEST_DIR").trim_end_matches("/crates/bench"))
+impl From<Vec<Record>> for Results {
+    fn from(records: Vec<Record>) -> Self {
+        Results { records, traces: Vec::new() }
+    }
+}
+
+/// Run one experiment and write what it produced under the existing
+/// directory `out`: records are appended to `<out>/<experiment>.jsonl`, one
+/// JSON object per line, and traces written to
+/// `<out>/trace/<structure>.<scale>.json`.
+pub fn run_experiment(run: Experiment, scale: &Scale, out: &Path) -> io::Result<Results> {
+    let results = run(scale);
+    if let Some(first) = results.records.first() {
+        let path = out.join(format!("{}.jsonl", first.experiment));
+        let mut rows = String::new();
+        for r in &results.records {
+            rows.push_str(&serde_json::to_string(r).expect("records hold finite numbers"));
+            rows.push('\n');
+        }
+        std::fs::OpenOptions::new()
+            .create(true)
+            .append(true)
+            .open(&path)?
+            .write_all(rows.as_bytes())?;
+        eprintln!("[saved {} records to {}]", results.records.len(), path.display());
+    }
+    for (name, json) in &results.traces {
+        let path = out.join("trace").join(format!("{name}.{}.json", scale.name));
+        std::fs::create_dir_all(out.join("trace"))?;
+        std::fs::write(&path, json)?;
+        eprintln!("[wrote {} ({} bytes)]", path.display(), json.len());
+    }
+    Ok(results)
+}
+
+// ---- the `figures` command line ----
+
+/// One validated `figures` invocation.
+pub struct Invocation {
+    /// The selected scale with `--ops` / `--policy` applied.
+    pub scale: Scale,
+    pub out: PathBuf,
+    /// Selected entries of [`EXPERIMENTS`], in command-line order.
+    pub experiments: Vec<(&'static str, Experiment)>,
+}
+
+/// Parse `figures`' arguments (program name already stripped). Every flag,
+/// value and experiment name is checked here, so a typo costs nothing: the
+/// error is one line naming the offender and the accepted set. No names, or
+/// `all`, selects the whole table.
+pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, String> {
+    let (mut scale, mut policy, mut ops, mut out) = (Scale::ci(), None, None, None);
+    let mut experiments = Vec::new();
+    let mut all = false;
+    let mut args = args.into_iter();
+    while let Some(arg) = args.next() {
+        let mut value = || args.next().ok_or_else(|| format!("{arg} needs a value"));
+        match arg.as_str() {
+            "--scale" => {
+                let v = value()?;
+                scale = scale_by_name(&v)
+                    .ok_or(format!("--scale: `{v}` is not one of smoke|ci|scaled|paper"))?;
+            }
+            "--policy" => {
+                let v = value()?;
+                policy = Some(
+                    Policy::parse(&v)
+                        .ok_or(format!("--policy: `{v}` is not one of fixed|adaptive"))?,
+                );
+            }
+            "--ops" => {
+                let v = value()?;
+                ops = Some(
+                    v.parse::<u32>()
+                        .ok()
+                        .filter(|&n| n > 0)
+                        .ok_or(format!("--ops: `{v}` is not a positive integer"))?,
+                );
+            }
+            "--out" => out = Some(PathBuf::from(value()?)),
+            "all" => all = true,
+            flag if flag.starts_with('-') => {
+                return Err(format!("unknown flag `{flag}` (flags: --scale --policy --ops --out)"));
+            }
+            name => match EXPERIMENTS.iter().find(|(n, _)| *n == name) {
+                Some(entry) => experiments.push(*entry),
+                None => {
+                    let names: Vec<_> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+                    return Err(format!(
+                        "unknown experiment `{name}` (experiments: {} | all)",
+                        names.join(" ")
+                    ));
+                }
+            },
+        }
+    }
+    if all || experiments.is_empty() {
+        experiments = EXPERIMENTS.to_vec();
+    }
+    if let Some(ops) = ops {
+        scale.ops_per_thread = ops;
+    }
+    if let Some(policy) = policy {
+        scale = scale.with_policy(policy);
+    }
+    // Default: `results/` at the repository root, wherever cargo was invoked.
+    let out = out.unwrap_or_else(|| {
+        Path::new(env!("CARGO_MANIFEST_DIR").trim_end_matches("/crates/bench")).join("results")
     });
-    let _ = std::fs::create_dir_all(&dir);
-    let csv_path = format!("{dir}/{experiment}.csv");
-    let fresh = !std::path::Path::new(&csv_path).exists();
-    let mut csv = String::new();
-    if fresh {
-        csv.push_str(
-            "experiment,scale,variant,workload,threads,mops,dram_reads_per_op,host_dram_reads_per_op,nmp_dram_reads_per_op,mmio_per_op,energy_nj_per_op,cycles,measured_ops,succeeded_ops,wall_ms,sim_cycles_per_sec,offload_posted,offload_retries,offload_lock_path,offload_mean_batch,lat_p50_cycles,lat_p95_cycles,lat_p99_cycles,pq_stale_probes,policy,offload_coalesced\n",
-        );
-    }
-    for r in records {
-        let _ = writeln!(
-            csv,
-            "{},{},{},{},{},{:.6},{:.4},{:.4},{:.4},{:.4},{:.4},{},{},{},{:.3},{:.0},{},{},{},{:.3},{:.1},{:.1},{:.1},{},{},{}",
-            r.experiment,
-            r.scale,
-            r.variant,
-            r.workload,
-            r.threads,
-            r.mops,
-            r.dram_reads_per_op,
-            r.host_dram_reads_per_op,
-            r.nmp_dram_reads_per_op,
-            r.mmio_per_op,
-            r.energy_nj_per_op,
-            r.cycles,
-            r.measured_ops,
-            r.succeeded_ops,
-            r.wall_ms,
-            r.sim_cycles_per_sec,
-            r.offload_posted,
-            r.offload_retries,
-            r.offload_lock_path,
-            r.offload_mean_batch,
-            r.lat_p50_cycles,
-            r.lat_p95_cycles,
-            r.lat_p99_cycles,
-            r.pq_stale_probes,
-            r.policy,
-            r.offload_coalesced
-        );
-    }
-    use std::io::Write;
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&csv_path).unwrap();
-    f.write_all(csv.as_bytes()).unwrap();
-    let mut jl = String::new();
-    for r in records {
-        let _ = writeln!(jl, "{}", serde_json::to_string(r).unwrap());
-    }
-    let jl_path = format!("{dir}/{experiment}.jsonl");
-    let mut f = std::fs::OpenOptions::new().create(true).append(true).open(&jl_path).unwrap();
-    f.write_all(jl.as_bytes()).unwrap();
-    eprintln!("[saved {} records to {csv_path}]", records.len());
+    Ok(Invocation { scale, out, experiments })
 }
 
 #[cfg(test)]
@@ -705,6 +691,51 @@ mod tests {
         }
         assert!(scale_by_name("papr").is_none());
         assert!(scale_by_name("").is_none());
+    }
+
+    fn parse(line: &str) -> Result<Invocation, String> {
+        parse_args(line.split_whitespace().map(String::from))
+    }
+
+    fn names(inv: &Invocation) -> Vec<&'static str> {
+        inv.experiments.iter().map(|(n, _)| *n).collect()
+    }
+
+    #[test]
+    fn figures_arguments_select_scale_knobs_and_experiments() {
+        let table: Vec<_> = EXPERIMENTS.iter().map(|(n, _)| *n).collect();
+        let inv = parse("").unwrap();
+        assert_eq!((inv.scale.name, names(&inv)), ("ci", table.clone()), "default: ci, everything");
+        assert!(inv.out.ends_with("results"));
+        assert_eq!(names(&parse("fig5 all").unwrap()), table, "`all` is the whole table, once");
+
+        // Flags apply whatever their order relative to --scale and the names.
+        let inv =
+            parse("--ops 7 fig7 --policy adaptive --scale smoke --out /tmp/x pqueue_contention")
+                .unwrap();
+        assert_eq!(names(&inv), ["fig7", "pqueue_contention"]);
+        assert_eq!((inv.scale.name, inv.scale.ops_per_thread), ("smoke", 7));
+        assert_eq!(inv.scale.cfg.policy, Policy::Adaptive);
+        assert_eq!(inv.out, Path::new("/tmp/x"));
+    }
+
+    #[test]
+    fn figures_argument_errors_name_the_offender_and_the_accepted_set() {
+        for (line, offender, accepted) in [
+            ("--scale smok fig5", "`smok`", "smoke|ci|scaled|paper"),
+            ("--policy x", "`x`", "fixed|adaptive"),
+            ("--ops abc", "`abc`", "positive integer"),
+            ("--ops 0", "`0`", "positive integer"),
+            ("fig5 --out", "--out", "needs a value"),
+            ("--scale", "--scale", "needs a value"),
+            ("--shards 2", "`--shards`", "--scale --policy --ops --out"),
+            ("fig5 micro_components", "`micro_components`", "pqueue_contention trace | all"),
+            ("fig9", "`fig9`", "fig4 fig5"),
+        ] {
+            let err = parse(line).err().unwrap_or_else(|| panic!("`{line}` must be rejected"));
+            assert!(err.contains(offender) && err.contains(accepted), "`{line}`: {err}");
+            assert!(!err.contains('\n'), "one line: {err}");
+        }
     }
 
     #[test]
@@ -736,7 +767,7 @@ mod tests {
         s.skiplist_keys = 1 << 10;
         s.ops_per_thread = 30;
         s.warmup_per_thread = 10;
-        let r = run_skiplist(&s, Variant::HybridBlocking, ycsb_c(&s, 2));
+        let r = Variant::HybridBlocking.run(&s, ycsb_c(&s, 2));
         assert_eq!(r.measured_ops, 60);
         assert!(r.mops > 0.0);
     }
@@ -747,7 +778,7 @@ mod tests {
         s.btree_keys = 4096;
         s.ops_per_thread = 30;
         s.warmup_per_thread = 10;
-        let r = run_btree(&s, Variant::HostOnly, ycsb_c(&s, 2));
+        let r = Variant::HostOnly.run(&s, ycsb_c(&s, 2));
         assert_eq!(r.measured_ops, 60);
         assert!(r.succeeded_ops > 0);
     }
@@ -755,8 +786,7 @@ mod tests {
     #[test]
     fn smoke_hashmap_run() {
         let s = Scale::smoke();
-        let r =
-            run_hashmap(&s, Variant::HashMapNonblocking(2), hashmap_workload(&s, KeyDist::Uniform));
+        let r = Variant::HashMapNonblocking(2).run(&s, hashmap_workload(&s, KeyDist::Uniform));
         assert!(r.measured_ops > 0);
         assert!(r.offload_posted > 0, "hash map must route through the runtime");
     }
@@ -764,7 +794,7 @@ mod tests {
     #[test]
     fn smoke_pqueue_run() {
         let s = Scale::smoke();
-        let r = run_pqueue(&s, Variant::PqueueBlocking, pqueue_workload(&s, 50));
+        let r = Variant::PqueueBlocking.run(&s, pqueue_workload(&s, 50));
         assert!(r.measured_ops > 0);
         assert!(r.offload_posted > 0, "pqueue must route through the runtime");
     }

@@ -26,12 +26,12 @@
 use std::sync::Arc;
 
 use nmp_sim::analysis::RegionClass;
-use nmp_sim::{Addr, EffectSpec, Machine, Region, Simulation, ThreadCtx, NULL};
+use nmp_sim::{Addr, EffectSpec, Machine, Region, ThreadCtx, NULL};
 use workloads::{mix64, Key, Op, Value};
 
-use crate::api::{Issued, OpResult, PollOutcome, SimIndex};
+use crate::api::OpResult;
 use crate::effects::{protocol_op, AccessDecl};
-use crate::offload::{OffloadClient, OffloadRuntime, PendingOp, Step};
+use crate::offload::{OffloadClient, OffloadRuntime, Offloaded, Step};
 use crate::publist::{NmpExec, OpCode, Request, Response};
 
 pub mod node;
@@ -232,13 +232,11 @@ impl HybridHashMap {
         out
     }
 
-    /// Register the effect spec and spawn the flat-combining daemons on any
-    /// run type — a cycle-accurate [`Simulation`] or a real-thread
-    /// [`nmp_sim::NativeRun`]. [`SimIndex::spawn_services`] delegates here;
-    /// the native serving path (`hybrids-server`) calls it directly.
+    /// [`crate::offload::spawn_services_on`] as a method, for the native
+    /// serving path (`hybrids-server`), which spawns on a
+    /// [`nmp_sim::NativeRun`] instead of a simulation.
     pub fn spawn_services_on<S: nmp_sim::Spawner>(self: &Arc<Self>, sp: &mut S) {
-        self.runtime.register_spec(&SimIndex::effect_spec(&**self));
-        self.runtime.spawn_combiners(sp, Arc::clone(&self.exec));
+        crate::offload::spawn_services_on(self, sp);
     }
 
     /// Structural invariants (call at quiescence): every chain node hashes
@@ -305,41 +303,22 @@ impl OffloadClient for HybridHashMap {
     }
 }
 
-impl SimIndex for HybridHashMap {
-    type Pending = PendingOp<()>;
+impl Offloaded for HybridHashMap {
+    type Exec = HashMapExec;
 
-    fn execute(&self, ctx: &mut ThreadCtx, op: Op) -> OpResult {
-        self.runtime.execute(ctx, self, op)
+    fn runtime(&self) -> &OffloadRuntime {
+        &self.runtime
     }
 
-    fn issue(&self, ctx: &mut ThreadCtx, lane: usize, op: Op) -> Issued<Self::Pending> {
-        self.runtime.issue(ctx, self, lane, op)
-    }
-
-    fn poll(&self, ctx: &mut ThreadCtx, pending: &mut Self::Pending) -> PollOutcome {
-        self.runtime.poll(ctx, self, pending)
-    }
-
-    fn effect_spec(&self) -> EffectSpec {
-        OffloadClient::effect_spec(self).merged(self.exec.effect_spec())
-    }
-
-    fn spawn_services(self: &Arc<Self>, sim: &mut Simulation) {
-        self.spawn_services_on(sim);
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.runtime.max_inflight()
-    }
-
-    fn occupancy_feedback(&self, core: usize) -> u32 {
-        self.runtime.occupancy_feedback(core)
+    fn executor(&self) -> &Arc<HashMapExec> {
+        &self.exec
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::SimIndex;
     use nmp_sim::{Config, ThreadKind};
     use std::collections::BTreeMap;
 

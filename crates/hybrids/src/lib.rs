@@ -59,4 +59,4 @@ pub use driver::run_index_recorded;
 pub use driver::{run_index, RunResult, RunSpec};
 pub use effects::{register_effect_spec, topology};
 pub use offload::policy::Policy;
-pub use offload::{OffloadClient, OffloadRuntime, PendingOp, Step};
+pub use offload::{OffloadClient, OffloadRuntime, Offloaded, PendingOp, Step};

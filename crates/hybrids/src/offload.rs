@@ -31,10 +31,10 @@ pub mod policy;
 use parking_lot::Mutex;
 use std::sync::Arc;
 
-use nmp_sim::{EffectSpec, Machine, ThreadCtx};
+use nmp_sim::{EffectSpec, Machine, Simulation, ThreadCtx};
 use workloads::Op;
 
-use crate::api::{host_core, Issued, OpResult, PollOutcome};
+use crate::api::{host_core, Issued, OpResult, PollOutcome, SimIndex};
 use crate::publist::{self, NmpExec, PubLists, Request, Response};
 
 /// Op-kind byte used by the trace subsystem's per-kind aggregation (see
@@ -143,6 +143,60 @@ pub trait OffloadClient: Send + Sync + 'static {
     /// [`crate::effects::HOST_PROTOCOL`]). Merged with the executor's
     /// [`NmpExec::effect_spec`] half at registration time.
     fn effect_spec(&self) -> EffectSpec;
+}
+
+/// A structure whose every operation runs through an [`OffloadRuntime`]:
+/// naming the runtime and the NMP-side executor is all it takes to be a
+/// [`SimIndex`] (the blanket impl below).
+pub trait Offloaded: OffloadClient {
+    /// NMP-side executor the combiners run requests through.
+    type Exec: NmpExec;
+
+    /// The runtime driving this structure's offloads.
+    fn runtime(&self) -> &OffloadRuntime;
+
+    /// The executor handed to the combiners.
+    fn executor(&self) -> &Arc<Self::Exec>;
+}
+
+/// Register `index`'s merged effect spec and spawn its combiners on any run
+/// type — a cycle-accurate [`Simulation`] or a real-thread
+/// [`nmp_sim::NativeRun`]. [`SimIndex::spawn_services`] delegates here.
+pub fn spawn_services_on<T: Offloaded, S: nmp_sim::Spawner>(index: &Arc<T>, sp: &mut S) {
+    index.runtime().register_spec(&SimIndex::effect_spec(&**index));
+    index.runtime().spawn_combiners(sp, Arc::clone(index.executor()));
+}
+
+impl<T: Offloaded> SimIndex for T {
+    type Pending = PendingOp<T::OpState>;
+
+    fn execute(&self, ctx: &mut ThreadCtx, op: Op) -> OpResult {
+        self.runtime().execute(ctx, self, op)
+    }
+
+    fn issue(&self, ctx: &mut ThreadCtx, lane: usize, op: Op) -> Issued<Self::Pending> {
+        self.runtime().issue(ctx, self, lane, op)
+    }
+
+    fn poll(&self, ctx: &mut ThreadCtx, pending: &mut Self::Pending) -> PollOutcome {
+        self.runtime().poll(ctx, self, pending)
+    }
+
+    fn effect_spec(&self) -> EffectSpec {
+        OffloadClient::effect_spec(self).merged(self.executor().effect_spec())
+    }
+
+    fn spawn_services(self: &Arc<Self>, sim: &mut Simulation) {
+        spawn_services_on(self, sim);
+    }
+
+    fn max_inflight(&self) -> usize {
+        self.runtime().max_inflight()
+    }
+
+    fn occupancy_feedback(&self, core: usize) -> u32 {
+        self.runtime().occupancy_feedback(core)
+    }
 }
 
 /// A pending offloaded operation: the paper's "operation ID" (§3.5), owned

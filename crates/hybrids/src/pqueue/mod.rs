@@ -40,12 +40,12 @@ use std::sync::Arc;
 use parking_lot::Mutex;
 
 use nmp_sim::analysis::RegionClass;
-use nmp_sim::{Addr, EffectSpec, Machine, Region, Simulation, ThreadCtx, NULL};
+use nmp_sim::{Addr, EffectSpec, Machine, Region, ThreadCtx, NULL};
 use workloads::{Key, KeySpace, Op, Value};
 
-use crate::api::{Issued, OpResult, PollOutcome, SimIndex};
+use crate::api::OpResult;
 use crate::effects::{protocol_op, AccessDecl};
-use crate::offload::{OffloadClient, OffloadRuntime, PendingOp, Step};
+use crate::offload::{OffloadClient, OffloadRuntime, Offloaded, Step};
 use crate::publist::{NmpExec, OpCode, Request, Response};
 use crate::skiplist::{node, seq};
 
@@ -475,42 +475,22 @@ impl OffloadClient for HybridPqueue {
     }
 }
 
-impl SimIndex for HybridPqueue {
-    type Pending = PendingOp<PqState>;
+impl Offloaded for HybridPqueue {
+    type Exec = PqExec;
 
-    fn execute(&self, ctx: &mut ThreadCtx, op: Op) -> OpResult {
-        self.runtime.execute(ctx, self, op)
+    fn runtime(&self) -> &OffloadRuntime {
+        &self.runtime
     }
 
-    fn issue(&self, ctx: &mut ThreadCtx, lane: usize, op: Op) -> Issued<Self::Pending> {
-        self.runtime.issue(ctx, self, lane, op)
-    }
-
-    fn poll(&self, ctx: &mut ThreadCtx, pending: &mut Self::Pending) -> PollOutcome {
-        self.runtime.poll(ctx, self, pending)
-    }
-
-    fn effect_spec(&self) -> EffectSpec {
-        OffloadClient::effect_spec(self).merged(self.exec.effect_spec())
-    }
-
-    fn spawn_services(self: &Arc<Self>, sim: &mut Simulation) {
-        self.runtime.register_spec(&SimIndex::effect_spec(&**self));
-        self.runtime.spawn_combiners(sim, Arc::clone(&self.exec));
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.runtime.max_inflight()
-    }
-
-    fn occupancy_feedback(&self, core: usize) -> u32 {
-        self.runtime.occupancy_feedback(core)
+    fn executor(&self) -> &Arc<PqExec> {
+        &self.exec
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::SimIndex;
     use nmp_sim::{Config, ThreadKind};
 
     fn keyspace() -> KeySpace {

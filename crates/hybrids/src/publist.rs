@@ -179,7 +179,6 @@ impl PubLists {
     }
 
     /// The machine these lists live on.
-    /// The machine these lists live on.
     pub fn machine(&self) -> &Arc<Machine> {
         &self.machine
     }

@@ -25,13 +25,13 @@
 use std::sync::Arc;
 
 use nmp_sim::analysis::RegionClass;
-use nmp_sim::{Addr, EffectSpec, Machine, Simulation, ThreadCtx, NULL};
+use nmp_sim::{Addr, EffectSpec, Machine, ThreadCtx, NULL};
 use workloads::{Key, KeySpace, Op, Value};
 
-use crate::api::{Issued, OpResult, PollOutcome, SimIndex};
+use crate::api::OpResult;
 use crate::effects::{protocol_op, AccessDecl};
-use crate::offload::{OffloadClient, OffloadRuntime, PendingOp, Step};
-use crate::publist::{NmpExec, OpCode, Request, Response};
+use crate::offload::{OffloadClient, OffloadRuntime, Offloaded, Step};
+use crate::publist::{OpCode, Request, Response};
 
 use super::nmp_based::SkiplistExec;
 use super::{node, seq, LockFreeSkipList};
@@ -425,42 +425,23 @@ impl OffloadClient for HybridSkipList {
     }
 }
 
-impl SimIndex for HybridSkipList {
-    type Pending = PendingOp<HyOpState>;
+impl Offloaded for HybridSkipList {
+    type Exec = SkiplistExec;
 
-    fn execute(&self, ctx: &mut ThreadCtx, op: Op) -> OpResult {
-        self.runtime.execute(ctx, self, op)
+    fn runtime(&self) -> &OffloadRuntime {
+        &self.runtime
     }
 
-    fn issue(&self, ctx: &mut ThreadCtx, lane: usize, op: Op) -> Issued<Self::Pending> {
-        self.runtime.issue(ctx, self, lane, op)
-    }
-
-    fn poll(&self, ctx: &mut ThreadCtx, pending: &mut Self::Pending) -> PollOutcome {
-        self.runtime.poll(ctx, self, pending)
-    }
-
-    fn effect_spec(&self) -> EffectSpec {
-        OffloadClient::effect_spec(self).merged(NmpExec::effect_spec(&*self.exec))
-    }
-
-    fn spawn_services(self: &Arc<Self>, sim: &mut Simulation) {
-        self.runtime.register_spec(&SimIndex::effect_spec(&**self));
-        self.runtime.spawn_combiners(sim, Arc::clone(&self.exec));
-    }
-
-    fn max_inflight(&self) -> usize {
-        self.runtime.max_inflight()
-    }
-
-    fn occupancy_feedback(&self, core: usize) -> u32 {
-        self.runtime.occupancy_feedback(core)
+    fn executor(&self) -> &Arc<SkiplistExec> {
+        &self.exec
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::api::{Issued, PollOutcome, SimIndex};
+    use crate::offload::PendingOp;
     use nmp_sim::{Config, ThreadKind};
     use std::collections::BTreeMap;
 

@@ -151,7 +151,6 @@ pub const SCAN_ROOTS: &[&str] = &[
     "crates/hybrids/src",
     "crates/workloads/src",
     "crates/bench/src",
-    "crates/bench/benches",
     "crates/nmp-sim/src",
     "crates/server/src",
     "crates/server/tests",

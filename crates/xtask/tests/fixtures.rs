@@ -41,7 +41,7 @@ fn atomic_ordering_fixture_fails_only_in_ds_scope() {
     // store + load; the comment and string mentions must not count
     assert_eq!(v.len(), 2, "{v:?}");
     // the same source is fine in bench-harness scope
-    let v = lint_as("crates/bench/benches/probe.rs", src);
+    let v = lint_as("crates/bench/src/experiments/probe.rs", src);
     assert!(v.is_empty(), "{v:?}");
 }
 

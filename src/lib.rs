@@ -10,8 +10,8 @@
 //!
 //! See `README.md` for a tour, `DESIGN.md` for the system inventory and
 //! fidelity argument, and `EXPERIMENTS.md` for paper-vs-measured results.
-//! Runnable walk-throughs live in `examples/`; the figure/table harnesses
-//! are `cargo bench` targets in `crates/bench`.
+//! Runnable walk-throughs live in `examples/`; the figure/table experiments
+//! are run by the `figures` binary of `crates/bench`.
 
 pub use hybrids;
 pub use nmp_sim;
