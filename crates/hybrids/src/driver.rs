@@ -31,7 +31,7 @@ pub type RecorderHandle<'a> = Option<(&'a HistoryRecorder, usize)>;
 
 /// Record one completed point operation. Scans are skipped: their
 /// multi-key footprint is outside the per-key linearizability model.
-fn record_completion(rec: RecorderHandle<'_>, op: Op, r: OpResult, inv: u64, resp: u64) {
+pub fn record_completion(rec: RecorderHandle<'_>, op: Op, r: OpResult, inv: u64, resp: u64) {
     let Some((rec, thread)) = rec else { return };
     let (hop, key, value) = match op {
         Op::Read(k) => (HistOp::Read, k, r.value),

@@ -233,8 +233,9 @@ impl HybridHashMap {
     }
 
     /// [`crate::offload::spawn_services_on`] as a method, for the native
-    /// serving path (`hybrids-server`), which spawns on a
-    /// [`nmp_sim::NativeRun`] instead of a simulation.
+    /// serving path (`hybrids-server`), which attaches to a
+    /// [`nmp_sim::NativeRun`] instead of a simulation (and there spawns no
+    /// thread: the posting threads combine).
     pub fn spawn_services_on<S: nmp_sim::Spawner>(self: &Arc<Self>, sp: &mut S) {
         crate::offload::spawn_services_on(self, sp);
     }
@@ -455,8 +456,8 @@ mod tests {
     #[test]
     fn native_backend_serves_same_semantics() {
         // The exact blocking-op contract, but executed by real OS threads
-        // under the native engine (DESIGN.md §4.11): combiners run
-        // as native daemons, host threads hit the same offload client.
+        // under the native engine (DESIGN.md §4.11): the host threads
+        // hit the same offload client and run the combining passes too.
         let m = Machine::new(Config::tiny());
         let hm = HybridHashMap::new(Arc::clone(&m), 64, 42, 2);
         let mut run = m.native_run();

@@ -19,12 +19,21 @@
 //!   partition-hopping scans, the B+ tree RESUME_INSERT / UNLOCK_PATH
 //!   dance) or a host-side fallback ([`Step::Stall`]).
 //!
-//! The runtime provisions the publication lists, spawns the batching flat
+//! The runtime provisions the publication lists, attaches the batching flat
 //! combiners ([`crate::publist::spawn_combiners`]), allocates slots
 //! (`core * max_inflight + lane`), and records per-partition/per-lane
 //! telemetry (posts, retries, lock-path falls) into
 //! [`nmp_sim::OffloadStats`] as a side effect of driving the lifecycle —
 //! structures cannot forget to count.
+//!
+//! The lifecycle is the same on both engines; what differs is who answers.
+//! Under simulation a combiner daemon on the partition's NMP core does. A
+//! native run has no NMP processor, so [`OffloadRuntime::execute`] and
+//! [`OffloadRuntime::poll`] answer through the host side of the protocol
+//! itself: the thread that finds its request unserved takes the partition's
+//! combiner, if it is free, and serves every posted slot (see
+//! [`crate::publist`]). A native offload therefore costs the work it asks
+//! for — no other thread is involved, let alone woken.
 
 pub mod policy;
 
@@ -159,9 +168,10 @@ pub trait Offloaded: OffloadClient {
     fn executor(&self) -> &Arc<Self::Exec>;
 }
 
-/// Register `index`'s merged effect spec and spawn its combiners on any run
-/// type — a cycle-accurate [`Simulation`] or a real-thread
-/// [`nmp_sim::NativeRun`]. [`SimIndex::spawn_services`] delegates here.
+/// Register `index`'s merged effect spec and attach its combiners to any run
+/// type — daemons of a cycle-accurate [`Simulation`], or, on a real-thread
+/// [`nmp_sim::NativeRun`], combiners the posting threads run themselves (no
+/// thread is spawned). [`SimIndex::spawn_services`] delegates here.
 pub fn spawn_services_on<T: Offloaded, S: nmp_sim::Spawner>(index: &Arc<T>, sp: &mut S) {
     index.runtime().register_spec(&SimIndex::effect_spec(&**index));
     index.runtime().spawn_combiners(sp, Arc::clone(index.executor()));
@@ -255,10 +265,10 @@ impl OffloadRuntime {
         crate::effects::register_effect_spec(&self.machine, spec);
     }
 
-    /// Spawn the flat-combining daemons (one per partition) executing
-    /// requests through `exec`. Generic over the run type
-    /// ([`nmp_sim::Spawner`]): the same daemons serve a cycle-accurate
-    /// [`nmp_sim::Simulation`] or a real-thread [`nmp_sim::NativeRun`].
+    /// Attach the flat combiners (one per partition) executing requests
+    /// through `exec`: daemons of a [`nmp_sim::Simulation`], caller-run
+    /// passes on a [`nmp_sim::NativeRun`]
+    /// ([`crate::publist::spawn_combiners`]).
     pub fn spawn_combiners<S: nmp_sim::Spawner, E: NmpExec>(&self, sim: &mut S, exec: Arc<E>) {
         publist::spawn_combiners(sim, Arc::clone(&self.lists), exec);
     }

@@ -9,6 +9,20 @@
 //! (the *combiner*) repeatedly scans all slots of its partition, executing
 //! every posted operation one at a time.
 //!
+//! Who runs a combining pass depends on the run type, and on nothing else.
+//! A [`nmp_sim::Simulation`] models each NMP core as a processor of its
+//! own, so [`spawn_combiners`] gives every partition a daemon that loops
+//! over `Combiner::combine_pass`. A [`nmp_sim::NativeRun`] has no such
+//! processor: a combiner thread there would be a cost with no model behind
+//! it (two OS-thread handoffs per offload), so nothing is spawned and the
+//! *posting* host thread combines — classic flat combining. The host side
+//! of the protocol ([`PubLists::try_response`]) try-locks the partition's
+//! combiner and, if it wins, runs one pass over every posted slot, its own
+//! included; a loser finds its response already written by the winner, or
+//! retries. The lock's release/acquire orders successive combiners' plain
+//! accesses to the partition's memory; the ctrl-word protocol below is the
+//! same in both cases.
+//!
 //! Slot layout (8 words):
 //!
 //! ```text
@@ -24,7 +38,7 @@
 //! w7  reserved
 //! ```
 
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
 use nmp_sim::{Addr, EffectSpec, Machine, Policy, Spawner, ThreadCtx, ThreadKind, NULL};
 use workloads::{Key, Value};
@@ -147,11 +161,23 @@ impl Response {
     }
 }
 
+/// One partition's combining pass with its executor type erased
+/// ([`PubLists`] is not generic over the executor).
+type ErasedPass = dyn FnMut(&PubLists, &mut ThreadCtx) + Send;
+
+/// Failed polls a native waiter spins through before it starts yielding the
+/// CPU (so a preempted lock holder can finish even on a single CPU).
+const NATIVE_SPINS: u32 = 64;
+
 /// The publication lists of every NMP partition for one structure.
 pub struct PubLists {
     machine: Arc<Machine>,
     slots_per_part: usize,
     max_inflight: usize,
+    /// Per-partition combiners of a native run, each behind the try-lock
+    /// that elects the posting thread that combines; installed by
+    /// [`spawn_combiners`], never set under simulation.
+    caller_combiners: OnceLock<Vec<Mutex<Box<ErasedPass>>>>,
 }
 
 impl PubLists {
@@ -175,7 +201,7 @@ impl PubLists {
                 }
             }
         }
-        PubLists { machine, slots_per_part: slots, max_inflight }
+        PubLists { machine, slots_per_part: slots, max_inflight, caller_combiners: OnceLock::new() }
     }
 
     /// The machine these lists live on.
@@ -218,11 +244,25 @@ impl PubLists {
         ctx.mmio_write_u64_release(a, CTRL_VALID | ((req.op as u64) << 8));
     }
 
-    /// One poll: if the NMP core has cleared the valid bit, read the
-    /// response words and return them.
+    /// One poll: if the request in `slot` has been served, read the
+    /// response words and return them. On a native run an unserved request
+    /// makes the caller try for the partition's combiner first: if it wins
+    /// the lock it serves every posted slot, its own included.
     pub fn try_response(&self, ctx: &mut ThreadCtx, part: usize, slot: usize) -> Option<Response> {
+        if let Some(resp) = self.read_response(ctx, part, slot) {
+            return Some(resp);
+        }
+        if !self.combine_as_caller(ctx, part, slot) {
+            return None;
+        }
+        // The pass just run served every slot posted before it.
+        self.read_response(ctx, part, slot)
+    }
+
+    /// If the valid bit of `slot` is clear, read the response words.
+    fn read_response(&self, ctx: &mut ThreadCtx, part: usize, slot: usize) -> Option<Response> {
         let a = self.slot_addr(part, slot);
-        // Acquire: pairs with the NMP core's release in `complete`.
+        // Acquire: pairs with the combiner's release in `complete`.
         let ctrl = ctx.mmio_read_u64_acquire(a);
         if ctrl & CTRL_VALID != 0 {
             return None;
@@ -248,13 +288,52 @@ impl PubLists {
         Some(resp)
     }
 
+    /// Where the posting threads combine (a native run): try-lock partition
+    /// `part`'s combiner and, on winning, run one pass on the caller's own
+    /// context. Returns whether a pass ran. `slot` is the caller's own,
+    /// named when the partition turns out to be dead.
+    fn combine_as_caller(&self, ctx: &mut ThreadCtx, part: usize, slot: usize) -> bool {
+        let Some(combiners) = self.caller_combiners.get() else { return false };
+        match combiners[part].try_lock() {
+            Ok(mut pass) => {
+                pass(self, ctx);
+                true
+            }
+            Err(TryLockError::WouldBlock) => false,
+            // A combining thread panicked inside its pass: requests it had
+            // collected are lost and the partition's memory may be half
+            // updated, so nobody may combine here again.
+            Err(TryLockError::Poisoned(_)) => panic!(
+                "partition {part} slot {slot}: a combining thread panicked mid-pass, \
+                 the request cannot be answered"
+            ),
+        }
+    }
+
     /// Blocking wait: poll until the response arrives, idling the host
-    /// thread by the configured poll interval between polls.
+    /// thread by the configured poll interval between polls. A native
+    /// waiter (another thread holds the partition's combiner) spins briefly,
+    /// then yields; it gives up with a panic once the run is stopping,
+    /// which on a native run means a thread has died and the answer may
+    /// never come.
     pub fn wait_response(&self, ctx: &mut ThreadCtx, part: usize, slot: usize) -> Response {
         let interval = self.machine.config().host_poll_interval_cycles;
+        let mut polls = 0u32;
         loop {
             if let Some(r) = self.try_response(ctx, part, slot) {
                 return r;
+            }
+            if ctx.is_native() {
+                assert!(
+                    !ctx.stop_requested(),
+                    "partition {part} slot {slot}: the run is stopping (a thread panicked) \
+                     with the request still unanswered"
+                );
+                polls += 1;
+                if polls < NATIVE_SPINS {
+                    std::hint::spin_loop();
+                    continue;
+                }
             }
             ctx.idle(interval);
         }
@@ -263,8 +342,13 @@ impl PubLists {
     // ---- NMP side (scratchpad-local) ----
 
     /// Scan one slot; if a valid request is published, read and return it.
+    /// NMP cores scan; a host thread may only when it is native, where it
+    /// combines in the place of the NMP core the run does not have.
     pub fn scan(&self, ctx: &mut ThreadCtx, part: usize, slot: usize) -> Option<Request> {
-        debug_assert!(matches!(ctx.kind(), ThreadKind::Nmp { .. }));
+        debug_assert!(
+            matches!(ctx.kind(), ThreadKind::Nmp { .. }) || ctx.is_native(),
+            "a simulated host thread scanned a publication list"
+        );
         let a = self.slot_addr(part, slot);
         // Acquire: pairs with the host's release in `post`.
         let ctrl = ctx.read_u64_acquire(a);
@@ -285,7 +369,7 @@ impl PubLists {
     }
 
     /// Write the response words, then clear the valid bit (publishing the
-    /// completion to the polling host thread).
+    /// completion to the polling host thread). Combiner side, like `scan`.
     pub fn complete(&self, ctx: &mut ThreadCtx, part: usize, slot: usize, resp: &Response) {
         let a = self.slot_addr(part, slot);
         if !(resp.retry || resp.lock_path) {
@@ -347,23 +431,121 @@ pub trait NmpExec: Send + Sync + 'static {
     }
 }
 
-/// Spawn one flat-combining daemon per partition. Each combiner runs the
-/// batched flat-combining loop: one scan pass over its publication list
-/// collects *all* currently-published requests, then executes them
-/// back-to-back, amortizing the scan cost over the whole batch instead of
-/// re-scanning after every request. The batch size of every pass feeds the
-/// combined-per-pass histogram in [`nmp_sim::OffloadStats`].
+/// One partition's flat combiner: the executor, the cross-request state it
+/// keeps per slot, and the reusable batch buffer of a pass. A simulated NMP
+/// daemon owns one; on a native run it sits behind the partition's try-lock
+/// in [`PubLists`].
+struct Combiner<E: NmpExec> {
+    exec: Arc<E>,
+    part: usize,
+    policy: Policy,
+    coalescible: &'static [OpCode],
+    states: Vec<E::SlotState>,
+    batch: Vec<(usize, Request)>,
+}
+
+impl<E: NmpExec> Combiner<E> {
+    fn new(
+        lists: &PubLists,
+        exec: Arc<E>,
+        part: usize,
+        policy: Policy,
+        coalescible: &'static [OpCode],
+    ) -> Self {
+        let mut states = Vec::new();
+        states.resize_with(lists.slots_per_part(), Default::default);
+        let batch = Vec::with_capacity(lists.slots_per_part());
+        Combiner { exec, part, policy, coalescible, states, batch }
+    }
+
+    /// One batched flat-combining pass: a scan over the partition's
+    /// publication list collects *all* currently-published requests, then
+    /// executes them back-to-back, amortizing the scan cost over the whole
+    /// batch instead of re-scanning after every request. Returns the batch
+    /// size, which also feeds the combined-per-pass histogram in
+    /// [`nmp_sim::OffloadStats`].
+    fn combine_pass(&mut self, lists: &PubLists, ctx: &mut ThreadCtx) -> usize {
+        let part = self.part;
+        let mem = lists.machine.mem();
+        self.batch.clear();
+        let pass_start = ctx.now();
+        for slot in 0..lists.slots_per_part() {
+            if let Some(req) = lists.scan(ctx, part, slot) {
+                self.batch.push((slot, req));
+            }
+            ctx.step();
+        }
+        mem.note_offload_pass(part, self.batch.len());
+        if self.batch.is_empty() {
+            return 0;
+        }
+        if self.policy == Policy::Adaptive {
+            // Key-range coalescing: order the pass by (key, slot) so
+            // identical requests form contiguous runs; the run order is the
+            // serve order, preserving a deterministic per-request response
+            // mapping.
+            sort_batch(&mut self.batch);
+        }
+        let occupancy = self.batch.len() as u32;
+        let mut i = 0;
+        while i < self.batch.len() {
+            let (slot, req) = self.batch[i];
+            let run = coalesce_run_len(&self.batch, i, self.coalescible);
+            let mut resp = Response::default();
+            // The lead runs the descent; followers of a coalesced run hold
+            // the identical request against unchanged partition state, so
+            // they get a replica of its response without a second descent.
+            for (n, &(served, _)) in self.batch[i..i + run].iter().enumerate() {
+                let start = ctx.now();
+                // Scope conformance checking to the op being served so
+                // blame reports name it; the scan pass above runs unscoped
+                // (checked against the protocol union).
+                if let Some(a) = mem.analysis() {
+                    a.set_current_op(ctx.id(), Some(req.op as u8));
+                }
+                if n == 0 {
+                    resp = self.exec.exec(ctx, part, &req, &mut self.states[slot]);
+                    if self.policy == Policy::Adaptive {
+                        resp.combined = occupancy;
+                    }
+                }
+                lists.complete(ctx, part, served, &resp);
+                if n > 0 {
+                    mem.note_offload_coalesced(part);
+                }
+                if let Some(a) = mem.analysis() {
+                    a.set_current_op(ctx.id(), None);
+                }
+                if let Some(t) = mem.tracer() {
+                    t.note_exec(part, served, start, ctx.now());
+                }
+                ctx.step();
+            }
+            i += run;
+        }
+        if let Some(t) = mem.tracer() {
+            t.note_batch(part, pass_start, ctx.now(), self.batch.len() as u64);
+        }
+        self.batch.len()
+    }
+}
+
+/// Attach one flat combiner per partition to the run `sim`, executing
+/// requests through `exec`.
 ///
-/// Generic over the run type ([`Spawner`]): the same daemons serve a
-/// cycle-accurate [`nmp_sim::Simulation`] or a real-thread
-/// [`nmp_sim::NativeRun`].
+/// Generic over the run type ([`Spawner`]). Where the run models NMP cores
+/// ([`Spawner::has_nmp_cores`], a [`nmp_sim::Simulation`]) each combiner is
+/// a daemon on its partition's NMP core, looping over
+/// `Combiner::combine_pass` and idling between empty passes. Where it
+/// does not (a [`nmp_sim::NativeRun`]) **no thread is spawned**: the
+/// combiners are installed in `lists` and the posting host threads run the
+/// passes themselves (see the module docs).
 pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>, exec: Arc<E>) {
-    let parts = lists.machine.partitions();
     let base_idle = lists.machine.config().nmp_idle_poll_cycles;
     let policy = lists.machine.config().policy;
-    // Under the adaptive policy the loop below replicates responses across
+    // Under the adaptive policy a pass replicates responses across
     // coalesced runs; statically prove every declared-coalescible op's NMP
-    // plan is partition-read-only before any daemon runs.
+    // plan is partition-read-only before any pass runs.
     let coalescible: &'static [OpCode] = match policy {
         Policy::Fixed => &[],
         Policy::Adaptive => {
@@ -371,89 +553,38 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
             exec.coalescible_ops()
         }
     };
-    for part in 0..parts {
+    let combiners = (0..lists.machine.partitions())
+        .map(|part| Combiner::new(&lists, Arc::clone(&exec), part, policy, coalescible));
+    if !sim.has_nmp_cores() {
+        let installed = lists.caller_combiners.set(
+            combiners
+                .map(|mut c| {
+                    let pass: Box<ErasedPass> =
+                        Box::new(move |lists: &PubLists, ctx: &mut ThreadCtx| {
+                            c.combine_pass(lists, ctx);
+                        });
+                    Mutex::new(pass)
+                })
+                .collect(),
+        );
+        assert!(installed.is_ok(), "combiners attached twice to one set of publication lists");
+        return;
+    }
+    for mut combiner in combiners {
         let lists = Arc::clone(&lists);
-        let exec = Arc::clone(&exec);
+        let part = combiner.part;
         sim.spawn_daemon_boxed(
             format!("nmp-{part}"),
             ThreadKind::Nmp { part },
             Box::new(move |ctx| {
-                let mut states: Vec<E::SlotState> = Vec::new();
-                states.resize_with(lists.slots_per_part(), Default::default);
-                let mut batch: Vec<(usize, Request)> = Vec::with_capacity(lists.slots_per_part());
                 let mut ctl = CombinerControl::new(policy, base_idle);
-                let analysis = lists.machine.mem().analysis().cloned();
                 loop {
-                    batch.clear();
-                    let pass_start = ctx.now();
-                    for slot in 0..lists.slots_per_part() {
-                        if let Some(req) = lists.scan(ctx, part, slot) {
-                            batch.push((slot, req));
-                        }
-                        ctx.step();
-                    }
-                    lists.machine.mem().note_offload_pass(part, batch.len());
-                    if batch.is_empty() {
-                        if ctx.stop_requested() {
-                            return;
-                        }
+                    if combiner.combine_pass(&lists, ctx) > 0 {
+                        ctl.note_busy();
+                    } else if ctx.stop_requested() {
+                        return;
+                    } else {
                         ctx.idle(ctl.idle_after_empty());
-                        continue;
-                    }
-                    ctl.note_busy();
-                    if policy == Policy::Adaptive {
-                        // Key-range coalescing: order the pass by (key, slot)
-                        // so identical requests form contiguous runs; the run
-                        // order is the serve order, preserving a deterministic
-                        // per-request response mapping.
-                        sort_batch(&mut batch);
-                    }
-                    let occupancy = batch.len() as u32;
-                    let mut i = 0;
-                    while i < batch.len() {
-                        let (slot, req) = batch[i];
-                        let run = coalesce_run_len(&batch, i, coalescible);
-                        let exec_start = ctx.now();
-                        // Scope conformance checking to the op being served so
-                        // blame reports name it; the scan pass above runs
-                        // unscoped (checked against the protocol union).
-                        if let Some(a) = &analysis {
-                            a.set_current_op(ctx.id(), Some(req.op as u8));
-                        }
-                        let mut resp = exec.exec(ctx, part, &req, &mut states[slot]);
-                        if policy == Policy::Adaptive {
-                            resp.combined = occupancy;
-                        }
-                        lists.complete(ctx, part, slot, &resp);
-                        if let Some(a) = &analysis {
-                            a.set_current_op(ctx.id(), None);
-                        }
-                        if let Some(t) = lists.machine.mem().tracer() {
-                            t.note_exec(part, slot, exec_start, ctx.now());
-                        }
-                        ctx.step();
-                        // Followers of a coalesced run: identical request,
-                        // unchanged partition state -> replicate the lead's
-                        // response without a second descent.
-                        for &(fslot, _) in &batch[i + 1..i + run] {
-                            let repl_start = ctx.now();
-                            if let Some(a) = &analysis {
-                                a.set_current_op(ctx.id(), Some(req.op as u8));
-                            }
-                            lists.complete(ctx, part, fslot, &resp);
-                            lists.machine.mem().note_offload_coalesced(part);
-                            if let Some(a) = &analysis {
-                                a.set_current_op(ctx.id(), None);
-                            }
-                            if let Some(t) = lists.machine.mem().tracer() {
-                                t.note_exec(part, fslot, repl_start, ctx.now());
-                            }
-                            ctx.step();
-                        }
-                        i += run;
-                    }
-                    if let Some(t) = lists.machine.mem().tracer() {
-                        t.note_batch(part, pass_start, ctx.now(), batch.len() as u64);
                     }
                 }
             }),
@@ -531,6 +662,22 @@ mod tests {
         }
         sim.run();
         assert_eq!(results.load(Ordering::Relaxed), 2);
+    }
+
+    /// Scanning is the NMP core's half of the protocol. Only a native host
+    /// thread may do it (it combines in the NMP core's place); a simulated
+    /// one reaching `scan` is a bug the thread-class check must still catch.
+    #[test]
+    #[cfg(debug_assertions)]
+    #[should_panic(expected = "a simulated host thread scanned a publication list")]
+    fn simulated_host_thread_may_not_scan() {
+        let m = machine();
+        let lists = Arc::new(PubLists::new(Arc::clone(&m), 1));
+        let mut sim = m.simulation();
+        sim.spawn("h0", ThreadKind::Host { core: 0 }, move |ctx| {
+            lists.scan(ctx, 0, 0);
+        });
+        sim.run();
     }
 
     #[test]

@@ -205,6 +205,15 @@ impl ThreadCtx {
         &self.mem
     }
 
+    /// True for a thread of a [`crate::engine::NativeRun`]: a free-running
+    /// OS thread with no scheduler, no timing and no region policy, on which
+    /// a host context may also do an NMP core's work (there is no NMP
+    /// processor to hand it to).
+    #[inline]
+    pub fn is_native(&self) -> bool {
+        self.rt.is_none()
+    }
+
     /// Accrue `cycles` of local compute time. Cheap (no scheduler
     /// round-trip); committed at the next timed operation.
     pub fn advance(&mut self, cycles: u64) {
@@ -244,7 +253,7 @@ impl ThreadCtx {
     /// time to burn; the poll loop yields the OS thread instead (and the
     /// local clock still advances so `now`-based heuristics stay monotone).
     pub fn idle(&mut self, cycles: u64) {
-        if self.rt.is_none() {
+        if self.is_native() {
             self.clock += self.pending + cycles.max(1);
             self.pending = 0;
             thread::yield_now();
@@ -332,7 +341,7 @@ impl ThreadCtx {
         site: &'static Location<'static>,
         data: impl FnOnce(&Ram) -> (MemOp, T),
     ) -> T {
-        if self.rt.is_none() {
+        if self.is_native() {
             return data(self.mem.ram()).1;
         }
         let lat = self.route(addr, is_write, mmio, site);

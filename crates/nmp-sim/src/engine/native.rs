@@ -1,18 +1,26 @@
 //! Native (real-thread) execution over a machine's [`crate::backend::Ram`].
 //!
-//! A [`NativeRun`] mirrors the [`Simulation`] spawning surface — host
-//! threads, NMP combiner daemons, the same [`ThreadCtx`] handed to each
-//! body — but every logical thread is a free-running OS thread. There is no
-//! scheduler, no cycle accounting, and no region-policy interception: the
-//! [`ThreadCtx`] accessors perform only their data op, the same one a
-//! simulation performs on the same words, and here the acquire/release
-//! orderings of the publication-list ctrl-word protocol are what orders the
-//! threads (see [`crate::backend`]). The simulator remains the correctness
-//! oracle; a native run serves the same structure code at hardware speed.
+//! A [`NativeRun`] mirrors the [`Simulation`] spawning surface — workers,
+//! daemons, the same [`ThreadCtx`] handed to each body — but every logical
+//! thread is a free-running OS thread. There is no scheduler, no cycle
+//! accounting, and no region-policy interception: the [`ThreadCtx`]
+//! accessors perform only their data op, the same one a simulation performs
+//! on the same words, and here the acquire/release orderings of the
+//! publication-list ctrl-word protocol are what orders the threads (see
+//! [`crate::backend`]). The simulator remains the correctness oracle; a
+//! native run serves the same structure code at hardware speed.
+//!
+//! What a native run does *not* have is an NMP processor. In a simulation
+//! an NMP core is a logical thread with its own clock and its own vault
+//! shard; natively it would be one more OS thread competing with the host
+//! threads for the same CPUs, and every offload would cost two handoffs to
+//! it. [`Spawner::has_nmp_cores`] is how service-spawning code learns which
+//! of the two it is attached to: flat combiners become daemons of a
+//! simulation and, on a native run, work the posting host thread does itself
+//! (`hybrids::publist`).
 //!
 //! [`Spawner`] is the object-safe common denominator of both run types, so
-//! service-spawning code (e.g. flat-combining daemons) can be written once
-//! and attached to either.
+//! service-spawning code can be written once and attached to either.
 
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::Arc;
@@ -37,6 +45,12 @@ pub trait Spawner {
     /// Add a daemon thread: it must poll [`ThreadCtx::stop_requested`] and
     /// return promptly once all workers have finished.
     fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn);
+
+    /// Whether this run models the NMP cores as processors of their own, so
+    /// that an NMP-side service belongs on a [`ThreadKind::Nmp`] daemon. A
+    /// run that answers `false` has only its host threads: NMP-side work
+    /// must be done by whichever of them asks for it.
+    fn has_nmp_cores(&self) -> bool;
 }
 
 impl Spawner for Simulation {
@@ -46,6 +60,10 @@ impl Spawner for Simulation {
 
     fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
         self.spawn_daemon(name, kind, f);
+    }
+
+    fn has_nmp_cores(&self) -> bool {
+        true
     }
 }
 
@@ -174,6 +192,10 @@ impl Spawner for NativeRun {
 
     fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
         self.spawn_inner(name, kind, true, f);
+    }
+
+    fn has_nmp_cores(&self) -> bool {
+        false
     }
 }
 

@@ -5,7 +5,9 @@
 //! workers are host threads of a [`nmp_sim::NativeRun`], executing the
 //! *same* offload-client code the cycle-accurate simulator verifies — but
 //! on free-running OS threads at hardware speed (see `DESIGN.md` §4.11:
-//! one RAM, two engines).
+//! one RAM, two engines). Those workers are the only threads there are: a
+//! native run has no NMP processor, so the worker that posts a request
+//! also runs the flat-combining pass that serves it.
 //!
 //! The pieces:
 //!
@@ -19,8 +21,8 @@
 //! * [`runtime`] — the connection runtime: every worker is an epoll/poll
 //!   reactor executing its own connections' requests (connection state
 //!   machines, idle timer wheel, write backpressure, graceful drain),
-//! * [`server`] — the `hybrids-server` facade: reactor-worker host
-//!   threads + per-partition combiner daemons of one native run,
+//! * [`server`] — the `hybrids-server` facade: the reactor-worker host
+//!   threads of one native run,
 //! * [`loadgen`] — the `hybrids-loadgen` client: deterministic
 //!   workload-driven request streams, closed- and open-loop latency
 //!   measurement, and the JSON report.

@@ -264,15 +264,28 @@ fn find_crlf(b: &[u8]) -> Option<usize> {
 // Reference response encoders
 // ---------------------------------------------------------------------------
 
-/// `get` response: one `VALUE` stanza per hit (misses are silently
+/// Append one hit of a `get` response, `VALUE <key> 0 <len>\r\n<data>\r\n`,
+/// to `out`. The integers are formatted straight into `out`: no temporary
+/// is allocated, so the serving path can call this once per key as it hits.
+pub fn encode_get_hit(out: &mut Vec<u8>, key: Key, value: Value) {
+    use std::io::Write;
+    let digits = value.checked_ilog10().map_or(1, |d| d + 1);
+    write!(out, "VALUE {key} 0 {digits}\r\n{value}\r\n").expect("writing to a Vec cannot fail");
+}
+
+/// Terminator of a `get` response (after zero or more hits).
+pub fn encode_get_end() -> &'static [u8] {
+    b"END\r\n"
+}
+
+/// A whole `get` response: one `VALUE` stanza per hit (misses are silently
 /// omitted, as in memcached), then `END`.
 pub fn encode_get(hits: &[(Key, Value)]) -> Vec<u8> {
     let mut out = Vec::new();
-    for (k, v) in hits {
-        let data = v.to_string();
-        out.extend_from_slice(format!("VALUE {k} 0 {}\r\n{data}\r\n", data.len()).as_bytes());
+    for &(key, value) in hits {
+        encode_get_hit(&mut out, key, value);
     }
-    out.extend_from_slice(b"END\r\n");
+    out.extend_from_slice(encode_get_end());
     out
 }
 
@@ -463,5 +476,19 @@ mod tests {
             encode_get(&[(7, 123), (9, 5)]),
             b"VALUE 7 0 3\r\n123\r\nVALUE 9 0 1\r\n5\r\nEND\r\n"
         );
+    }
+
+    #[test]
+    fn get_hit_length_field_counts_the_value_digits() {
+        // Every digit-count boundary of a u32, and zero (which the parser
+        // never stores but the encoder must still render as one digit).
+        let mut values = vec![0, u32::MAX];
+        values.extend((0..10).flat_map(|e| [10u32.pow(e) - 1, 10u32.pow(e)]));
+        for value in values {
+            let data = value.to_string();
+            let mut out = b"kept".to_vec();
+            encode_get_hit(&mut out, 42, value);
+            assert_eq!(out, format!("keptVALUE 42 0 {}\r\n{data}\r\n", data.len()).as_bytes());
+        }
     }
 }

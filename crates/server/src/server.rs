@@ -9,8 +9,10 @@
 //! of the machine model), so its `ThreadCtx` can drive the
 //! publication-list offload client directly — the exact same
 //! `HybridHashMap::execute` path the simulator verifies, on the same RAM,
-//! at hardware speed. The NMP combiners run as native daemons,
-//! one per partition, just as they do under simulation.
+//! at hardware speed. The workers are the only threads: a native run has no
+//! NMP processor, so a worker that finds its request unserved takes the
+//! partition's combiner and runs the flat-combining pass itself
+//! (`hybrids::publist`); `--workers N` is N + 1 OS threads, main included.
 //!
 //! Host threads are an architectural constant — every one owns
 //! publication-list slots in each partition's fixed scratchpad
@@ -19,8 +21,10 @@
 //!
 //! Shutdown: the `shutdown` protocol verb (or [`Server::stop`]) raises a
 //! flag; accepting stops, in-flight requests drain, and [`Server::wait`]
-//! joins every thread (stopping the combiner daemons) before returning
-//! the map for inspection.
+//! joins the workers before returning the map for inspection. A worker
+//! that panics (say, on an exhausted partition arena) stops the run: its
+//! siblings fail on their next offload to the dead partition instead of
+//! waiting on it, and `wait` re-raises the first panic.
 
 use std::io;
 use std::net::{SocketAddr, TcpListener};
@@ -137,8 +141,8 @@ pub struct Server {
 }
 
 impl Server {
-    /// Build the machine, the map, the combiner daemons and one
-    /// reactor per worker; bind the listener and start accepting.
+    /// Build the machine, the map and one reactor per worker; bind the
+    /// listener and start accepting.
     pub fn start(opts: &ServerOpts) -> io::Result<Server> {
         let mut cfg = Config::default_scaled();
         cfg.host_cores = opts.workers;
@@ -195,11 +199,10 @@ impl Server {
         self.shutdown.store(true, Ordering::Release);
     }
 
-    /// Block until shutdown, join every thread, and hand back the map and
+    /// Block until shutdown, join the workers, and hand back the map and
     /// counters for inspection.
     pub fn wait(self) -> (Arc<HybridHashMap>, Arc<ServeCounters>) {
-        // Joins the workers (each returns once it has drained), then
-        // stops the combiner daemons.
+        // Each worker returns once it has drained; there is nobody else.
         self.run.finish();
         (self.map, self.counters)
     }

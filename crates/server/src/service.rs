@@ -68,7 +68,6 @@ impl Service {
     pub fn execute(&self, ctx: &mut ThreadCtx, cmd: &Command, out: &mut Vec<u8>) {
         match cmd {
             Command::Get(keys) => {
-                let mut hits: Vec<(Key, Value)> = Vec::with_capacity(keys.len());
                 for &key in keys {
                     if self.ttl.is_expired(key) {
                         // Lazy expiry: the key dies on the get that finds
@@ -82,12 +81,12 @@ impl Service {
                     let r = self.map.execute(ctx, Op::Read(key));
                     if r.ok {
                         self.counters.get_hits.fetch_add(1, Ordering::Relaxed);
-                        hits.push((key, r.value));
+                        proto::encode_get_hit(out, key, r.value);
                     } else {
                         self.counters.get_misses.fetch_add(1, Ordering::Relaxed);
                     }
                 }
-                out.extend_from_slice(&proto::encode_get(&hits));
+                out.extend_from_slice(proto::encode_get_end());
             }
             Command::Set { key, value, exptime, noreply } => {
                 let stored = self.do_set(ctx, *key, *value);
