@@ -83,11 +83,6 @@ pub fn raw_meta(ram: &Ram, node: Addr) -> Meta {
     Meta::unpack(ram.read_u32(node + 4))
 }
 
-/// Untimed write of the metadata word.
-pub fn raw_set_meta(ram: &Ram, node: Addr, m: Meta) {
-    ram.write_u32(node + 4, m.pack());
-}
-
 /// Untimed read of the seqlock word.
 pub fn raw_seq(ram: &Ram, node: Addr) -> u32 {
     ram.read_u32(node)

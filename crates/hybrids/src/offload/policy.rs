@@ -190,11 +190,6 @@ impl LaneGovernor {
         self.depth
     }
 
-    /// Mean observed batch occupancy in 1/16ths (diagnostics/tests).
-    pub fn occupancy_ewma16(&self) -> u64 {
-        self.ewma16
-    }
-
     /// The governor's local combined-per-pass histogram (diagnostics).
     pub fn hist(&self) -> &[u64; HIST_BUCKETS] {
         &self.hist

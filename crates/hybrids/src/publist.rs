@@ -534,8 +534,8 @@ impl<E: NmpExec> Combiner<E> {
 /// requests through `exec`.
 ///
 /// Generic over the run type ([`Spawner`]). Where the run models NMP cores
-/// ([`Spawner::has_nmp_cores`], a [`nmp_sim::Simulation`]) each combiner is
-/// a daemon on its partition's NMP core, looping over
+/// ([`Spawner::nmp_cores`] hands back the [`nmp_sim::Simulation`]) each
+/// combiner is a daemon on its partition's NMP core, looping over
 /// `Combiner::combine_pass` and idling between empty passes. Where it
 /// does not (a [`nmp_sim::NativeRun`]) **no thread is spawned**: the
 /// combiners are installed in `lists` and the posting host threads run the
@@ -555,40 +555,39 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
     };
     let combiners = (0..lists.machine.partitions())
         .map(|part| Combiner::new(&lists, Arc::clone(&exec), part, policy, coalescible));
-    if !sim.has_nmp_cores() {
-        let installed = lists.caller_combiners.set(
-            combiners
-                .map(|mut c| {
-                    let pass: Box<ErasedPass> =
-                        Box::new(move |lists: &PubLists, ctx: &mut ThreadCtx| {
-                            c.combine_pass(lists, ctx);
-                        });
-                    Mutex::new(pass)
-                })
-                .collect(),
-        );
-        assert!(installed.is_ok(), "combiners attached twice to one set of publication lists");
-        return;
-    }
-    for mut combiner in combiners {
-        let lists = Arc::clone(&lists);
-        let part = combiner.part;
-        sim.spawn_daemon_boxed(
-            format!("nmp-{part}"),
-            ThreadKind::Nmp { part },
-            Box::new(move |ctx| {
-                let mut ctl = CombinerControl::new(policy, base_idle);
-                loop {
-                    if combiner.combine_pass(&lists, ctx) > 0 {
-                        ctl.note_busy();
-                    } else if ctx.stop_requested() {
-                        return;
-                    } else {
-                        ctx.idle(ctl.idle_after_empty());
+    match sim.nmp_cores() {
+        Some(sim) => {
+            for mut combiner in combiners {
+                let lists = Arc::clone(&lists);
+                let part = combiner.part;
+                sim.spawn_daemon(format!("nmp-{part}"), ThreadKind::Nmp { part }, move |ctx| {
+                    let mut ctl = CombinerControl::new(policy, base_idle);
+                    loop {
+                        if combiner.combine_pass(&lists, ctx) > 0 {
+                            ctl.note_busy();
+                        } else if ctx.stop_requested() {
+                            return;
+                        } else {
+                            ctx.idle(ctl.idle_after_empty());
+                        }
                     }
-                }
-            }),
-        );
+                });
+            }
+        }
+        None => {
+            let installed = lists.caller_combiners.set(
+                combiners
+                    .map(|mut c| {
+                        let pass: Box<ErasedPass> =
+                            Box::new(move |lists: &PubLists, ctx: &mut ThreadCtx| {
+                                c.combine_pass(lists, ctx);
+                            });
+                        Mutex::new(pass)
+                    })
+                    .collect(),
+            );
+            assert!(installed.is_ok(), "combiners attached twice to one set of publication lists");
+        }
     }
 }
 

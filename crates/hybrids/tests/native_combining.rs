@@ -18,7 +18,9 @@ use hybrids::hashmap::HybridHashMap;
 use hybrids::publist::{spawn_combiners, NmpExec, OpCode, PubLists, Request, Response};
 use hybrids::{Issued, OpResult, PollOutcome, SimIndex};
 use nmp_sim::analysis::HistoryRecorder;
-use nmp_sim::{Config, EffectSpec, Machine, NativeRun, Spawner, ThreadCtx, ThreadFn, ThreadKind};
+use nmp_sim::{
+    Config, EffectSpec, Machine, NativeRun, Simulation, Spawner, ThreadCtx, ThreadFn, ThreadKind,
+};
 use workloads::{Key, Op, Rng};
 
 /// A native run that counts the threads spawned through its [`Spawner`]
@@ -34,13 +36,8 @@ impl Spawner for CountingRun {
         self.run.spawn_boxed(name, kind, f);
     }
 
-    fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
-        self.spawned += 1;
-        self.run.spawn_daemon_boxed(name, kind, f);
-    }
-
-    fn has_nmp_cores(&self) -> bool {
-        self.run.has_nmp_cores()
+    fn nmp_cores(&mut self) -> Option<&mut Simulation> {
+        self.run.nmp_cores()
     }
 }
 

@@ -1,8 +1,8 @@
 //! Native (real-thread) execution over a machine's [`crate::backend::Ram`].
 //!
-//! A [`NativeRun`] mirrors the [`Simulation`] spawning surface — workers,
-//! daemons, the same [`ThreadCtx`] handed to each body — but every logical
-//! thread is a free-running OS thread. There is no scheduler, no cycle
+//! A [`NativeRun`] mirrors the [`Simulation`] worker-spawning surface — the
+//! same [`ThreadCtx`] handed to each body — but every logical thread is a
+//! free-running OS thread. There is no scheduler, no cycle
 //! accounting, and no region-policy interception: the [`ThreadCtx`]
 //! accessors perform only their data op, the same one a simulation performs
 //! on the same words, and here the acquire/release orderings of the
@@ -10,14 +10,15 @@
 //! [`crate::backend`]). The simulator remains the correctness oracle; a
 //! native run serves the same structure code at hardware speed.
 //!
-//! What a native run does *not* have is an NMP processor. In a simulation
-//! an NMP core is a logical thread with its own clock and its own vault
-//! shard; natively it would be one more OS thread competing with the host
-//! threads for the same CPUs, and every offload would cost two handoffs to
-//! it. [`Spawner::has_nmp_cores`] is how service-spawning code learns which
-//! of the two it is attached to: flat combiners become daemons of a
-//! simulation and, on a native run, work the posting host thread does itself
-//! (`hybrids::publist`).
+//! What a native run does *not* have is an NMP processor, and so no daemon
+//! threads either: its threads are host workers and nothing else. In a
+//! simulation an NMP core is a logical thread with its own clock and its own
+//! vault shard; natively it would be one more OS thread competing with the
+//! host threads for the same CPUs, and every offload would cost two handoffs
+//! to it. [`Spawner::nmp_cores`] is how service-spawning code learns which of
+//! the two it is attached to: it hands back the simulation to put the flat
+//! combiners' daemons on, or `None` when combining is work the posting host
+//! thread does itself (`hybrids::publist`).
 //!
 //! [`Spawner`] is the object-safe common denominator of both run types, so
 //! service-spawning code can be written once and attached to either.
@@ -36,21 +37,18 @@ use super::core::{
 };
 
 /// Object-safe spawning surface shared by [`Simulation`] and [`NativeRun`]:
-/// code that installs service threads (combiner daemons, worker pools) can
-/// take `&mut impl Spawner` and run unchanged on either engine.
+/// code that installs service threads (combiners, worker pools) can take
+/// `&mut impl Spawner` and run unchanged on either engine.
 pub trait Spawner {
     /// Add a logical worker thread; the run ends when all workers return.
     fn spawn_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn);
 
-    /// Add a daemon thread: it must poll [`ThreadCtx::stop_requested`] and
-    /// return promptly once all workers have finished.
-    fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn);
-
-    /// Whether this run models the NMP cores as processors of their own, so
-    /// that an NMP-side service belongs on a [`ThreadKind::Nmp`] daemon. A
-    /// run that answers `false` has only its host threads: NMP-side work
-    /// must be done by whichever of them asks for it.
-    fn has_nmp_cores(&self) -> bool;
+    /// The simulation whose NMP cores are processors of their own, on which
+    /// an NMP-side service is a [`ThreadKind::Nmp`] daemon
+    /// ([`Simulation::spawn_daemon`]). `None` means the run has only its
+    /// host threads: NMP-side work must be done by whichever of them asks
+    /// for it.
+    fn nmp_cores(&mut self) -> Option<&mut Simulation>;
 }
 
 impl Spawner for Simulation {
@@ -58,27 +56,22 @@ impl Spawner for Simulation {
         self.spawn(name, kind, f);
     }
 
-    fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
-        self.spawn_daemon(name, kind, f);
-    }
-
-    fn has_nmp_cores(&self) -> bool {
-        true
+    fn nmp_cores(&mut self) -> Option<&mut Simulation> {
+        Some(self)
     }
 }
 
 /// A native run: real OS threads over a machine's memory.
 ///
 /// Threads start executing the moment they are spawned (there is no
-/// deferred `run()`); [`NativeRun::finish`] joins the workers, signals stop
-/// to the daemons, joins them, and propagates the first panic.
+/// deferred `run()`); [`NativeRun::finish`] joins them and propagates the
+/// first panic.
 pub struct NativeRun {
     mem: Arc<MemorySystem>,
     eng: Arc<EngineShared>,
     cpu_step: u64,
     next_id: usize,
     workers: Vec<JoinHandle<()>>,
-    daemons: Vec<JoinHandle<()>>,
     panics: Arc<Mutex<Vec<String>>>,
 }
 
@@ -95,7 +88,6 @@ impl NativeRun {
             cpu_step,
             next_id: 0,
             workers: Vec::new(),
-            daemons: Vec::new(),
             panics: Arc::new(Mutex::new(Vec::new())),
         }
     }
@@ -112,22 +104,24 @@ impl NativeRun {
         kind: ThreadKind,
         f: impl FnOnce(&mut ThreadCtx) + Send + 'static,
     ) {
-        self.spawn_inner(name.into(), kind, false, Box::new(f));
+        self.spawn_boxed(name.into(), kind, Box::new(f));
     }
 
-    /// Add (and immediately start) a daemon thread; it must poll
-    /// [`ThreadCtx::stop_requested`] and return promptly once it is set.
-    pub fn spawn_daemon(
-        &mut self,
-        name: impl Into<String>,
-        kind: ThreadKind,
-        f: impl FnOnce(&mut ThreadCtx) + Send + 'static,
-    ) {
-        self.spawn_inner(name.into(), kind, true, Box::new(f));
+    /// Join every thread and propagate the first panic raised in any.
+    pub fn finish(self) {
+        for j in self.workers {
+            let _ = j.join();
+        }
+        let notes = std::mem::take(&mut *self.panics.lock());
+        if !notes.is_empty() {
+            panic!("native thread(s) panicked: {}", notes.join("; "));
+        }
     }
+}
 
-    fn spawn_inner(&mut self, name: String, kind: ThreadKind, daemon: bool, f: ThreadFn) {
-        let ts = Arc::new(ThreadShared::new(name.clone(), kind, daemon, self.mem.config()));
+impl Spawner for NativeRun {
+    fn spawn_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
+        let ts = Arc::new(ThreadShared::new(name.clone(), kind, false, self.mem.config()));
         let id = self.next_id;
         self.next_id += 1;
         let eng = Arc::clone(&self.eng);
@@ -154,48 +148,17 @@ impl NativeRun {
                 if let Err(p) = result {
                     let msg = panic_message(p.as_ref());
                     panics.lock().push(format!("'{name}' panicked: {msg}"));
-                    // Release daemons (and any worker polling stop) so the
-                    // run can be joined instead of hanging.
+                    // Release every worker polling stop, so the run can be
+                    // joined instead of hanging.
                     eng.stop.store(true, Ordering::Release);
                 }
             })
             .expect("spawn native thread");
-        if daemon {
-            self.daemons.push(join);
-        } else {
-            self.workers.push(join);
-        }
+        self.workers.push(join);
     }
 
-    /// Join all workers, signal stop, join the daemons, and propagate the
-    /// first panic raised in any thread.
-    pub fn finish(self) {
-        let NativeRun { eng, workers, daemons, panics, .. } = self;
-        for j in workers {
-            let _ = j.join();
-        }
-        eng.stop.store(true, Ordering::Release);
-        for j in daemons {
-            let _ = j.join();
-        }
-        let notes = std::mem::take(&mut *panics.lock());
-        if !notes.is_empty() {
-            panic!("native thread(s) panicked: {}", notes.join("; "));
-        }
-    }
-}
-
-impl Spawner for NativeRun {
-    fn spawn_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
-        self.spawn_inner(name, kind, false, f);
-    }
-
-    fn spawn_daemon_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
-        self.spawn_inner(name, kind, true, f);
-    }
-
-    fn has_nmp_cores(&self) -> bool {
-        false
+    fn nmp_cores(&mut self) -> Option<&mut Simulation> {
+        None
     }
 }
 
@@ -217,30 +180,6 @@ mod tests {
         });
         run.finish();
         assert_eq!(m.ram().read_u64(addr), 42);
-    }
-
-    #[test]
-    fn native_daemon_exits_on_stop() {
-        let m = Machine::new(Config::tiny());
-        let spad = m.map().spad_base(0);
-        let mut run = m.native_run();
-        run.spawn_daemon("nmp0", ThreadKind::Nmp { part: 0 }, move |ctx| {
-            while !ctx.stop_requested() {
-                let v = ctx.read_u64_acquire(spad);
-                if v != 0 {
-                    ctx.write_u64_release(spad + 8, v + 1);
-                }
-                ctx.idle(16);
-            }
-        });
-        run.spawn("host", ThreadKind::Host { core: 0 }, move |ctx| {
-            ctx.mmio_write_u64_release(spad, 7);
-            while ctx.mmio_read_u64_acquire(spad + 8) != 8 {
-                ctx.idle(16);
-            }
-        });
-        run.finish();
-        assert_eq!(m.ram().read_u64(spad + 8), 8);
     }
 
     #[test]
@@ -269,7 +208,8 @@ mod tests {
     fn native_panic_propagates() {
         let m = Machine::new(Config::tiny());
         let mut run = m.native_run();
-        run.spawn_daemon("d", ThreadKind::Nmp { part: 0 }, |ctx| {
+        // A sibling that would serve forever: the panic is what stops it.
+        run.spawn("serving", ThreadKind::Host { core: 1 }, |ctx| {
             while !ctx.stop_requested() {
                 ctx.idle(16);
             }

@@ -393,18 +393,6 @@ impl Tracer {
         all
     }
 
-    /// End-to-end latency histogram for one op kind (`None` if no ops of that
-    /// kind completed).
-    pub fn latency_hist(&self, kind: u8) -> Option<LatencyHist> {
-        let g = self.inner.lock();
-        let h = g.hist.get(kind as usize)?;
-        if h.count() == 0 {
-            None
-        } else {
-            Some(h.clone())
-        }
-    }
-
     /// Snapshot of the surviving ring events, in record order.
     pub fn events(&self) -> Vec<TraceEvent> {
         self.inner.lock().events.iter().copied().collect()

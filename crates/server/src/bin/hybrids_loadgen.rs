@@ -12,11 +12,11 @@
 //!
 //! `--ops` is per connection; `--rate` switches to open-loop arrivals
 //! (total requests/second across connections, latency measured from each
-//! request's scheduled due time). `--client-threads` multiplexes the
-//! connections over a small client pool (closed-loop only; `0` = one
-//! thread per connection), each connection keeping `--pipeline` requests
-//! outstanding. `--shutdown` sends the server the `shutdown` verb after
-//! the run (CI teardown). `--out PATH` also writes the JSON to a file.
+//! request's scheduled due time). Closed-loop, each connection keeps
+//! `--pipeline` requests outstanding and `--client-threads` threads share
+//! the connections (`0` = one thread per connection). `--shutdown` sends
+//! the server the `shutdown` verb after the run (CI teardown). `--out
+//! PATH` also writes the JSON to a file.
 
 use std::process::exit;
 use std::str::FromStr;

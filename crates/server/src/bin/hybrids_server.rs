@@ -3,11 +3,10 @@
 //!
 //! ```text
 //! hybrids-server [--addr 127.0.0.1:11211] [--workers 4]
-//!                [--buckets 1024] [--max-inflight 4] [--seed 42]
-//!                [--idle-timeout-ms 60000]
+//!                [--buckets 1024] [--seed 42] [--idle-timeout-ms 60000]
 //! ```
 //!
-//! Every worker is an epoll reactor (`poll(2)` off Linux) that
+//! Every worker is an epoll reactor (the server is Linux-only) that
 //! multiplexes its share of the connections and executes their requests
 //! itself (DESIGN.md §4.12), so `--workers` bounds threads, not
 //! connections.
@@ -24,8 +23,8 @@ use hybrids_server::{Server, ServerOpts};
 
 fn usage() -> ! {
     eprintln!(
-        "usage: hybrids-server [--addr HOST:PORT] [--workers N] [--buckets N] \
-         [--max-inflight N] [--seed N] [--idle-timeout-ms MS]"
+        "usage: hybrids-server [--addr HOST:PORT] [--workers N] [--buckets N] [--seed N] \
+         [--idle-timeout-ms MS]"
     );
     exit(2)
 }
@@ -51,7 +50,6 @@ fn main() {
             "--addr" => opts.addr = value(&flag, &mut args),
             "--workers" => opts.workers = value(&flag, &mut args),
             "--buckets" => opts.buckets = value(&flag, &mut args),
-            "--max-inflight" => opts.max_inflight = value(&flag, &mut args),
             "--seed" => opts.seed = value(&flag, &mut args),
             "--idle-timeout-ms" => opts.evented.idle_timeout_ms = value(&flag, &mut args),
             "--help" | "-h" => usage(),

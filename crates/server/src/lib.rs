@@ -18,9 +18,9 @@
 //!   parsed command to response bytes,
 //! * [`ttl`] — memcached `exptime` semantics: absolute-expiry table,
 //!   lazy expiry on `get`, injectable clock,
-//! * [`runtime`] — the connection runtime: every worker is an epoll/poll
-//!   reactor executing its own connections' requests (connection state
-//!   machines, idle timer wheel, write backpressure, graceful drain),
+//! * [`runtime`] — the connection runtime (Linux-only): every worker is
+//!   an epoll reactor executing its own connections' requests (connection
+//!   state machines, idle sweep, write backpressure, graceful drain),
 //! * [`server`] — the `hybrids-server` facade: the reactor-worker host
 //!   threads of one native run,
 //! * [`loadgen`] — the `hybrids-loadgen` client: deterministic
@@ -39,7 +39,7 @@ pub mod ttl;
 
 pub use loadgen::{LoadReport, LoadgenOpts};
 pub use proto::{Command, Parsed, Parser};
-pub use runtime::{EventedOpts, PollerKind, RuntimeKind};
+pub use runtime::{EventedOpts, RuntimeKind};
 pub use server::{max_viable_workers, Server, ServerOpts};
 pub use service::{ServeCounters, Service};
 pub use ttl::{Clock, TtlTable};

@@ -4,23 +4,22 @@
 //!
 //! Request streams come from [`workloads::RequestSpec`] — a pure function
 //! of the seed — so two runs against the same server state issue identical
-//! byte sequences. Each connection runs on its own OS thread in one of
-//! two modes:
+//! byte sequences. There are two modes:
 //!
-//! * **closed-loop** (default) — send one request, read its full
-//!   response, repeat; latency is the request round trip, and the
-//!   offered load self-limits to the service rate.
-//! * **open-loop** (`rate: Some(_)`) — a paced writer sends each request
-//!   at its [`workloads::OpenLoop`] due time regardless of outstanding
-//!   responses, while a reader consumes responses in order; latency is
-//!   measured from the *due* time, so queueing delay shows up in the
-//!   percentiles instead of silently throttling the arrival process.
-//!
-//! Closed-loop runs can additionally multiplex connections over a small
-//! client-thread pool (`client_threads`): each thread drives its shard
-//! of connections in lockstep with one outstanding request per
-//! connection, keeping the generator cheap at connection counts where a
-//! thread-per-connection client would itself be the bottleneck.
+//! * **closed-loop** (default) — every connection keeps `pipeline`
+//!   requests outstanding (one, by default: send a request, read its full
+//!   response, repeat); latency is the request round trip, and the
+//!   offered load self-limits to the service rate. `client_threads`
+//!   threads share the connections, each driving its shard of them in
+//!   turn (`0` = one thread per connection), which keeps the generator
+//!   cheap at connection counts where a thread per connection would
+//!   itself be the bottleneck.
+//! * **open-loop** (`rate: Some(_)`) — one thread pair per connection: a
+//!   paced writer sends each request at its [`workloads::OpenLoop`] due
+//!   time regardless of outstanding responses, while a reader consumes
+//!   responses in order; latency is measured from the *due* time, so
+//!   queueing delay shows up in the percentiles instead of silently
+//!   throttling the arrival process.
 //!
 //! Per-request latencies are merged across connections for the percentile
 //! summary, and throughput is total requests over wall-clock time.
@@ -41,7 +40,7 @@ use crate::proto::{encode_request, Command};
 pub struct LoadgenOpts {
     /// Server address, e.g. `127.0.0.1:11211`.
     pub addr: String,
-    /// Concurrent connections (one OS thread each).
+    /// Concurrent connections.
     pub conns: u32,
     /// Timed requests per connection.
     pub per_conn: u32,
@@ -61,16 +60,14 @@ pub struct LoadgenOpts {
     /// connections; `None` runs closed-loop.
     pub rate: Option<u32>,
     /// Closed-loop only: drive all connections from this many client
-    /// threads instead of one thread per connection (`0` = thread per
-    /// connection). Each thread owns a shard of connections and runs
-    /// them in lockstep — a bounded window of outstanding requests per
-    /// connection — so the *client* stays cheap at connection counts
-    /// where a thread-per-connection generator becomes the benchmark
-    /// bottleneck.
+    /// threads (`0`, or more than `conns`, = one thread per connection).
+    /// Each thread owns a shard of connections and serves them in turn —
+    /// a bounded window of outstanding requests per connection — so the
+    /// *client* stays cheap at connection counts where a
+    /// thread-per-connection generator becomes the benchmark bottleneck.
     pub client_threads: u32,
-    /// Outstanding requests per connection in the multiplexed client
-    /// (memcached pipelining; clamped to at least 1). Matching the
-    /// server's `max_inflight` keeps every connection's lane busy.
+    /// Closed-loop only: outstanding requests per connection (memcached
+    /// pipelining; clamped to at least 1).
     pub pipeline: u32,
 }
 
@@ -212,13 +209,6 @@ impl Conn {
         }
         Ok(())
     }
-
-    /// Issue one request, wait for its complete response; records hit/miss
-    /// for gets.
-    fn round_trip(&mut self, req: &CacheRequest, stats: &mut ConnStats) -> io::Result<()> {
-        self.send(&request_command(req))?;
-        self.read_response(req, stats)
-    }
 }
 
 /// The wire command for one generated request.
@@ -249,29 +239,15 @@ fn preload(addr: &str, ks: &KeySpace) -> io::Result<()> {
     Ok(())
 }
 
-/// One connection's closed loop: send, await the response, repeat.
-/// Latency is the full round trip.
-fn run_conn_closed(addr: &str, stream: &[CacheRequest]) -> io::Result<ConnStats> {
-    let mut conn = Conn::connect(addr)?;
-    let mut stats =
-        ConnStats { latencies_ns: Vec::with_capacity(stream.len()), ..Default::default() };
-    for req in stream {
-        let t0 = Instant::now();
-        conn.round_trip(req, &mut stats)?;
-        stats.latencies_ns.push(t0.elapsed().as_nanos() as u64);
-    }
-    Ok(stats)
-}
-
-/// One client thread's sliding-window loop over a shard of connections:
-/// every connection keeps up to `window` requests outstanding
+/// One client thread's closed loop over a shard of connections (often
+/// just one): every connection keeps up to `window` requests outstanding
 /// (memcached pipelining), and each round the thread reads one response
-/// and tops the window back up on every connection in turn. Still
-/// closed-loop per connection (bounded outstanding), but many
-/// connections share one client thread, so the generator stays off the
-/// scheduler's back at connection counts where thread-per-connection
-/// clients would themselves be the bottleneck. Every connection is held
-/// open for the whole run.
+/// and tops the window back up on every connection in turn. Latency is
+/// the round trip from a request's send to its complete response. With
+/// many connections per thread the generator stays off the scheduler's
+/// back at connection counts where thread-per-connection clients would
+/// themselves be the bottleneck. Every connection is held open for the
+/// whole run.
 fn run_conns_muxed(
     addr: &str,
     streams: &[Vec<CacheRequest>],
@@ -369,40 +345,30 @@ pub fn run(opts: &LoadgenOpts) -> io::Result<LoadReport> {
         dist: opts.dist,
         mix: opts.mix,
     };
-    let mut streams = spec.generate(&ks);
+    let streams = spec.generate(&ks);
     let pace = opts.rate.and_then(|total| OpenLoop::split_total(total, opts.conns));
-    let mux = pace.is_none() && opts.client_threads > 0 && opts.client_threads < opts.conns;
+    // Connections per thread: one in open-loop mode and when no pool size
+    // is given, else an even split over the pool.
+    let shard = match (pace, opts.client_threads) {
+        (Some(_), _) | (None, 0) => 1,
+        (None, threads) => streams.len().div_ceil(threads as usize).max(1),
+    };
 
     let started = Instant::now();
     let mut handles = Vec::new();
-    if mux {
-        let shard = streams.len().div_ceil(opts.client_threads as usize);
-        for (t, chunk) in streams.chunks(shard).enumerate() {
-            let addr = opts.addr.clone();
-            let chunk = chunk.to_vec();
-            let window = opts.pipeline;
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("loadgen-mux-{t}"))
-                    .spawn(move || run_conns_muxed(&addr, &chunk, window))
-                    .expect("spawn loadgen thread"),
-            );
-        }
-    } else {
-        for (c, stream) in streams.drain(..).enumerate() {
-            let addr = opts.addr.clone();
-            handles.push(
-                std::thread::Builder::new()
-                    .name(format!("loadgen-{c}"))
-                    .spawn(move || -> io::Result<ConnStats> {
-                        match pace {
-                            Some(p) => run_conn_open(&addr, stream, p),
-                            None => run_conn_closed(&addr, &stream),
-                        }
-                    })
-                    .expect("spawn loadgen thread"),
-            );
-        }
+    for (t, chunk) in streams.chunks(shard).enumerate() {
+        let addr = opts.addr.clone();
+        let mut chunk = chunk.to_vec();
+        let window = opts.pipeline;
+        handles.push(
+            std::thread::Builder::new()
+                .name(format!("loadgen-{t}"))
+                .spawn(move || match pace {
+                    Some(p) => run_conn_open(&addr, chunk.pop().expect("one connection"), p),
+                    None => run_conns_muxed(&addr, &chunk, window),
+                })
+                .expect("spawn loadgen thread"),
+        );
     }
     let mut latencies = Vec::new();
     let mut get_hits = 0u64;

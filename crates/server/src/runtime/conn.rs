@@ -89,8 +89,8 @@ pub struct Conn<S> {
     pause_events: u64,
     /// Protocol errors not yet harvested by the reactor.
     proto_errors: u64,
-    /// Reactor tick of the last read or write activity (for the idle
-    /// wheel's lazy reinsertion).
+    /// Reactor tick of the last read activity (what the idle sweep
+    /// compares with the timeout).
     pub last_active: u64,
     cfg: ConnCfg,
 }

@@ -1,15 +1,14 @@
 //! Readiness polling behind a small [`Poller`] trait.
 //!
-//! The backend is a build-time fact. On Linux it is [`EpollPoller`] — a
-//! thin wrapper over raw `epoll_create1`/`epoll_ctl`/`epoll_wait`
-//! (level-triggered, which pairs naturally with the connection state
-//! machine's buffer-until-`WouldBlock` discipline). Everywhere else it is
-//! [`PollPoller`] over POSIX `poll(2)`: same trait, same semantics, O(n)
-//! per wait. Tests substitute [`PollerKind::Poll`] on Linux too, as a
-//! differential check that nothing in the runtime secretly depends on
-//! epoll behavior.
+//! There is one backend, [`EpollPoller`] — a thin wrapper over raw
+//! `epoll_create1`/`epoll_ctl`/`epoll_wait` (level-triggered, which pairs
+//! naturally with the connection state machine's buffer-until-`WouldBlock`
+//! discipline) — and [`Reactor::new`](super::reactor::Reactor::new) builds
+//! it. The trait is the seam a deterministic in-memory transport plugs
+//! into: a caller that wants another poller hands one to
+//! [`Reactor::with_poller`](super::reactor::Reactor::with_poller); no
+//! option selects one.
 
-use std::collections::HashMap;
 use std::io;
 use std::os::unix::io::RawFd;
 
@@ -61,42 +60,14 @@ pub trait Poller: Send {
     /// Wait up to `timeout_ms` (0 = poll, negative = forever) and append
     /// ready events to `events` (which is cleared first).
     fn poll(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()>;
-    /// Backend name for logs and bench records.
-    fn name(&self) -> &'static str;
-}
-
-/// Which poller backend to construct (no flag sets this: the default is
-/// the platform's backend, and tests substitute [`PollerKind::Poll`]).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum PollerKind {
-    /// Linux `epoll` (the default; `poll` off-Linux).
-    #[default]
-    Epoll,
-    /// Portable POSIX `poll(2)`.
-    Poll,
-}
-
-impl PollerKind {
-    /// Construct the chosen backend.
-    pub fn build(self) -> io::Result<Box<dyn Poller>> {
-        match self {
-            #[cfg(target_os = "linux")]
-            PollerKind::Epoll => Ok(Box::new(EpollPoller::new()?)),
-            #[cfg(not(target_os = "linux"))]
-            PollerKind::Epoll => Ok(Box::new(PollPoller::new())),
-            PollerKind::Poll => Ok(Box::new(PollPoller::new())),
-        }
-    }
 }
 
 /// Level-triggered epoll backend.
-#[cfg(target_os = "linux")]
 pub struct EpollPoller {
     epfd: RawFd,
     buf: Vec<sys::epoll_event>,
 }
 
-#[cfg(target_os = "linux")]
 impl EpollPoller {
     /// Create the epoll instance.
     pub fn new() -> io::Result<Self> {
@@ -120,7 +91,6 @@ impl EpollPoller {
     }
 }
 
-#[cfg(target_os = "linux")]
 impl Poller for EpollPoller {
     fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
         let ev = sys::epoll_event { events: Self::mask(interest), u64: token as u64 };
@@ -150,104 +120,11 @@ impl Poller for EpollPoller {
         }
         Ok(())
     }
-
-    fn name(&self) -> &'static str {
-        "epoll"
-    }
 }
 
-#[cfg(target_os = "linux")]
 impl Drop for EpollPoller {
     fn drop(&mut self) {
         sys::close_fd(self.epfd);
-    }
-}
-
-/// Portable `poll(2)` backend: a flat fd table rebuilt per wait.
-pub struct PollPoller {
-    entries: HashMap<RawFd, (usize, Interest)>,
-    fds: Vec<sys::pollfd>,
-}
-
-impl PollPoller {
-    /// Empty registration table.
-    pub fn new() -> Self {
-        PollPoller { entries: HashMap::new(), fds: Vec::new() }
-    }
-}
-
-impl Default for PollPoller {
-    fn default() -> Self {
-        PollPoller::new()
-    }
-}
-
-impl Poller for PollPoller {
-    fn register(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        if self.entries.insert(fd, (token, interest)).is_some() {
-            return Err(io::Error::new(io::ErrorKind::AlreadyExists, "fd already registered"));
-        }
-        Ok(())
-    }
-
-    fn reregister(&mut self, fd: RawFd, token: usize, interest: Interest) -> io::Result<()> {
-        match self.entries.get_mut(&fd) {
-            Some(slot) => {
-                *slot = (token, interest);
-                Ok(())
-            }
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
-        match self.entries.remove(&fd) {
-            Some(_) => Ok(()),
-            None => Err(io::Error::new(io::ErrorKind::NotFound, "fd not registered")),
-        }
-    }
-
-    fn poll(&mut self, events: &mut Vec<Event>, timeout_ms: i32) -> io::Result<()> {
-        events.clear();
-        self.fds.clear();
-        for (&fd, &(_, interest)) in &self.entries {
-            let mut mask = 0i16;
-            if interest.read {
-                mask |= sys::POLLIN;
-            }
-            if interest.write {
-                mask |= sys::POLLOUT;
-            }
-            // Zero-interest fds stay in the set: POLLERR/POLLHUP are
-            // reported regardless of the requested mask.
-            self.fds.push(sys::pollfd { fd, events: mask, revents: 0 });
-        }
-        if self.fds.is_empty() {
-            // Nothing registered: honor the timeout so the reactor still
-            // ticks its timer wheel.
-            if timeout_ms > 0 {
-                std::thread::sleep(std::time::Duration::from_millis(timeout_ms as u64));
-            }
-            return Ok(());
-        }
-        sys::poll_fds(&mut self.fds, timeout_ms)?;
-        for pfd in &self.fds {
-            if pfd.revents == 0 {
-                continue;
-            }
-            let token = self.entries[&pfd.fd].0;
-            events.push(Event {
-                token,
-                readable: pfd.revents & sys::POLLIN != 0,
-                writable: pfd.revents & sys::POLLOUT != 0,
-                hangup: pfd.revents & (sys::POLLERR | sys::POLLHUP) != 0,
-            });
-        }
-        Ok(())
-    }
-
-    fn name(&self) -> &'static str {
-        "poll"
     }
 }
 
@@ -266,7 +143,9 @@ mod tests {
         (a, b)
     }
 
-    fn backend_contract(mut p: Box<dyn Poller>) {
+    #[test]
+    fn epoll_backend_honors_the_contract() {
+        let mut p = EpollPoller::new().unwrap();
         let (mut a, b) = pair();
         b.set_nonblocking(true).unwrap();
         let fd = b.as_raw_fd();
@@ -274,11 +153,11 @@ mod tests {
 
         let mut events = Vec::new();
         p.poll(&mut events, 0).unwrap();
-        assert!(events.is_empty(), "{}: idle socket reported ready", p.name());
+        assert!(events.is_empty(), "idle socket reported ready");
 
         a.write_all(b"hi").unwrap();
         p.poll(&mut events, 2_000).unwrap();
-        assert_eq!(events.len(), 1, "{}", p.name());
+        assert_eq!(events.len(), 1);
         assert_eq!(events[0].token, 9);
         assert!(events[0].readable);
 
@@ -288,40 +167,19 @@ mod tests {
         p.poll(&mut events, 10).unwrap();
         assert!(
             events.iter().all(|e| !e.readable || e.hangup),
-            "{}: parked fd still readable: {events:?}",
-            p.name()
+            "parked fd still readable: {events:?}"
         );
 
         // Write interest on an idle socket fires immediately.
         p.reregister(fd, 9, Interest::BOTH).unwrap();
         p.poll(&mut events, 2_000).unwrap();
-        assert!(events.iter().any(|e| e.writable), "{}", p.name());
+        assert!(events.iter().any(|e| e.writable));
 
         // Peer close surfaces as readable (EOF) and/or hangup.
         drop(a);
         p.poll(&mut events, 2_000).unwrap();
-        assert!(
-            events.iter().any(|e| e.readable || e.hangup),
-            "{}: close invisible: {events:?}",
-            p.name()
-        );
+        assert!(events.iter().any(|e| e.readable || e.hangup), "close invisible: {events:?}");
         p.deregister(fd).unwrap();
-        assert!(p.deregister(fd).is_err(), "{}: double deregister", p.name());
-    }
-
-    #[test]
-    fn poll_backend_honors_the_contract() {
-        backend_contract(Box::new(PollPoller::new()));
-    }
-
-    #[cfg(target_os = "linux")]
-    #[test]
-    fn epoll_backend_honors_the_contract() {
-        backend_contract(Box::new(EpollPoller::new().unwrap()));
-    }
-
-    #[test]
-    fn poll_kind_builds_the_poll_backend() {
-        assert_eq!(PollerKind::Poll.build().unwrap().name(), "poll");
+        assert!(p.deregister(fd).is_err(), "double deregister");
     }
 }

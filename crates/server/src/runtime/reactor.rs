@@ -28,9 +28,8 @@ use crate::proto::Command;
 use crate::service::{ServeCounters, Service};
 
 use super::conn::Conn;
-use super::poller::{Interest, Poller};
+use super::poller::{EpollPoller, Event, Interest, Poller};
 use super::sys;
-use super::timer::TimerWheel;
 use super::EventedOpts;
 
 /// Poller token reserved for the self-pipe waker.
@@ -99,20 +98,29 @@ pub struct Reactor {
     acceptor: Option<Acceptor>,
     entries: Vec<Option<Entry>>,
     free: Vec<usize>,
-    wheel: TimerWheel,
     opts: EventedOpts,
     counters: Arc<ServeCounters>,
     shutdown: Arc<AtomicBool>,
 }
 
 impl Reactor {
-    /// Build a reactor with an empty inbox and no listener.
+    /// Build a reactor over `epoll` with an empty inbox and no listener.
     pub fn new(
         opts: &EventedOpts,
         counters: Arc<ServeCounters>,
         shutdown: Arc<AtomicBool>,
     ) -> io::Result<Reactor> {
-        let mut poller = opts.poller.build()?;
+        Reactor::with_poller(Box::new(EpollPoller::new()?), opts, counters, shutdown)
+    }
+
+    /// [`Reactor::new`] over a caller-supplied poller (an in-memory
+    /// transport's, or a test's).
+    pub fn with_poller(
+        mut poller: Box<dyn Poller>,
+        opts: &EventedOpts,
+        counters: Arc<ServeCounters>,
+        shutdown: Arc<AtomicBool>,
+    ) -> io::Result<Reactor> {
         let (waker_rx, waker_tx) = sys::pipe_nonblocking()?;
         poller.register(waker_rx, WAKER_TOKEN, Interest::READ)?;
         Ok(Reactor {
@@ -125,7 +133,6 @@ impl Reactor {
             acceptor: None,
             entries: Vec::new(),
             free: Vec::new(),
-            wheel: TimerWheel::new(),
             opts: *opts,
             counters,
             shutdown,
@@ -154,7 +161,6 @@ impl Reactor {
         let idle_ticks = (self.opts.idle_timeout_ms / tick_ms).max(1);
         let mut events = Vec::new();
         let mut dispatch: Vec<(u64, Command)> = Vec::new();
-        let mut expired: Vec<usize> = Vec::new();
         let mut last_tick = 0u64;
         let mut draining = false;
         let mut drain_deadline = Instant::now();
@@ -177,7 +183,7 @@ impl Reactor {
             self.handle.waker.pending.store(false, Ordering::Release);
             let new_conns = std::mem::take(&mut *self.handle.inbox.lock());
             for stream in new_conns {
-                self.admit(stream, now_tick, idle_ticks, draining);
+                self.admit(stream, now_tick, draining);
             }
 
             for &ev in &events {
@@ -189,10 +195,7 @@ impl Reactor {
             }
 
             if now_tick > last_tick {
-                self.wheel.advance(now_tick, &mut expired);
-                for idx in expired.drain(..) {
-                    self.check_idle(idx, now_tick, idle_ticks);
-                }
+                self.sweep_idle(last_tick, now_tick, idle_ticks);
                 last_tick = now_tick;
             }
 
@@ -249,7 +252,7 @@ impl Reactor {
     }
 
     /// Register a freshly accepted connection (or drop it mid-drain).
-    fn admit(&mut self, stream: TcpStream, now_tick: u64, idle_ticks: u64, draining: bool) {
+    fn admit(&mut self, stream: TcpStream, now_tick: u64, draining: bool) {
         if draining {
             return; // accepted after shutdown began: just close it
         }
@@ -272,14 +275,13 @@ impl Reactor {
         let mut conn = Conn::new(stream, self.opts.conn_cfg());
         conn.last_active = now_tick;
         self.entries[idx] = Some(Entry { conn, interest: Interest::READ });
-        self.wheel.insert(idx, now_tick + idle_ticks);
     }
 
     /// React to one readiness event on a connection: read, parse, execute
     /// what was dispatched, and queue the responses, all on this thread.
     fn handle_event(
         &mut self,
-        ev: super::poller::Event,
+        ev: Event,
         now_tick: u64,
         ctx: &mut ThreadCtx,
         service: &Service,
@@ -354,19 +356,22 @@ impl Reactor {
         }
     }
 
-    /// Evict or re-arm an idle-wheel entry that just popped.
-    fn check_idle(&mut self, idx: usize, now_tick: u64, idle_ticks: u64) {
-        let Some(entry) = self.entries.get(idx).and_then(Option::as_ref) else {
-            return; // closed before its timer popped
-        };
-        let due = entry.conn.last_active + idle_ticks;
-        if now_tick >= due {
-            self.counters.idle_evicted.fetch_add(1, Ordering::Relaxed);
-            self.teardown(idx);
-        } else {
-            // Lazy reinsertion: it saw traffic since arming; re-arm from
-            // its actual last activity.
-            self.wheel.insert(idx, due);
+    /// Idle eviction, called as the tick moves from `last_tick` to
+    /// `now_tick`: eight times per idle timeout (whenever the tick crosses
+    /// a multiple of `idle_ticks / 8`) every connection is looked at once
+    /// and those silent for `idle_ticks` are closed, so an idle connection
+    /// outlives its timeout by at most an eighth of it.
+    fn sweep_idle(&mut self, last_tick: u64, now_tick: u64, idle_ticks: u64) {
+        let every = (idle_ticks / 8).max(1);
+        if now_tick / every == last_tick / every {
+            return;
+        }
+        let idle = |e: &Entry| now_tick >= e.conn.last_active + idle_ticks;
+        for idx in 0..self.entries.len() {
+            if self.entries[idx].as_ref().is_some_and(idle) {
+                self.counters.idle_evicted.fetch_add(1, Ordering::Relaxed);
+                self.teardown(idx);
+            }
         }
     }
 
@@ -390,15 +395,14 @@ impl Drop for Reactor {
 
 #[cfg(test)]
 mod tests {
-    use super::super::poller::PollerKind;
     use super::*;
+    use std::net::TcpListener;
 
     #[test]
     fn waker_collapses_repeat_wakes() {
         let shutdown = Arc::new(AtomicBool::new(false));
         let counters = Arc::new(ServeCounters::default());
-        let opts = EventedOpts { poller: PollerKind::Poll, ..EventedOpts::default() };
-        let reactor = Reactor::new(&opts, counters, shutdown).unwrap();
+        let reactor = Reactor::new(&EventedOpts::default(), counters, shutdown).unwrap();
         let handle = reactor.handle();
         // First wake writes a byte and latches; repeats are absorbed.
         handle.wake();
@@ -408,5 +412,79 @@ mod tests {
         let mut buf = [0u8; 16];
         let n = sys::read_fd(reactor.waker_rx, &mut buf).unwrap();
         assert_eq!(n, 1, "three wakes, one byte");
+    }
+
+    /// A poller that never reports readiness and records what it watches.
+    struct WatchList(Arc<Mutex<Vec<RawFd>>>);
+
+    impl Poller for WatchList {
+        fn register(&mut self, fd: RawFd, _token: usize, _interest: Interest) -> io::Result<()> {
+            self.0.lock().push(fd);
+            Ok(())
+        }
+        fn reregister(&mut self, _fd: RawFd, _token: usize, _interest: Interest) -> io::Result<()> {
+            Ok(())
+        }
+        fn deregister(&mut self, fd: RawFd) -> io::Result<()> {
+            self.0.lock().retain(|&watched| watched != fd);
+            Ok(())
+        }
+        fn poll(&mut self, events: &mut Vec<Event>, _timeout_ms: i32) -> io::Result<()> {
+            events.clear();
+            Ok(())
+        }
+    }
+
+    #[test]
+    fn idle_sweep_spares_recent_traffic_and_evicts_within_an_eighth_past_the_timeout() {
+        const IDLE: u64 = 80;
+        let watched = Arc::new(Mutex::new(Vec::new()));
+        let counters = Arc::new(ServeCounters::default());
+        let mut reactor = Reactor::with_poller(
+            Box::new(WatchList(Arc::clone(&watched))),
+            &EventedOpts::default(),
+            Arc::clone(&counters),
+            Arc::new(AtomicBool::new(false)),
+        )
+        .unwrap();
+        let listener = TcpListener::bind("127.0.0.1:0").unwrap();
+        // Both connections arrive at tick 3; the clients stay open throughout.
+        let mut admit = || {
+            let client = TcpStream::connect(listener.local_addr().unwrap()).unwrap();
+            let (stream, _) = listener.accept().unwrap();
+            let fd = stream.as_raw_fd();
+            reactor.admit(stream, 3, false);
+            (client, fd)
+        };
+        let (_quiet_client, quiet) = admit();
+        let (_busy_client, busy) = admit();
+        let (quiet_idx, busy_idx) = (0, 1);
+        let live = |r: &Reactor, idx: usize| r.entries[idx].is_some();
+
+        let mut quiet_evicted_at = None;
+        let mut busy_evicted_at = None;
+        for tick in 4..=200 {
+            if tick == 60 {
+                // Traffic: what `handle_event` stamps on a readable event.
+                reactor.entries[busy_idx].as_mut().unwrap().conn.last_active = tick;
+            }
+            reactor.sweep_idle(tick - 1, tick, IDLE);
+            if quiet_evicted_at.is_none() && !live(&reactor, quiet_idx) {
+                quiet_evicted_at = Some(tick);
+                assert!(live(&reactor, busy_idx), "traffic at tick 60 is inside the timeout");
+                assert!(!watched.lock().contains(&quiet) && watched.lock().contains(&busy));
+            }
+            if busy_evicted_at.is_none() && !live(&reactor, busy_idx) {
+                busy_evicted_at = Some(tick);
+            }
+        }
+        let within = |at: Option<u64>, last_active: u64| {
+            let at = at.expect("evicted");
+            (last_active + IDLE..=last_active + IDLE + IDLE / 8).contains(&at)
+        };
+        assert!(within(quiet_evicted_at, 3), "quiet conn evicted at {quiet_evicted_at:?}");
+        assert!(within(busy_evicted_at, 60), "busy conn evicted at {busy_evicted_at:?}");
+        assert_eq!(counters.idle_evicted.load(Ordering::Relaxed), 2);
+        assert!(!watched.lock().contains(&busy));
     }
 }

@@ -2,32 +2,19 @@
 //! repository that declares foreign functions.
 //!
 //! The build environment vendors no `libc` crate, so the handful of
-//! syscalls the reactor needs (`epoll_*`, `poll`, `pipe`, `fcntl`) are
-//! declared here as `extern "C"` items against the libc that `std`
-//! already links. Everything is wrapped in small safe(ish) helpers that
-//! translate `-1` into [`io::Error::last_os_error`]; nothing outside
+//! syscalls the reactor needs (`epoll_*`, `pipe`, `fcntl`, `setsockopt`)
+//! are declared here as `extern "C"` items against the libc that `std`
+//! already links. The constants are Linux's (the runtime refuses to
+//! compile anywhere else, see [`super`]). Everything is wrapped in small
+//! safe(ish) helpers that translate `-1` into
+//! [`io::Error::last_os_error`]; nothing outside
 //! `crates/server/src/runtime/` may name these symbols (the xtask
-//! net-confinement lint enforces it).
+//! sys-confinement lint enforces it).
 
 #![allow(non_camel_case_types)]
 
 use std::io;
 use std::os::unix::io::RawFd;
-
-/// `nfds_t` for `poll(2)` (a `c_ulong` on every platform we build for).
-pub type nfds_t = core::ffi::c_ulong;
-
-/// One `struct pollfd` entry for `poll(2)`.
-#[repr(C)]
-#[derive(Debug, Clone, Copy)]
-pub struct pollfd {
-    /// File descriptor to watch.
-    pub fd: RawFd,
-    /// Requested events ([`POLLIN`] / [`POLLOUT`]).
-    pub events: i16,
-    /// Returned events.
-    pub revents: i16,
-}
 
 /// One `struct epoll_event`. Packed on x86-64, exactly as in the kernel
 /// ABI (`__EPOLL_PACKED`).
@@ -40,15 +27,6 @@ pub struct epoll_event {
     /// Caller-owned cookie returned verbatim with each event.
     pub u64: u64,
 }
-
-/// Readable readiness (`poll` and `epoll` share the low event bits).
-pub const POLLIN: i16 = 0x001;
-/// Writable readiness.
-pub const POLLOUT: i16 = 0x004;
-/// Error condition (revents only).
-pub const POLLERR: i16 = 0x008;
-/// Peer hung up (revents only).
-pub const POLLHUP: i16 = 0x010;
 
 /// `epoll` readable interest/readiness.
 pub const EPOLLIN: u32 = 0x001;
@@ -78,31 +56,16 @@ pub const F_SETFL: i32 = 4;
 pub const O_NONBLOCK: i32 = 0o4000;
 
 /// `setsockopt` level for socket-level options.
-#[cfg(target_os = "linux")]
 pub const SOL_SOCKET: i32 = 1;
-/// `setsockopt` level for socket-level options (BSD/macOS value).
-#[cfg(not(target_os = "linux"))]
-pub const SOL_SOCKET: i32 = 0xffff;
 /// Kernel send-buffer size option.
-#[cfg(target_os = "linux")]
 pub const SO_SNDBUF: i32 = 7;
-/// Kernel send-buffer size option (BSD/macOS value).
-#[cfg(not(target_os = "linux"))]
-pub const SO_SNDBUF: i32 = 0x1001;
-/// Kernel receive-buffer size option.
-#[cfg(target_os = "linux")]
-pub const SO_RCVBUF: i32 = 8;
-/// Kernel receive-buffer size option (BSD/macOS value).
-#[cfg(not(target_os = "linux"))]
-pub const SO_RCVBUF: i32 = 0x1002;
 
 extern "C" {
     fn epoll_create1(flags: i32) -> i32;
     fn epoll_ctl(epfd: i32, op: i32, fd: i32, event: *mut epoll_event) -> i32;
     fn epoll_wait(epfd: i32, events: *mut epoll_event, maxevents: i32, timeout: i32) -> i32;
-    fn poll(fds: *mut pollfd, nfds: nfds_t, timeout: i32) -> i32;
     fn pipe(fds: *mut i32) -> i32;
-    fn fcntl(fd: i32, cmd: i32, arg: i32) -> i32;
+    fn fcntl(fd: i32, cmd: i32, ...) -> i32;
     fn setsockopt(fd: i32, level: i32, optname: i32, optval: *const u8, optlen: u32) -> i32;
     fn read(fd: i32, buf: *mut u8, count: usize) -> isize;
     fn write(fd: i32, buf: *const u8, count: usize) -> isize;
@@ -153,21 +116,6 @@ pub fn epoll_wait_events(
     }
 }
 
-/// POSIX `poll(2)`; returns how many fds have non-zero `revents`.
-/// `EINTR` is retried internally.
-pub fn poll_fds(fds: &mut [pollfd], timeout_ms: i32) -> io::Result<usize> {
-    loop {
-        let n = unsafe { poll(fds.as_mut_ptr(), fds.len() as nfds_t, timeout_ms) };
-        if n >= 0 {
-            return Ok(n as usize);
-        }
-        let err = io::Error::last_os_error();
-        if err.kind() != io::ErrorKind::Interrupted {
-            return Err(err);
-        }
-    }
-}
-
 /// Create a non-blocking pipe: `(read_end, write_end)`.
 pub fn pipe_nonblocking() -> io::Result<(RawFd, RawFd)> {
     let mut fds = [0i32; 2];
@@ -193,17 +141,8 @@ pub fn set_nonblocking(fd: RawFd) -> io::Result<()> {
 /// rather than the connection's write-queue watermarks — absorb a
 /// non-draining peer's backlog.
 pub fn set_send_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    set_sockopt_int(fd, SO_SNDBUF, bytes as i32)
-}
-
-/// Cap a socket's kernel receive buffer (`SO_RCVBUF`).
-pub fn set_recv_buffer(fd: RawFd, bytes: usize) -> io::Result<()> {
-    set_sockopt_int(fd, SO_RCVBUF, bytes as i32)
-}
-
-fn set_sockopt_int(fd: RawFd, optname: i32, value: i32) -> io::Result<()> {
-    let bytes = value.to_ne_bytes();
-    cvt(unsafe { setsockopt(fd, SOL_SOCKET, optname, bytes.as_ptr(), bytes.len() as u32) })
+    let value = (bytes as i32).to_ne_bytes();
+    cvt(unsafe { setsockopt(fd, SOL_SOCKET, SO_SNDBUF, value.as_ptr(), value.len() as u32) })
         .map(|_| ())
 }
 
@@ -253,7 +192,6 @@ mod tests {
         close_fd(w);
     }
 
-    #[cfg(target_os = "linux")]
     #[test]
     fn epoll_sees_pipe_readability() {
         let ep = epoll_create().unwrap();
@@ -269,18 +207,6 @@ mod tests {
         assert_eq!({ ev.u64 }, 77);
         assert_ne!(ev.events & EPOLLIN, 0);
         close_fd(ep);
-        close_fd(r);
-        close_fd(w);
-    }
-
-    #[test]
-    fn poll_sees_pipe_readability() {
-        let (r, w) = pipe_nonblocking().unwrap();
-        let mut fds = [pollfd { fd: r, events: POLLIN, revents: 0 }];
-        assert_eq!(poll_fds(&mut fds, 0).unwrap(), 0, "idle pipe");
-        write_fd(w, &[1]).unwrap();
-        assert_eq!(poll_fds(&mut fds, 1_000).unwrap(), 1);
-        assert_ne!(fds[0].revents & POLLIN, 0);
         close_fd(r);
         close_fd(w);
     }

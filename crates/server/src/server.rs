@@ -4,7 +4,7 @@
 //!
 //! Each of the `workers` is a reactor (see [`crate::runtime`] and
 //! `DESIGN.md` §4.12): it multiplexes its share of the connections over
-//! epoll/poll and executes their requests inline; worker 0 also accepts.
+//! epoll and executes their requests inline; worker 0 also accepts.
 //! Each worker is a *host thread of the native run* (a distinct host core
 //! of the machine model), so its `ThreadCtx` can drive the
 //! publication-list offload client directly — the exact same
@@ -49,7 +49,11 @@ pub struct ServerOpts {
     pub workers: usize,
     /// Hash-map buckets (multiple of the machine's partition count).
     pub buckets: u32,
-    /// Offload lanes per host core.
+    /// Offload lanes (publication-list slots per partition) per host core.
+    /// The service posts blocking operations, which use lane 0 only; lanes
+    /// 1.. are slots every combining pass scans and nobody fills, until
+    /// batching a reactor's ready set through `issue`/`poll` (parked in
+    /// ROADMAP) gives them a poster. No flag sets this.
     pub max_inflight: usize,
     /// Hash seed for the map.
     pub seed: u64,
@@ -96,7 +100,7 @@ fn validate(opts: &ServerOpts, cfg: &Config) -> io::Result<()> {
         return Err(invalid("--workers 0: need at least one worker".into()));
     }
     if opts.max_inflight == 0 {
-        return Err(invalid("--max-inflight 0: need at least one offload lane per worker".into()));
+        return Err(invalid("max_inflight 0: need at least one offload lane per worker".into()));
     }
     let parts = cfg.nmp_partitions() as u32;
     if opts.buckets == 0 || !opts.buckets.is_multiple_of(parts) {
@@ -232,7 +236,7 @@ mod tests {
     fn zero_lanes_is_invalid_input() {
         let e = rejected(ServerOpts { max_inflight: 0, ..ServerOpts::default() });
         assert_eq!(e.kind(), io::ErrorKind::InvalidInput);
-        assert!(e.to_string().starts_with("--max-inflight 0:"), "{e}");
+        assert!(e.to_string().starts_with("max_inflight 0:"), "{e}");
     }
 
     #[test]

@@ -11,7 +11,10 @@
 //! `get`/`gets` that touches an expired key treats it as a miss, removes
 //! the key from the map and the table, and bumps the `serve_expired`
 //! counter. Every request reaches the table through
-//! [`crate::service::Service`].
+//! [`crate::service::Service`], which holds the key's [`TtlGuard`] across
+//! its check, its map operation and its table update whenever it changes
+//! the map, so that the table and the map change together (the read of a
+//! live key changes neither and runs after the guard is dropped).
 //!
 //! The clock is injectable ([`Clock::Manual`]) so tests can advance time
 //! deterministically instead of sleeping.
@@ -21,7 +24,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{SystemTime, UNIX_EPOCH};
 
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
 
 use workloads::Key;
 
@@ -89,39 +92,71 @@ impl TtlTable {
         }
     }
 
-    /// Record the expiry of a freshly stored key (a `set` with
-    /// `exptime = 0` clears any previous expiry, as in memcached).
+    /// Lock `key`'s shard: until the guard drops, no other thread reads or
+    /// changes the expiry of `key` (or of the keys sharing its shard).
+    pub fn lock(&self, key: Key) -> TtlGuard<'_> {
+        TtlGuard { shard: self.shard(key).lock(), table: self, key }
+    }
+
+    /// [`TtlGuard::on_set`] under a lock of its own.
     pub fn on_set(&self, key: Key, exptime: u32) {
-        let mut shard = self.shard(key).lock();
-        match self.absolute_expiry(exptime) {
-            Some(at) => {
-                shard.insert(key, at);
-            }
-            None => {
-                shard.remove(&key);
-            }
-        }
+        self.lock(key).on_set(exptime);
     }
 
-    /// Forget a key's expiry (on `delete`, or after lazy expiry).
-    pub fn on_remove(&self, key: Key) {
-        self.shard(key).lock().remove(&key);
-    }
-
-    /// Whether `key` has an expiry that has already passed. memcached
-    /// expires at the boundary second: a key set with `exptime = 1`
-    /// is dead once `now >= stored_at + 1`.
+    /// [`TtlGuard::is_expired`] under a lock of its own.
     pub fn is_expired(&self, key: Key) -> bool {
-        let shard = self.shard(key).lock();
-        match shard.get(&key) {
-            Some(&at) => self.clock.now() >= at,
-            None => false,
-        }
+        self.lock(key).is_expired()
     }
 
     /// Number of keys currently carrying an expiry (observability only).
     pub fn tracked(&self) -> usize {
         self.shards.iter().map(|s| s.lock().len()).sum()
+    }
+}
+
+/// One key's expiry, with its shard locked. `Service::execute` holds it
+/// from its expiry check, across the map operation, to the table update: a
+/// `get` that finds the key stale and a `set` of the same key cannot
+/// interleave, so the stale entry's removal never takes a fresh value with
+/// it. Only writers hold it that long: a `get` that finds the key live
+/// drops it before its `Read`, so reads of one hot key do not queue behind
+/// each other's map round trips.
+///
+/// Lock order: a thread holds at most one guard, and takes it *before* its
+/// map operation — so before the partition try-lock of a caller-run
+/// combining pass (`hybrids::publist`). A pass never takes a TTL lock and
+/// never waits for a thread that holds one, so the two locks cannot form a
+/// cycle: whoever holds a partition always finishes its pass.
+pub struct TtlGuard<'a> {
+    shard: MutexGuard<'a, HashMap<Key, u64>>,
+    table: &'a TtlTable,
+    key: Key,
+}
+
+impl TtlGuard<'_> {
+    /// Whether the key has an expiry that has already passed. memcached
+    /// expires at the boundary second: a key set with `exptime = 1` is dead
+    /// once `now >= stored_at + 1`.
+    pub fn is_expired(&self) -> bool {
+        self.shard.get(&self.key).is_some_and(|&at| self.table.clock.now() >= at)
+    }
+
+    /// Record the expiry of the freshly stored key (a `set` with
+    /// `exptime = 0` clears any previous expiry, as in memcached).
+    pub fn on_set(&mut self, exptime: u32) {
+        match self.table.absolute_expiry(exptime) {
+            Some(at) => {
+                self.shard.insert(self.key, at);
+            }
+            None => {
+                self.shard.remove(&self.key);
+            }
+        }
+    }
+
+    /// Forget the key's expiry (on `delete`, or after lazy expiry).
+    pub fn on_remove(&mut self) {
+        self.shard.remove(&self.key);
     }
 }
 
@@ -169,7 +204,7 @@ mod tests {
         assert!(!t.is_expired(7));
 
         t.on_set(9, 5);
-        t.on_remove(9);
+        t.lock(9).on_remove();
         assert_eq!(t.tracked(), 0);
     }
 

@@ -448,7 +448,7 @@ fn pipelined_get_sees_the_set_before_it_on_every_connection() {
 }
 
 #[test]
-fn idle_connections_are_evicted_by_the_timer_wheel() {
+fn idle_connections_are_evicted() {
     let opts = EventedOpts { idle_timeout_ms: 150, tick_ms: 10, ..EventedOpts::default() };
     let server = evented_server(opts, Clock::System);
     let addr = server.addr();
@@ -458,7 +458,7 @@ fn idle_connections_are_evicted_by_the_timer_wheel() {
     idle.write_all(b"get 1\r\n").unwrap();
     read_exactly(&mut idle, b"END\r\n".len());
 
-    // …then going quiet gets it closed by the wheel, seen as EOF.
+    // …then going quiet gets it closed by the idle sweep, seen as EOF.
     idle.set_read_timeout(Some(Duration::from_secs(5))).unwrap();
     let start = Instant::now();
     let mut buf = [0u8; 16];
@@ -535,22 +535,4 @@ fn exptime_expires_lazily_under_manual_clock() {
     assert_eq!(counters.serve_expired.load(Ordering::Relaxed), 1);
     // The lazy expiry really removed the key from the map.
     assert!(map.collect().is_empty());
-}
-
-#[test]
-fn poll_fallback_backend_serves_identically() {
-    let opts = EventedOpts { poller: hybrids_server::PollerKind::Poll, ..EventedOpts::default() };
-    let server = evented_server(opts, Clock::System);
-    let addr = server.addr();
-
-    let mut s = TcpStream::connect(addr).unwrap();
-    s.write_all(b"set 8 0 0 1\r\n4\r\nget 8\r\n").unwrap();
-    let mut want = Vec::new();
-    want.extend_from_slice(proto::encode_stored());
-    want.extend_from_slice(&proto::encode_get(&[(8, 4)]));
-    assert_eq!(read_exactly(&mut s, want.len()), want);
-    drop(s);
-
-    shut_down(addr);
-    server.wait();
 }

@@ -87,12 +87,6 @@ impl Rng {
         (self.next_u64() >> 11) as f64 * (1.0 / (1u64 << 53) as f64)
     }
 
-    /// Bernoulli draw.
-    #[inline]
-    pub fn chance(&mut self, p: f64) -> bool {
-        self.unit_f64() < p
-    }
-
     /// Geometric "coin-flip" height in `[1, max]` with p = 1/2 per level —
     /// the skiplist node-height distribution.
     pub fn skiplist_height(&mut self, max: u32) -> u32 {

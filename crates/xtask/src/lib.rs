@@ -23,14 +23,6 @@
 //!   `OpCode::X` variant mentioned outside `fn effect_spec` must also be
 //!   mentioned inside one, so an op handled (or posted) by the file cannot
 //!   silently miss its effect declaration.
-//! * **shard-ownership** — the sharded engine's cross-shard state is only
-//!   touchable through its accessor modules: per-vault DRAM timing state
-//!   (`parts_t` / `host_t` / `PartTiming` / `HostTiming`) belongs to
-//!   `mem.rs`, and the scheduler's frontier/stop words (`frontiers`,
-//!   `nd_live`, `nd_last_key`, `after_stop`) belong to `engine/barrier.rs`
-//!   (`ShardCtl`'s methods are the API). Any other simulator file naming
-//!   these fields is bypassing the ownership discipline that makes sharded
-//!   runs byte-identical to sequential ones (DESIGN.md §4.9).
 //! * **policy-confinement** — the self-tuning offload policy's state
 //!   machines (`CombinerControl`, `LaneGovernor`) and decisions
 //!   (`sort_batch`, `coalesce_run_len`, `config().policy` branches) live
@@ -119,16 +111,6 @@ pub const POLICY_MODULES: &[&str] = &[
     "crates/hybrids/src/driver.rs",
 ];
 
-/// The one file allowed to name the per-vault DRAM timing state (`parts_t`
-/// / `host_t` and the `PartTiming` / `HostTiming` types): the memory system
-/// that owns those locks and routes every access through the owning shard.
-pub const VAULT_STATE_MODULE: &str = "crates/nmp-sim/src/mem.rs";
-
-/// The one file allowed to name the cross-shard scheduler words
-/// (`frontiers`, `nd_live`, `nd_last_key`, `after_stop`): the barrier
-/// module whose `ShardCtl` methods are the sanctioned accessor API.
-pub const SHARD_CTL_MODULE: &str = "crates/nmp-sim/src/engine/barrier.rs";
-
 /// The only crate allowed to touch sockets: the cache-server front end
 /// (its runtime, loadgen, bins, and tests). Everything else in the tree is
 /// a deterministic, network-free layer.
@@ -141,8 +123,8 @@ pub const SYS_SCOPE: &str = "crates/server/src/runtime/";
 
 /// Directories scanned by [`lint_tree`], relative to the repo root. The
 /// simulator crate (`nmp-sim` implements `Ram` and the memory model) is
-/// exempt from the effect-discipline rules but IS scanned for the
-/// `shard-ownership` rule; the vendored stand-in crates are out of scope
+/// exempt from the effect-discipline rules but IS scanned for the net- and
+/// sys-confinement rules; the vendored stand-in crates are out of scope
 /// entirely.
 pub const SCAN_ROOTS: &[&str] = &[
     "src",
@@ -430,15 +412,6 @@ const RAW_MEM_TOKENS: &[&str] =
 /// MMIO channel tokens (matches `mmio_write_u64_release` etc.).
 const MMIO_TOKENS: &[&str] = &["mmio_read_u", "mmio_write_u"];
 
-/// Per-vault DRAM timing state: fields and types owned by
-/// [`VAULT_STATE_MODULE`].
-const VAULT_STATE_TOKENS: &[&str] = &["parts_t", "host_t", "PartTiming", "HostTiming"];
-
-/// Cross-shard scheduler words owned by [`SHARD_CTL_MODULE`]; everything
-/// else goes through `ShardCtl`'s publish/gate/stop methods.
-const SHARD_CTL_TOKENS: &[&str] =
-    &["frontiers", "nd_frontier", "nd_live", "nd_last_key", "after_stop"];
-
 /// Socket vocabulary confined to [`NET_SCOPE`]. Identifier-boundary
 /// matched, so e.g. `TcpStreamLike` in a doc example would still trip —
 /// deliberately strict.
@@ -607,38 +580,8 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
     }
 
     // The simulator crate implements `Ram`, the MMIO channel and the
-    // memory model, so the effect-discipline rules don't apply to it; it is
-    // scanned only for shard-ownership (below).
-    let sim_internal = rel.starts_with("crates/nmp-sim/");
-
-    // shard-ownership: cross-shard state only in its accessor modules.
-    if sim_internal {
-        let checks: [(&[&str], &str, &str); 2] = [
-            (VAULT_STATE_TOKENS, VAULT_STATE_MODULE, "per-vault DRAM timing state"),
-            (SHARD_CTL_TOKENS, SHARD_CTL_MODULE, "cross-shard scheduler state"),
-        ];
-        for (tokens, owner, what) in checks {
-            if rel == owner {
-                continue;
-            }
-            for tok in tokens {
-                let b = masked.as_bytes();
-                let mut from = 0usize;
-                while let Some(pos) = find_ident_from(b, tok.as_bytes(), from) {
-                    from = pos + 1;
-                    out.push(Violation {
-                        rule: "shard-ownership",
-                        path: rel.clone(),
-                        line: line_of(&masked, pos),
-                        msg: format!(
-                            "`{tok}` ({what}) referenced outside its owner module {owner}; go \
-                             through that module's accessor API so shard ownership stays \
-                             auditable"
-                        ),
-                    });
-                }
-            }
-        }
+    // memory model, so the effect-discipline rules don't apply to it.
+    if rel.starts_with("crates/nmp-sim/") {
         return out;
     }
 

@@ -82,28 +82,6 @@ fn marker_fixture_raw_mem_exempt_where_sanctioned() {
 }
 
 #[test]
-fn shard_ownership_fixture_fails_outside_owner_modules() {
-    let src = include_str!("../fixtures/shard_ownership_bad.rs");
-    // In a generic engine file both token families are foreign: frontiers
-    // (decl + use), nd_live (param + use), parts_t (field decl).
-    let v = lint_as("crates/nmp-sim/src/engine/shard.rs", src);
-    assert_eq!(rules(&v), ["shard-ownership"], "{v:?}");
-    assert_eq!(v.len(), 5, "{v:?}");
-    // The barrier module owns the scheduler words but not the vault state.
-    let v = lint_as("crates/nmp-sim/src/engine/barrier.rs", src);
-    assert_eq!(rules(&v), ["shard-ownership"], "{v:?}");
-    assert_eq!(v.len(), 1, "{v:?}");
-    assert!(v[0].msg.contains("parts_t"), "{v:?}");
-    // The memory system owns the vault state but not the scheduler words.
-    let v = lint_as("crates/nmp-sim/src/mem.rs", src);
-    assert_eq!(v.len(), 4, "{v:?}");
-    // Outside the simulator crate the rule does not apply at all (the
-    // host-atomics one fires instead, in data-structure scope).
-    let v = lint_as("crates/hybrids/src/widget.rs", src);
-    assert!(v.iter().all(|v| v.rule == "atomic-ordering"), "{v:?}");
-}
-
-#[test]
 fn simulator_files_are_exempt_from_effect_rules() {
     // nmp-sim implements `Ram` and the MMIO channel; its own use of those
     // tokens is not a violation.
