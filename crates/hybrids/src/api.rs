@@ -91,16 +91,6 @@ pub trait SimIndex: Send + Sync + 'static {
     fn max_inflight(&self) -> usize {
         1
     }
-
-    /// Batch occupancy observed by host `core`'s most recent completed
-    /// offload response (the combiner's in-band ctrl-word feedback; see
-    /// [`crate::offload::policy`]). Structures backed by an
-    /// [`crate::OffloadRuntime`] forward to
-    /// [`crate::OffloadRuntime::occupancy_feedback`]; host-only structures
-    /// keep this default. Always 0 under `Policy::Fixed`.
-    fn occupancy_feedback(&self, _core: usize) -> u32 {
-        0
-    }
 }
 
 /// Host core index of the calling logical thread.

@@ -23,7 +23,7 @@ use serde::Serialize;
 use workloads::{KeySpace, Op, WorkloadSpec};
 
 use crate::api::{Issued, OpResult, PollOutcome, SimIndex};
-use crate::offload::policy::LaneGovernor;
+use crate::offload::policy::Backoff;
 
 /// Per-thread view of a history recorder: the recorder plus the recording
 /// thread's id. `None` disables recording (the normal benchmarking path).
@@ -382,14 +382,8 @@ fn run_stream<S: SimIndex>(
         }
         return ok;
     }
-    let policy = ctx.mem().config().policy;
-    let base_idle = ctx.mem().config().host_pipeline_idle_cycles;
-    let core = crate::api::host_core(ctx);
-    // Fixed: constant depth (= inflight) and constant stall idle, exactly
-    // the pre-policy pipeline. Adaptive: the governor tunes both online
-    // from this thread's own completions and the combiner's in-band
-    // ctrl-word occupancy feedback.
-    let mut gov = LaneGovernor::new(policy, base_idle, inflight);
+    let cfg = ctx.mem().config();
+    let mut idle = Backoff::pipeline(cfg.policy, cfg.host_pipeline_idle_cycles);
     let mut lanes: Vec<Option<S::Pending>> = (0..inflight).map(|_| None).collect();
     // Invocation metadata per lane, kept for the completion record.
     let mut issued: Vec<(Op, u64)> = vec![(Op::Read(0), 0); inflight];
@@ -397,12 +391,9 @@ fn run_stream<S: SimIndex>(
     let mut done = 0usize;
     while done < ops.len() {
         let mut progressed = false;
-        let depth = gov.depth();
         for lane in 0..inflight {
             match lanes[lane].take() {
-                // Lanes at or above the governed depth stop taking new
-                // work (they still drain below).
-                None if lane < depth && next < ops.len() => {
+                None if next < ops.len() => {
                     let op = ops[next];
                     next += 1;
                     progressed = true;
@@ -411,7 +402,6 @@ fn run_stream<S: SimIndex>(
                         Issued::Done(r) => {
                             done += 1;
                             ok += r.ok as u64;
-                            gov.note_completion(index.occupancy_feedback(core), ctx.now());
                             record_completion(rec, op, r, inv, ctx.now());
                             note_latency(&mut lat, op, inv, ctx.now());
                             if let Some(f) = footprint.as_deref_mut() {
@@ -430,7 +420,6 @@ fn run_stream<S: SimIndex>(
                         done += 1;
                         ok += r.ok as u64;
                         progressed = true;
-                        gov.note_completion(index.occupancy_feedback(core), ctx.now());
                         let (op, inv) = issued[lane];
                         record_completion(rec, op, r, inv, ctx.now());
                         note_latency(&mut lat, op, inv, ctx.now());
@@ -443,9 +432,9 @@ fn run_stream<S: SimIndex>(
             }
         }
         if progressed {
-            gov.note_progress();
+            idle.rearm();
         } else {
-            ctx.idle(gov.idle_on_stall());
+            ctx.idle(idle.next_idle());
         }
     }
     ok

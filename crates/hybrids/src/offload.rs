@@ -37,7 +37,6 @@
 
 pub mod policy;
 
-use parking_lot::Mutex;
 use std::sync::Arc;
 
 use nmp_sim::{EffectSpec, Machine, Simulation, ThreadCtx};
@@ -203,10 +202,6 @@ impl<T: Offloaded> SimIndex for T {
     fn max_inflight(&self) -> usize {
         self.runtime().max_inflight()
     }
-
-    fn occupancy_feedback(&self, core: usize) -> u32 {
-        self.runtime().occupancy_feedback(core)
-    }
 }
 
 /// A pending offloaded operation: the paper's "operation ID" (§3.5), owned
@@ -225,11 +220,6 @@ pub struct PendingOp<S> {
 pub struct OffloadRuntime {
     machine: Arc<Machine>,
     lists: Arc<PubLists>,
-    /// Latest batch-occupancy feedback per host core (the ctrl-word high
-    /// half), stored by `on_response` and read back by the same host thread
-    /// through [`OffloadRuntime::occupancy_feedback`] — a same-thread
-    /// mailbox, so the value is a pure function of simulated state.
-    occupancy: Vec<Mutex<u32>>,
 }
 
 impl OffloadRuntime {
@@ -237,14 +227,7 @@ impl OffloadRuntime {
     /// thread on `machine`.
     pub fn new(machine: Arc<Machine>, max_inflight: usize) -> Self {
         let lists = Arc::new(PubLists::new(Arc::clone(&machine), max_inflight));
-        let occupancy = (0..machine.config().host_cores).map(|_| Mutex::new(0)).collect();
-        OffloadRuntime { machine, lists, occupancy }
-    }
-
-    /// Batch occupancy observed by host `core`'s most recent completed
-    /// response (the combiner's in-band feedback; 0 under `Policy::Fixed`).
-    pub fn occupancy_feedback(&self, core: usize) -> u32 {
-        *self.occupancy[core].lock()
+        OffloadRuntime { machine, lists }
     }
 
     /// The machine this runtime posts to.
@@ -399,9 +382,6 @@ impl OffloadRuntime {
             self.machine.mem().note_offload_retry(pend.part);
             client.advance(ctx, pend.op, &mut pend.state)
         } else {
-            if resp.combined != 0 {
-                *self.occupancy[host_core(ctx)].lock() = resp.combined;
-            }
             if resp.lock_path {
                 self.machine.mem().note_offload_lock_path(pend.part);
             }

@@ -27,8 +27,7 @@
 //!
 //! ```text
 //! w0  ctrl: VALID | RETRY | RET_OK | LOCK_PATH | opcode<<8
-//!     (on completion the high half carries batch-occupancy feedback:
-//!      occupancy<<32, Policy::Adaptive only; see offload::policy)
+//!     (high half reserved, always zero)
 //! w1  key (lo) | value (hi)
 //! w2  begin-NMP-traversal ptr (lo) | host node ptr (hi)
 //! w3  aux: parent seqnum (B+ tree) or node height (skiplist)
@@ -43,7 +42,7 @@ use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 use nmp_sim::{Addr, EffectSpec, Machine, Policy, Spawner, ThreadCtx, ThreadKind, NULL};
 use workloads::{Key, Value};
 
-use crate::offload::policy::{coalesce_run_len, sort_batch, CombinerControl};
+use crate::offload::policy::{coalesce_run_len, sort_batch, Backoff};
 
 /// Slot size in bytes (one NMP-buffer block would be 2 slots; slots are
 /// scratchpad-resident so only MMIO pricing applies).
@@ -132,11 +131,6 @@ pub struct Response {
     pub split_key: u32,
     /// B+ tree RESUME_INSERT: new child (split-off NMP node).
     pub new_child: Addr,
-    /// Occupancy of the combining pass that served this response, carried
-    /// in the high half of the control word so the feedback costs no extra
-    /// MMIO. Nonzero only under `Policy::Adaptive`; feeds the driver's
-    /// [`crate::offload::policy::LaneGovernor`].
-    pub combined: u32,
 }
 
 impl Response {
@@ -271,9 +265,6 @@ impl PubLists {
             retry: ctrl & CTRL_RETRY != 0,
             ok: ctrl & CTRL_RET_OK != 0,
             lock_path: ctrl & CTRL_LOCK_PATH != 0,
-            // Batch-occupancy feedback rides the ctrl word's high half
-            // (zero under Policy::Fixed), so reading it is free.
-            combined: (ctrl >> 32) as u32,
             ..Default::default()
         };
         if resp.retry || resp.lock_path {
@@ -376,10 +367,7 @@ impl PubLists {
             ctx.write_u64(a + 32, (resp.value as u64) | ((resp.new_ptr as u64) << 32));
             ctx.write_u64(a + 40, (resp.split_key as u64) | ((resp.new_child as u64) << 32));
         }
-        // Occupancy feedback in the high half; 0 under Policy::Fixed, so
-        // the fixed-policy control word is bit-identical to the original
-        // protocol.
-        let mut ctrl = (resp.combined as u64) << 32;
+        let mut ctrl = 0;
         if resp.retry {
             ctrl |= CTRL_RETRY;
         }
@@ -486,7 +474,6 @@ impl<E: NmpExec> Combiner<E> {
             // mapping.
             sort_batch(&mut self.batch);
         }
-        let occupancy = self.batch.len() as u32;
         let mut i = 0;
         while i < self.batch.len() {
             let (slot, req) = self.batch[i];
@@ -505,9 +492,6 @@ impl<E: NmpExec> Combiner<E> {
                 }
                 if n == 0 {
                     resp = self.exec.exec(ctx, part, &req, &mut self.states[slot]);
-                    if self.policy == Policy::Adaptive {
-                        resp.combined = occupancy;
-                    }
                 }
                 lists.complete(ctx, part, served, &resp);
                 if n > 0 {
@@ -561,14 +545,14 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                 let lists = Arc::clone(&lists);
                 let part = combiner.part;
                 sim.spawn_daemon(format!("nmp-{part}"), ThreadKind::Nmp { part }, move |ctx| {
-                    let mut ctl = CombinerControl::new(policy, base_idle);
+                    let mut idle = Backoff::combiner(policy, base_idle);
                     loop {
                         if combiner.combine_pass(&lists, ctx) > 0 {
-                            ctl.note_busy();
+                            idle.rearm();
                         } else if ctx.stop_requested() {
                             return;
                         } else {
-                            ctx.idle(ctl.idle_after_empty());
+                            ctx.idle(idle.next_idle());
                         }
                     }
                 });

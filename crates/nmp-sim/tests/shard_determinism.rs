@@ -173,9 +173,9 @@ fn per_partition_topology_is_self_deterministic() {
 /// Adaptive-back-off variant of the handshake workload: every idle
 /// duration is a pure function of *observed simulated state* — daemons
 /// double their poll interval on each empty mailbox check and re-arm it on
-/// work (the combiner-control pattern of the hybrids offload policy), and
-/// host threads double their ack-wait interval per empty poll (the lane
-/// governor's stall back-off pattern). Because the intervals derive only
+/// work (the combiner idle back-off of the hybrids offload policy), and
+/// host threads double their ack-wait interval per empty poll (the
+/// pipeline's stall back-off). Because the intervals derive only
 /// from values the threads read out of simulated memory, the conservative
 /// cross-shard gating must reproduce them bit-for-bit.
 fn fingerprint_adaptive_backoff(single_loop: bool) -> String {

@@ -1,18 +1,18 @@
 //! Known-bad fixture: a data structure embedding adaptive-policy state and
 //! branching on the configured policy instead of leaving tuning to the
-//! offload layer. Mentions of LaneGovernor in comments or strings must not
+//! offload layer. Mentions of Backoff in comments or strings must not
 //! count.
 
-use crate::offload::policy::LaneGovernor;
+use crate::offload::policy::Backoff;
 
 pub struct Widget {
-    gov: LaneGovernor,
+    idle: Backoff,
 }
 
 impl Widget {
     pub fn tune(&mut self, m: &Machine) -> bool {
-        // the name "LaneGovernor" in a comment or string is fine:
-        let label = "LaneGovernor";
+        // the name "Backoff" in a comment or string is fine:
+        let label = "Backoff";
         let _ = label;
         m.config().policy == Policy::Adaptive
     }

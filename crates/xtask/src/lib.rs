@@ -24,11 +24,10 @@
 //!   mentioned inside one, so an op handled (or posted) by the file cannot
 //!   silently miss its effect declaration.
 //! * **policy-confinement** — the self-tuning offload policy's state
-//!   machines (`CombinerControl`, `LaneGovernor`) and decisions
-//!   (`sort_batch`, `coalesce_run_len`, `config().policy` branches) live
-//!   only in the offload layer (`offload/policy.rs`, `publist.rs`,
-//!   `driver.rs`). Data structures declare *what* may be coalesced
-//!   (`NmpExec::coalescible_ops`) and forward occupancy feedback; they
+//!   (`Backoff`) and decisions (`sort_batch`, `coalesce_run_len`,
+//!   `config().policy` branches) live only in the offload layer
+//!   (`offload/policy.rs`, `publist.rs`, `driver.rs`). Data structures
+//!   declare *what* may be coalesced (`NmpExec::coalescible_ops`); they
 //!   never embed tuning state, so `Policy::Fixed` runs stay bit-identical
 //!   to the pre-policy protocol by construction.
 //! * **net-confinement** — socket code (`std::net`, `TcpListener`,
@@ -46,6 +45,10 @@
 //! * **marker-location** — the `// xtask:` markers above may only appear in
 //!   an explicit allow-list of files, so the lint cannot be silenced by
 //!   sprinkling new markers.
+//!
+//! raw-mem and the four confinement rules are one shape — token T outside
+//! scope S is finding M — and are rows of one table (`CONFINEMENTS`);
+//! the other three are bespoke.
 //!
 //! The scanner is deliberately lexical: it strips comments, string/char
 //! literals and `#[cfg(test)]` modules, then looks for tokens. No syntax
@@ -103,8 +106,8 @@ pub const MMIO_MODULE: &str = "crates/hybrids/src/publist.rs";
 
 /// The offload policy layer: the only hybrids files allowed to hold
 /// adaptive-policy state or branch on the configured `Policy`: the policy
-/// module itself, the combiner loop that applies coalescing, and the driver
-/// pipeline that hosts the lane governor.
+/// module itself, the combiner loop that applies coalescing and its idle
+/// back-off, and the driver pipeline's stall back-off.
 pub const POLICY_MODULES: &[&str] = &[
     "crates/hybrids/src/offload/policy.rs",
     "crates/hybrids/src/publist.rs",
@@ -365,9 +368,10 @@ impl Markers {
     fn has_module(&self, name: &str) -> bool {
         self.all.iter().any(|(_, m)| m == name)
     }
-    /// `allow(raw-mem)` exempts the marker line and the line after it.
-    fn line_allows_raw(&self, line: usize) -> bool {
-        self.all.iter().any(|(l, m)| m == "allow(raw-mem)" && (line == *l || line == *l + 1))
+    /// A line marker such as `allow(raw-mem)` exempts its own line and the
+    /// line after it.
+    fn line_allows(&self, marker: &str, line: usize) -> bool {
+        self.all.iter().any(|(l, m)| m == marker && (line == *l || line == *l + 1))
     }
 }
 
@@ -405,71 +409,171 @@ fn marker_allowed(rel: &str, marker: &str) -> bool {
 // Rules
 // ---------------------------------------------------------------------------
 
-/// Raw `Ram` access tokens: untimed, race-detector-invisible memory.
-const RAW_MEM_TOKENS: &[&str] =
-    &["ram.read_u", "ram.write_u", "ram().read_u", "ram().write_u", "Ram::"];
+/// How a token must be delimited to count as a hit.
+#[derive(Clone, Copy)]
+enum Bound {
+    /// Anywhere: `ram.read_u` hits inside `ram.read_u64`.
+    Substring,
+    /// Not glued to a neighbouring identifier at an end where the token
+    /// itself is an identifier character: `host_t` misses `host_total`,
+    /// `.policy` hits `self.policy`.
+    Ident,
+    /// Starting an identifier, any tail included in the one hit: `EPOLL`
+    /// hits `EPOLL_CTL_ADD` once.
+    IdentPrefix,
+}
 
-/// MMIO channel tokens (matches `mmio_write_u64_release` etc.).
-const MMIO_TOKENS: &[&str] = &["mmio_read_u", "mmio_write_u"];
+/// One "token outside its scope" rule: every hit of one of `tokens` in a
+/// file that `exempt` does not waive is a `rule` finding reading `msg`
+/// (`{tok}` replaced by the token).
+struct Confinement {
+    rule: &'static str,
+    tokens: &'static [&'static str],
+    bound: Bound,
+    /// Whether this file (repo-relative path, its markers) lies inside the
+    /// scope that may use the tokens.
+    exempt: fn(&str, &Markers) -> bool,
+    /// A line marker that waives its own line and the next, in the files
+    /// whose allow-list sanctions it.
+    line_marker: Option<&'static str>,
+    msg: &'static str,
+}
 
-/// Socket vocabulary confined to [`NET_SCOPE`]. Identifier-boundary
-/// matched, so e.g. `TcpStreamLike` in a doc example would still trip —
-/// deliberately strict.
-const NET_TOKENS: &[&str] =
-    &["std::net", "TcpListener", "TcpStream", "UdpSocket", "UnixListener", "UnixStream"];
+/// The simulator crate implements `Ram`, the MMIO channel and the memory
+/// model, so the effect-discipline rules do not apply to it; it must stay
+/// network- and syscall-free like every other layer.
+const SIM_SCOPE: &str = "crates/nmp-sim/";
 
-/// Raw syscall vocabulary confined to [`SYS_SCOPE`]: the epoll interface,
-/// the poll(2) fallback's types, and the socket-option/flag syscalls the
-/// runtime wraps. Identifier-boundary matched.
-const SYS_TOKENS: &[&str] = &[
-    "epoll_create1",
-    "epoll_ctl",
-    "epoll_wait",
-    "epoll_event",
-    "pollfd",
-    "nfds_t",
-    "setsockopt",
-    "fcntl",
+/// raw-mem and the confinement rules, in reporting order.
+const CONFINEMENTS: &[Confinement] = &[
+    // Sockets only in the server crate.
+    Confinement {
+        rule: "net-confinement",
+        tokens: &[
+            "std::net",
+            "TcpListener",
+            "TcpStream",
+            "UdpSocket",
+            "UnixListener",
+            "UnixStream",
+        ],
+        bound: Bound::Ident,
+        exempt: |rel, _| rel.starts_with(NET_SCOPE),
+        line_marker: None,
+        msg: "`{tok}` outside the server crate (crates/server/); every layer below the cache \
+              front end is deterministic and network-free — serve traffic through \
+              hybrids-server instead",
+    },
+    // Raw syscall vocabulary only in the evented runtime, so readiness FFI
+    // cannot leak out from behind the Poller trait; the flag-constant
+    // families (`EPOLLIN`, `EPOLL_CTL_ADD`, `POLLHUP`, …) by prefix.
+    Confinement {
+        rule: "sys-confinement",
+        tokens: &[
+            "epoll_create1",
+            "epoll_ctl",
+            "epoll_wait",
+            "epoll_event",
+            "pollfd",
+            "nfds_t",
+            "setsockopt",
+            "fcntl",
+        ],
+        bound: Bound::Ident,
+        exempt: |rel, _| rel.starts_with(SYS_SCOPE),
+        line_marker: None,
+        msg: SYS_MSG,
+    },
+    Confinement {
+        rule: "sys-confinement",
+        tokens: &["EPOLL", "POLL"],
+        bound: Bound::IdentPrefix,
+        exempt: |rel, _| rel.starts_with(SYS_SCOPE),
+        line_marker: None,
+        msg: SYS_MSG,
+    },
+    // Raw `Ram` access (untimed, race-detector-invisible) only inside
+    // sanctioned accessor modules.
+    Confinement {
+        rule: "raw-mem",
+        tokens: &["ram.read_u", "ram.write_u", "ram().read_u", "ram().write_u", "Ram::"],
+        bound: Bound::Substring,
+        exempt: |rel, markers| {
+            rel.starts_with(SIM_SCOPE)
+                || (markers.has_module("accessor-module") && marker_allowed(rel, "accessor-module"))
+        },
+        line_marker: Some("allow(raw-mem)"),
+        msg: "raw `Ram` access (`{tok}…`) outside an accessor module; go through the typed \
+              accessors, or move this into a `// xtask: accessor-module` file",
+    },
+    // MMIO only in the offload runtime.
+    Confinement {
+        rule: "mmio-confinement",
+        tokens: &["mmio_read_u", "mmio_write_u"],
+        bound: Bound::Substring,
+        exempt: |rel, _| rel.starts_with(SIM_SCOPE) || rel == MMIO_MODULE,
+        line_marker: None,
+        msg: "`{tok}…` outside the offload runtime (crates/hybrids/src/publist.rs); post \
+              requests through PubLists instead of opening a private MMIO channel",
+    },
+    // Tuning state stays in the offload policy layer (bench code selects
+    // policies legitimately, so only the hybrids crate is in scope).
+    Confinement {
+        rule: "policy-confinement",
+        tokens: &["Backoff", "sort_batch", "coalesce_run_len"],
+        bound: Bound::Ident,
+        exempt: policy_layer,
+        line_marker: None,
+        msg: "`{tok}` (adaptive-policy state) outside the offload policy layer; structures \
+              declare coalescible ops, tuning lives in offload/policy.rs / publist.rs / \
+              driver.rs",
+    },
+    // Branching a structure on the configured policy smuggles tuning
+    // decisions out of the policy layer (and breaks the Fixed-mode
+    // bit-identity argument).
+    Confinement {
+        rule: "policy-confinement",
+        tokens: &[".policy"],
+        bound: Bound::Ident,
+        exempt: policy_layer,
+        line_marker: None,
+        msg: "`{tok}` read outside the offload policy layer; only offload/policy.rs, \
+              publist.rs, and driver.rs may branch on the configured policy",
+    },
 ];
 
-/// Flag-constant prefixes confined to [`SYS_SCOPE`] (`EPOLLIN`,
-/// `EPOLL_CTL_ADD`, `POLLHUP`, …). Matched with an identifier boundary
-/// before and any identifier tail after, so the whole constant family is
-/// covered without enumerating it.
-const SYS_PREFIX_TOKENS: &[&str] = &["EPOLL", "POLL"];
+const SYS_MSG: &str = "`{tok}` (raw syscall vocabulary) outside the evented runtime \
+                       (crates/server/src/runtime/); use std::net and the runtime's \
+                       Poller/queue API instead of raw FFI";
 
-/// Adaptive-policy state machines and helpers owned by [`POLICY_MODULES`].
-const POLICY_TOKENS: &[&str] =
-    &["CombinerControl", "LaneGovernor", "sort_batch", "coalesce_run_len"];
+fn policy_layer(rel: &str, _: &Markers) -> bool {
+    !rel.starts_with("crates/hybrids/src") || POLICY_MODULES.contains(&rel)
+}
 
 fn is_ident_byte(b: u8) -> bool {
     b.is_ascii_alphanumeric() || b == b'_'
 }
 
-/// Like [`find_from`] but requiring identifier boundaries on both sides, so
-/// `host_t` does not match inside `host_total`.
-fn find_ident_from(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
+/// The first hit of `tok` at or after `from` under `bound`, and where to
+/// resume searching.
+fn find_token(b: &[u8], tok: &str, from: usize, bound: Bound) -> Option<(usize, usize)> {
+    let t = tok.as_bytes();
     let mut at = from;
-    while let Some(pos) = find_from(haystack, needle, at) {
+    while let Some(pos) = find_from(b, t, at) {
         at = pos + 1;
-        let before_ok = pos == 0 || !is_ident_byte(haystack[pos - 1]);
-        let after = pos + needle.len();
-        let after_ok = after >= haystack.len() || !is_ident_byte(haystack[after]);
-        if before_ok && after_ok {
-            return Some(pos);
-        }
-    }
-    None
-}
-
-/// Like [`find_ident_from`] but only requiring an identifier boundary
-/// *before* the needle: matches `EPOLL` at the head of `EPOLL_CTL_ADD`.
-fn find_ident_prefix_from(haystack: &[u8], needle: &[u8], from: usize) -> Option<usize> {
-    let mut at = from;
-    while let Some(pos) = find_from(haystack, needle, at) {
-        at = pos + 1;
-        if pos == 0 || !is_ident_byte(haystack[pos - 1]) {
-            return Some(pos);
+        let mut end = pos + t.len();
+        let starts = !is_ident_byte(t[0]) || pos == 0 || !is_ident_byte(b[pos - 1]);
+        let ends = !is_ident_byte(t[t.len() - 1]) || end >= b.len() || !is_ident_byte(b[end]);
+        match bound {
+            Bound::Substring => return Some((pos, at)),
+            Bound::Ident if starts && ends => return Some((pos, at)),
+            Bound::IdentPrefix if starts => {
+                while end < b.len() && is_ident_byte(b[end]) {
+                    end += 1;
+                }
+                return Some((pos, end));
+            }
+            _ => {}
         }
     }
     None
@@ -512,106 +616,40 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
 
     // A marker only grants its exemption where the allow-list sanctions it;
     // an out-of-place marker is flagged above AND buys nothing.
-    let is_accessor =
-        markers.has_module("accessor-module") && marker_allowed(&rel, "accessor-module");
     let ordering_ok = markers.has_module("allow(atomic-ordering)")
         && marker_allowed(&rel, "allow(atomic-ordering)");
-    let raw_lines_ok = RAW_MEM_EXCEPTIONS.contains(&rel.as_str());
+    let b = masked.as_bytes();
 
-    // net-confinement: sockets only in the server crate. Checked before
-    // the sim-internal early return — the simulator itself must stay
-    // network-free too.
-    if !rel.starts_with(NET_SCOPE) {
-        let b = masked.as_bytes();
-        for tok in NET_TOKENS {
-            let mut from = 0usize;
-            while let Some(pos) = find_ident_from(b, tok.as_bytes(), from) {
-                from = pos + 1;
-                out.push(Violation {
-                    rule: "net-confinement",
-                    path: rel.clone(),
-                    line: line_of(&masked, pos),
-                    msg: format!(
-                        "`{tok}` outside the server crate ({NET_SCOPE}); every layer below \
-                         the cache front end is deterministic and network-free — serve \
-                         traffic through hybrids-server instead"
-                    ),
-                });
-            }
+    for c in CONFINEMENTS {
+        if (c.exempt)(&rel, &markers) {
+            continue;
         }
-    }
-
-    // sys-confinement: raw syscall vocabulary only in the evented runtime.
-    // Like net-confinement, this applies to every scanned layer — the rest
-    // of the server crate included — so readiness FFI cannot leak out from
-    // behind the Poller trait.
-    if !rel.starts_with(SYS_SCOPE) {
-        let b = masked.as_bytes();
-        let hit = |tok: &str, pos: usize, out: &mut Vec<Violation>| {
-            out.push(Violation {
-                rule: "sys-confinement",
-                path: rel.clone(),
-                line: line_of(&masked, pos),
-                msg: format!(
-                    "`{tok}` (raw syscall vocabulary) outside the evented runtime \
-                     ({SYS_SCOPE}); use std::net and the runtime's Poller/queue API \
-                     instead of raw FFI"
-                ),
-            });
-        };
-        for tok in SYS_TOKENS {
+        let line_marker = c.line_marker.filter(|m| marker_allowed(&rel, m));
+        for tok in c.tokens {
             let mut from = 0usize;
-            while let Some(pos) = find_ident_from(b, tok.as_bytes(), from) {
-                from = pos + 1;
-                hit(tok, pos, &mut out);
-            }
-        }
-        for tok in SYS_PREFIX_TOKENS {
-            let mut from = 0usize;
-            while let Some(pos) = find_ident_prefix_from(b, tok.as_bytes(), from) {
-                from = pos + tok.len();
-                // skip the identifier tail so EPOLL_CTL_ADD is one finding
-                while from < b.len() && is_ident_byte(b[from]) {
-                    from += 1;
-                }
-                hit(tok, pos, &mut out);
-            }
-        }
-    }
-
-    // The simulator crate implements `Ram`, the MMIO channel and the
-    // memory model, so the effect-discipline rules don't apply to it.
-    if rel.starts_with("crates/nmp-sim/") {
-        return out;
-    }
-
-    // raw-mem: raw `Ram` access only inside accessor modules.
-    if !is_accessor {
-        for tok in RAW_MEM_TOKENS {
-            let b = masked.as_bytes();
-            let mut from = 0usize;
-            while let Some(pos) = find_from(b, tok.as_bytes(), from) {
-                from = pos + 1;
+            while let Some((pos, next)) = find_token(b, tok, from, c.bound) {
+                from = next;
                 let line = line_of(&masked, pos);
-                if raw_lines_ok && markers.line_allows_raw(line) {
+                if line_marker.is_some_and(|m| markers.line_allows(m, line)) {
                     continue;
                 }
                 out.push(Violation {
-                    rule: "raw-mem",
+                    rule: c.rule,
                     path: rel.clone(),
                     line,
-                    msg: format!(
-                        "raw `Ram` access (`{tok}…`) outside an accessor module; go through \
-                         the typed accessors, or move this into a `// xtask: accessor-module` file"
-                    ),
+                    msg: c.msg.replace("{tok}", tok),
                 });
             }
         }
+    }
+
+    // The rules below are effect discipline, which the simulator is exempt from.
+    if rel.starts_with(SIM_SCOPE) {
+        return out;
     }
 
     // atomic-ordering: no host atomics in data-structure code.
     if in_ordering_scope(&rel) && !ordering_ok {
-        let b = masked.as_bytes();
         let mut from = 0usize;
         while let Some(pos) = find_from(b, b"Ordering::", from) {
             from = pos + 1;
@@ -626,72 +664,10 @@ pub fn check_source(rel: &str, src: &str) -> Vec<Violation> {
         }
     }
 
-    // mmio-confinement: MMIO only in the offload runtime.
-    if rel != MMIO_MODULE {
-        for tok in MMIO_TOKENS {
-            let b = masked.as_bytes();
-            let mut from = 0usize;
-            while let Some(pos) = find_from(b, tok.as_bytes(), from) {
-                from = pos + 1;
-                out.push(Violation {
-                    rule: "mmio-confinement",
-                    path: rel.clone(),
-                    line: line_of(&masked, pos),
-                    msg: format!(
-                        "`{tok}…` outside the offload runtime ({MMIO_MODULE}); post requests \
-                         through PubLists instead of opening a private MMIO channel"
-                    ),
-                });
-            }
-        }
-    }
-
-    // policy-confinement: tuning state stays in the offload policy layer.
-    if rel.starts_with("crates/hybrids/src") && !POLICY_MODULES.contains(&rel.as_str()) {
-        let b = masked.as_bytes();
-        for tok in POLICY_TOKENS {
-            let mut from = 0usize;
-            while let Some(pos) = find_ident_from(b, tok.as_bytes(), from) {
-                from = pos + 1;
-                out.push(Violation {
-                    rule: "policy-confinement",
-                    path: rel.clone(),
-                    line: line_of(&masked, pos),
-                    msg: format!(
-                        "`{tok}` (adaptive-policy state) outside the offload policy layer; \
-                         structures declare coalescible ops and forward occupancy feedback, \
-                         tuning lives in offload/policy.rs / publist.rs / driver.rs"
-                    ),
-                });
-            }
-        }
-        // `.policy` field reads: branching a structure on the configured
-        // policy smuggles tuning decisions out of the policy layer (and
-        // breaks the Fixed-mode bit-identity argument).
-        let mut from = 0usize;
-        while let Some(pos) = find_from(b, b".policy", from) {
-            from = pos + 1;
-            let after = pos + ".policy".len();
-            if after < b.len() && is_ident_byte(b[after]) {
-                continue;
-            }
-            out.push(Violation {
-                rule: "policy-confinement",
-                path: rel.clone(),
-                line: line_of(&masked, pos),
-                msg: "`.policy` read outside the offload policy layer; only \
-                      offload/policy.rs, publist.rs, and driver.rs may branch on the \
-                      configured policy"
-                    .to_string(),
-            });
-        }
-    }
-
     // opcode-coverage: every OpCode mentioned in an NmpExec file must be
     // covered by an effect_spec in that file.
     if masked.contains("impl NmpExec for") {
         let ranges = effect_spec_ranges(&masked);
-        let b = masked.as_bytes();
         let mut inside: Vec<String> = Vec::new();
         let mut outside: Vec<(String, usize)> = Vec::new();
         let mut from = 0usize;

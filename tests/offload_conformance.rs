@@ -394,8 +394,8 @@ fn all_structures_conform_pipelined() {
     }
 }
 
-/// Full conformance contract under the self-tuning policy: coalescing,
-/// adaptive lane depth, and tuned idle cycles must not cost linearizability
+/// Full conformance contract under the self-tuning policy: coalescing and
+/// the idle back-offs must not cost linearizability
 /// or telemetry conservation for any structure in blocking mode.
 #[test]
 fn all_structures_conform_blocking_adaptive() {
@@ -406,8 +406,7 @@ fn all_structures_conform_blocking_adaptive() {
 }
 
 /// Pipelined conformance under the self-tuning policy — the mode where
-/// batches actually form, so sorted passes, coalesced runs, and occupancy
-/// feedback are all live.
+/// batches actually form, so sorted passes and coalesced runs are live.
 #[test]
 fn all_structures_conform_pipelined_adaptive() {
     for e in REGISTRY {
