@@ -31,8 +31,8 @@
 //! **Determinism.** Every decision here is a pure function of values
 //! produced by the simulation itself: the batch a pass collected and the
 //! calling thread's own idle history. No wall-clock time, no cross-OS-thread
-//! counter reads — so traces are byte-identical under both engine
-//! topologies, which is what makes the adaptive battery in
+//! counter reads — so traces are byte-identical run to run, which is what
+//! makes the adaptive battery of frozen digests in
 //! `tests/shard_determinism.rs` possible.
 
 pub use nmp_sim::Policy;

@@ -135,50 +135,6 @@ impl fmt::Display for Report {
     }
 }
 
-/// A deferred analysis side effect. Inside a simulation each logical thread
-/// logs these instead of applying them live; the shard runner merges the
-/// logs in global `(cycle, spawn id, seq)` order after the run and replays
-/// them through [`Analysis::replay`] — the feed order of a sequential
-/// scheduler, whichever shard ran ahead.
-#[derive(Clone)]
-pub(crate) enum AnalysisEv {
-    /// One timed access observed at the serialization point.
-    Access {
-        /// Spawn id of the accessing thread.
-        tid: usize,
-        /// Completion cycle.
-        at: u64,
-        /// Accessed address.
-        addr: Addr,
-        /// Access width in bytes.
-        bytes: u32,
-        /// Happens-before participation.
-        op: MemOp,
-        /// Whether the access went over the MMIO window.
-        mmio: bool,
-        /// Source location of the access.
-        site: &'static Location<'static>,
-    },
-    /// Conformance op-scope change ([`Analysis::set_current_op`]).
-    SetOp {
-        /// Spawn id of the scoped thread.
-        tid: usize,
-        /// Declared op id, or `None` to clear.
-        op: Option<u8>,
-    },
-    /// Arena free forgetting per-cell race state
-    /// ([`Analysis::reset_range`]).
-    ResetRange {
-        /// First address of the freed block.
-        addr: Addr,
-        /// Length of the freed block.
-        bytes: u32,
-    },
-    /// A region-policy violation, fully built at issue time (thread name
-    /// resolution needs the roster lock, which is cheap there).
-    Violation(PolicyViolation),
-}
-
 struct Inner {
     race: race::RaceDetector,
     policy: policy::PolicyChecker,
@@ -186,8 +142,8 @@ struct Inner {
 }
 
 /// The attached checker state of one simulated machine. One logical thread
-/// executes at a time, so the mutex is uncontended; it exists because
-/// logical threads live on distinct OS threads.
+/// executes at a time, so the mutex is uncontended; it exists because a
+/// machine, and so its analysis, is shared between OS threads.
 pub struct Analysis {
     map: MemMap,
     inner: Mutex<Inner>,
@@ -216,35 +172,8 @@ impl Analysis {
     }
 
     /// Record one timed memory access (the engine's serialization point).
-    /// Inside a simulation the access is deferred to the calling thread's
-    /// log and replayed in global key order after the run.
     #[allow(clippy::too_many_arguments)]
     pub(crate) fn on_access(
-        &self,
-        tid: usize,
-        at: u64,
-        addr: Addr,
-        bytes: u32,
-        op: MemOp,
-        mmio: bool,
-        site: &'static Location<'static>,
-    ) {
-        if crate::engine::defer_analysis(AnalysisEv::Access {
-            tid,
-            at,
-            addr,
-            bytes,
-            op,
-            mmio,
-            site,
-        }) {
-            return;
-        }
-        self.apply_access(tid, at, addr, bytes, op, mmio, site);
-    }
-
-    #[allow(clippy::too_many_arguments)]
-    fn apply_access(
         &self,
         tid: usize,
         at: u64,
@@ -291,9 +220,6 @@ impl Analysis {
     /// (`None` clears the scope). NMP combiners call this around request
     /// execution so blame reports name the op being served.
     pub fn set_current_op(&self, tid: usize, op: Option<u8>) {
-        if crate::engine::defer_analysis(AnalysisEv::SetOp { tid, op }) {
-            return;
-        }
         self.inner.lock().conf.set_current_op(tid, op);
     }
 
@@ -315,50 +241,28 @@ impl Analysis {
         let Some(rule) = policy::classify(kind, region, mmio) else {
             return false;
         };
-        let v = {
-            let g = self.inner.lock();
-            let thread = g.race.thread_name(tid);
-            PolicyViolation {
-                thread,
-                thread_kind: kind,
-                addr,
-                region,
-                is_write,
-                mmio,
-                rule,
-                file: site.file(),
-                line: site.line(),
-                column: site.column(),
-                at,
-            }
-        };
-        if !crate::engine::defer_analysis(AnalysisEv::Violation(v.clone())) {
-            self.inner.lock().policy.record(v);
-        }
+        let mut g = self.inner.lock();
+        let thread = g.race.thread_name(tid);
+        g.policy.record(PolicyViolation {
+            thread,
+            thread_kind: kind,
+            addr,
+            region,
+            is_write,
+            mmio,
+            rule,
+            file: site.file(),
+            line: site.line(),
+            column: site.column(),
+            at,
+        });
         true
-    }
-
-    /// Apply one deferred event after a sharded run (see [`AnalysisEv`]).
-    pub(crate) fn replay(&self, ev: AnalysisEv) {
-        match ev {
-            AnalysisEv::Access { tid, at, addr, bytes, op, mmio, site } => {
-                self.apply_access(tid, at, addr, bytes, op, mmio, site)
-            }
-            AnalysisEv::SetOp { tid, op } => self.inner.lock().conf.set_current_op(tid, op),
-            AnalysisEv::ResetRange { addr, bytes } => {
-                self.inner.lock().race.reset_range(addr, bytes)
-            }
-            AnalysisEv::Violation(v) => self.inner.lock().policy.record(v),
-        }
     }
 
     /// Forget all per-cell race state in `[addr, addr + bytes)`. Called by
     /// the arenas on `free` so that block reuse does not manufacture false
     /// races between the old and new owner of the memory.
     pub fn reset_range(&self, addr: Addr, bytes: u32) {
-        if crate::engine::defer_analysis(AnalysisEv::ResetRange { addr, bytes }) {
-            return;
-        }
         self.inner.lock().race.reset_range(addr, bytes);
     }
 

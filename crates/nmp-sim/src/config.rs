@@ -145,14 +145,6 @@ pub struct Config {
     /// when no tracer is attached.
     pub trace_buffer_events: usize,
 
-    /// Test switch: schedule every logical thread from one shard — the
-    /// sequential min-`(clock, id)` order by construction — instead of the
-    /// host shard plus one vault shard per NMP partition. Results are
-    /// byte-identical either way; the determinism suites run both and
-    /// compare (see DESIGN.md §4.9). Nothing else sets it.
-    #[serde(default)]
-    pub single_loop: bool,
-
     /// Offload-runtime tuning policy ([`Policy::Fixed`] reproduces the
     /// hand-tuned constants; [`Policy::Adaptive`] self-tunes online).
     /// Configs serialized before the knob existed deserialize to `Fixed`.
@@ -195,7 +187,6 @@ impl Config {
             host_heap_bytes: 192 * 1024 * 1024,
             part_heap_bytes: 64 * 1024 * 1024,
             trace_buffer_events: 1 << 16,
-            single_loop: false,
             policy: Policy::Fixed,
         }
     }
@@ -239,13 +230,6 @@ impl Config {
     pub fn nmp_partitions(&self) -> usize {
         assert!(self.main_vaults < self.num_vaults, "need at least one NMP vault");
         self.num_vaults - self.main_vaults
-    }
-
-    /// Select the single-shard reference topology (see
-    /// [`Config::single_loop`]); for determinism tests only.
-    pub fn with_single_loop(mut self) -> Self {
-        self.single_loop = true;
-        self
     }
 
     /// Set the offload-runtime tuning policy.
@@ -442,20 +426,5 @@ mod tests {
                 back.validate();
             }
         }
-    }
-
-    #[test]
-    fn single_loop_is_off_unless_asked_for() {
-        // Configs serialized before the switch existed select the default
-        // topology, and so does every stock preset.
-        let j = serde_json::to_string(&Config::paper()).unwrap();
-        let pruned = j.replace(",\"single_loop\":false", "");
-        assert_ne!(j, pruned, "serialized config must carry the switch");
-        let back: Config = serde_json::from_str(&pruned).unwrap();
-        assert!(!back.single_loop);
-        for (name, cfg) in Config::stock_configs() {
-            assert!(!cfg.single_loop, "stock config {name} selects the reference topology");
-        }
-        assert!(Config::tiny().with_single_loop().single_loop);
     }
 }

@@ -1,9 +1,9 @@
 //! Deterministic discrete-event engine with logical threads.
 //!
 //! Each logical thread (a host hardware thread or an NMP core) runs real
-//! Rust code on its own OS thread, and the scheduler (`engine/shard.rs`)
-//! resumes threads in `(local clock, spawn id)` order: **effects on shared
-//! words apply exactly as if one logical thread executed at a time**, the
+//! Rust code as a coroutine on the OS thread that calls [`Simulation::run`],
+//! and the scheduler (`engine/sched.rs`) resumes threads in `(local clock,
+//! spawn id)` order: **exactly one logical thread executes at a time**, the
 //! runnable thread with the smallest key first. Every timed memory
 //! operation is a yield point, so threads interleave at memory-access
 //! granularity — the granularity at which concurrent data-structure races
@@ -12,39 +12,30 @@
 //!
 //! Memory operations take effect at their *completion* time: the issuing
 //! thread charges the latency, sleeps, and applies the data-plane effect
-//! when it is next scheduled (at which point its key is below every key
-//! that could still touch the same words, so effects are applied in global
-//! simulated-time order — a sequentially-consistent execution).
+//! when it is next scheduled (at which point its key is below every other
+//! thread's, so effects are applied in global simulated-time order — a
+//! sequentially-consistent execution).
 //!
 //! This file holds the thread-side half: [`ThreadCtx`] and its accessors,
-//! the [`Simulation`] builder, and the worker wrapper every logical thread
-//! runs in.
+//! and the [`Simulation`] builder.
 
-use std::panic::{self, AssertUnwindSafe, Location};
-use std::sync::atomic::{AtomicBool, AtomicU32, AtomicU64, Ordering};
-use std::sync::{Arc, OnceLock};
-use std::thread::{self, Thread};
-
-use parking_lot::Mutex;
+use std::panic::Location;
+use std::rc::Rc;
+use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::Arc;
+use std::thread;
 
 use crate::analysis::MemOp;
 use crate::backend::Ram;
 use crate::config::Config;
-use crate::mem::{Addr, MemorySystem, Region};
+use crate::mem::{Addr, MemorySystem};
 
-use super::barrier;
-use super::inbox;
-use super::shard::{self, ShardedRt};
+use super::sched::{self, pack, Sched, Spawned};
 
 /// Latency charged to an access that violates the region policy while an
 /// analysis is attached (the real machine path does not exist; this keeps
 /// negative fixtures making simulated-time progress).
 const POLICY_FALLBACK_LAT: u64 = 100;
-
-pub(super) const ST_INIT: u32 = 0;
-pub(super) const ST_GO: u32 = 1;
-pub(super) const ST_YIELD: u32 = 2;
-pub(super) const ST_DONE: u32 = 3;
 
 /// What kind of processor a logical thread models; decides how its memory
 /// accesses are routed and priced.
@@ -62,32 +53,13 @@ pub enum ThreadKind {
     },
 }
 
-pub(super) struct ThreadShared {
-    pub(super) name: String,
-    pub(super) kind: ThreadKind,
-    pub(super) daemon: bool,
-    pub(super) state: AtomicU32,
-    pub(super) clock: AtomicU64,
-    pub(super) handle: Mutex<Option<Thread>>,
-    pub(super) panicked: AtomicBool,
-    /// "'name' panicked at simulated cycle N: message", captured by the
-    /// worker wrapper for the engine to surface in its own panic.
-    pub(super) panic_note: Mutex<Option<String>>,
-    /// Cross-shard gate of the pending (yet-to-apply) effect; read by the
-    /// shard scheduler before resuming this thread.
-    pub(super) gate: AtomicU32,
-    /// Deferred trace/analysis log, stashed by the worker wrapper and merged
-    /// after the run drains.
-    pub(super) deferred: Mutex<Option<inbox::ThreadLog>>,
-}
-
-impl ThreadShared {
-    /// Shared state of a not-yet-started logical thread on a `cfg` machine.
+impl ThreadKind {
+    /// Check that a `cfg` machine has this thread's core or partition.
     ///
     /// # Panics
-    /// If `kind` names a host core or NMP partition `cfg` does not have.
-    pub(super) fn new(name: String, kind: ThreadKind, daemon: bool, cfg: &Config) -> Self {
-        match kind {
+    /// If this names a host core or NMP partition `cfg` does not have.
+    pub(super) fn check(self, cfg: &Config) {
+        match self {
             ThreadKind::Host { core } => {
                 assert!(core < cfg.host_cores, "core {core} out of range")
             }
@@ -95,56 +67,6 @@ impl ThreadShared {
                 assert!(part < cfg.nmp_partitions(), "partition {part} out of range")
             }
         }
-        ThreadShared {
-            name,
-            kind,
-            daemon,
-            state: AtomicU32::new(ST_INIT),
-            clock: AtomicU64::new(0),
-            handle: Mutex::new(None),
-            panicked: AtomicBool::new(false),
-            panic_note: Mutex::new(None),
-            gate: AtomicU32::new(barrier::GATE_NONE),
-            deferred: Mutex::new(None),
-        }
-    }
-}
-
-pub(super) struct EngineShared {
-    pub(super) engine_thread: Mutex<Option<Thread>>,
-    pub(super) stop: AtomicBool,
-}
-
-/// How long to busy-spin before parking/yielding. On a single-CPU machine a
-/// spin can never observe the other thread's store, so spinning is pure
-/// waste — park immediately instead.
-pub(super) fn spin_budget() -> u32 {
-    static BUDGET: OnceLock<u32> = OnceLock::new();
-    *BUDGET.get_or_init(|| {
-        if thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-            128
-        } else {
-            0
-        }
-    })
-}
-
-pub(super) fn spin_wait<F: Fn() -> bool>(cond: F) {
-    let budget = spin_budget();
-    let mut spins = 0u32;
-    while !cond() {
-        spins += 1;
-        if spins < budget {
-            std::hint::spin_loop();
-        } else {
-            thread::park();
-        }
-    }
-}
-
-pub(super) fn unpark(slot: &Mutex<Option<Thread>>) {
-    if let Some(t) = slot.lock().as_ref() {
-        t.unpark();
     }
 }
 
@@ -160,27 +82,28 @@ pub(super) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
+/// Which engine a [`ThreadCtx`] belongs to.
+pub(super) enum Engine {
+    /// A simulation's scheduler.
+    Sim(Rc<Sched>),
+    /// A native run (see [`crate::engine::NativeRun`]): the thread is a free
+    /// running OS thread, every accessor performs only its data op on the
+    /// [`Ram`] (no timing, no engine yield, no tracing), and `idle` is an
+    /// OS-level yield. The flag is the run's stop, raised when a sibling
+    /// panicked.
+    Native(Arc<AtomicBool>),
+}
+
 /// Execution context handed to each logical thread's closure. All timed
 /// memory operations go through here.
 pub struct ThreadCtx {
     pub(super) kind: ThreadKind,
     pub(super) id: usize,
-    pub(super) ts: Arc<ThreadShared>,
-    pub(super) eng: Arc<EngineShared>,
     pub(super) mem: Arc<MemorySystem>,
     pub(super) clock: u64,
     pub(super) pending: u64,
     pub(super) cpu_step: u64,
-    /// The simulation's scheduler. `None` ⇔ native mode (see
-    /// [`crate::engine::NativeRun`]): the thread is a free running OS
-    /// thread, every accessor performs only its data op on the [`Ram`] (no
-    /// timing, no engine yield, no tracing), and `idle` is an OS-level yield.
-    pub(super) rt: Option<Arc<ShardedRt>>,
-    /// Index of the shard that owns this thread (0 in a native run).
-    pub(super) my_shard: usize,
-    /// Gate of the effect the next `sleep` leaves pending; consumed by the
-    /// yield and handed to the shard scheduler through `ThreadShared::gate`.
-    pub(super) next_gate: u32,
+    pub(super) engine: Engine,
 }
 
 impl ThreadCtx {
@@ -211,7 +134,15 @@ impl ThreadCtx {
     /// processor to hand it to).
     #[inline]
     pub fn is_native(&self) -> bool {
-        self.rt.is_none()
+        matches!(self.engine, Engine::Native(_))
+    }
+
+    /// The simulation's scheduler. Simulated threads only.
+    pub(super) fn sched(&self) -> &Sched {
+        match &self.engine {
+            Engine::Sim(rt) => rt,
+            Engine::Native(_) => unreachable!("native threads never reach the scheduler"),
+        }
     }
 
     /// Accrue `cycles` of local compute time. Cheap (no scheduler
@@ -226,26 +157,14 @@ impl ThreadCtx {
     }
 
     /// Commit accrued time plus `extra_lat` and hand control back to the
-    /// scheduler; returns when this thread is next due to run. Simulated
-    /// threads only.
-    ///
-    /// The handoff is peer-to-peer: the yielding thread runs its shard's
-    /// scheduling step itself — when its own new key is still the shard
-    /// minimum it resumes immediately with no OS round-trip at all (the
-    /// common case for vault-local bursts).
+    /// scheduler; returns when this thread is next due to run — at once,
+    /// with no context switch, when its new key is still the minimum (the
+    /// common case for vault-local bursts). Simulated threads only.
     fn sleep(&mut self, extra_lat: u64) {
         debug_assert!(extra_lat >= 1, "timed ops must advance time");
-        let rt = self.rt.as_deref().expect("native threads never reach the scheduler");
         self.clock += self.pending + extra_lat;
         self.pending = 0;
-        let gate = std::mem::replace(&mut self.next_gate, barrier::GATE_NONE);
-        self.ts.clock.store(self.clock, Ordering::Release);
-        self.ts.gate.store(gate, Ordering::Relaxed);
-        self.ts.state.store(ST_YIELD, Ordering::Release);
-        if rt.sched_step(self.my_shard, Some(self.id)) != Some(self.id) {
-            spin_wait(|| self.ts.state.load(Ordering::Acquire) == ST_GO);
-        }
-        inbox::set_clock(self.clock);
+        self.sched().yield_turn(self.id, self.clock);
     }
 
     /// Yield a full poll interval (used by spin/poll loops so they always
@@ -265,30 +184,9 @@ impl ThreadCtx {
     /// True once every non-daemon thread has finished; daemon loops (NMP
     /// cores) should exit promptly when they observe this.
     pub fn stop_requested(&self) -> bool {
-        match &self.rt {
-            // The keyed stop query answers "had every non-daemon finished
-            // when the sequential order scheduled this turn?".
-            Some(rt) => rt.ctl().stop_query(barrier::pack(self.clock, self.id)),
-            None => self.eng.stop.load(Ordering::Acquire),
-        }
-    }
-
-    /// Cross-shard gate for a policy-clean access about to be issued. The
-    /// scratchpads are the only region shared between shards (host MMIO on
-    /// one side, the owning NMP core on the other); everything else is
-    /// shard-local — and so is a scratchpad whose other side lives in this
-    /// thread's own shard (always, under the single-loop topology).
-    fn gate_for(&self, addr: Addr) -> u32 {
-        let rt = self.rt.as_deref().expect("native threads never reach the scheduler");
-        let peer = match (self.kind, self.mem.map().region_of(addr)) {
-            (ThreadKind::Host { .. }, Region::Spad(p)) => rt.shard_of_part(p),
-            (ThreadKind::Nmp { .. }, Region::Spad(_)) => shard::HOST_SHARD,
-            _ => return barrier::GATE_NONE,
-        };
-        if peer == self.my_shard {
-            barrier::GATE_NONE
-        } else {
-            barrier::gate_on(peer)
+        match &self.engine {
+            Engine::Sim(rt) => rt.stop_query(pack(self.clock, self.id)),
+            Engine::Native(stop) => stop.load(Ordering::Acquire),
         }
     }
 
@@ -308,19 +206,14 @@ impl ThreadCtx {
         let now = self.now();
         if let Some(a) = self.mem.analysis() {
             if a.check_policy(self.id, self.kind, addr, is_write, mmio, now, site) {
-                // The access escapes the ownership map; gate on every shard
-                // so the effect is still applied in global key order.
-                self.next_gate = barrier::GATE_ALL;
                 return POLICY_FALLBACK_LAT;
             }
         }
-        let lat = match self.kind {
+        match self.kind {
             _ if mmio => self.mem.mmio_access(now, addr, is_write),
             ThreadKind::Host { core } => self.mem.host_access(core, now, addr, is_write),
             ThreadKind::Nmp { part } => self.mem.nmp_access(part, now, addr, is_write),
-        };
-        self.next_gate = self.gate_for(addr);
-        lat
+        }
     }
 
     /// The one access path behind every public accessor. `data` is the
@@ -529,9 +422,7 @@ impl SimOutcome {
 /// A configured simulation: a memory system plus logical threads to run.
 pub struct Simulation {
     mem: Arc<MemorySystem>,
-    eng: Arc<EngineShared>,
-    threads: Vec<Arc<ThreadShared>>,
-    bodies: Vec<ThreadFn>,
+    threads: Vec<Spawned>,
     cpu_step: u64,
 }
 
@@ -545,16 +436,7 @@ impl Simulation {
     /// pre-populate structures through the untimed data plane first).
     pub fn with_memory(mem: Arc<MemorySystem>) -> Self {
         let cpu_step = mem.config().cpu_step_cycles;
-        Simulation {
-            mem,
-            eng: Arc::new(EngineShared {
-                engine_thread: Mutex::new(None),
-                stop: AtomicBool::new(false),
-            }),
-            threads: Vec::new(),
-            bodies: Vec::new(),
-            cpu_step,
-        }
+        Simulation { mem, threads: Vec::new(), cpu_step }
     }
 
     /// Shared handle to the simulation's memory system.
@@ -584,143 +466,142 @@ impl Simulation {
         self.spawn_inner(name.into(), kind, true, Box::new(f));
     }
 
-    fn spawn_inner(&mut self, name: String, kind: ThreadKind, daemon: bool, f: ThreadFn) {
-        self.threads.push(Arc::new(ThreadShared::new(name, kind, daemon, self.mem.config())));
-        self.bodies.push(f);
+    fn spawn_inner(&mut self, name: String, kind: ThreadKind, daemon: bool, body: ThreadFn) {
+        kind.check(self.mem.config());
+        self.threads.push(Spawned { name, kind, daemon, body });
     }
 
-    /// Run to completion on the calling thread; returns per-thread clocks.
-    /// Propagates the first panic raised inside any logical thread.
+    /// Run to completion on the calling thread — every logical thread is a
+    /// coroutine on it — and return per-thread clocks. Propagates the first
+    /// panic raised inside any logical thread.
     pub fn run(self) -> SimOutcome {
-        let Simulation { mem, eng, threads, bodies, cpu_step } = self;
+        let Simulation { mem, threads, cpu_step } = self;
         assert!(!threads.is_empty(), "no threads spawned");
-        *eng.engine_thread.lock() = Some(thread::current());
-
+        let roster: Vec<(String, ThreadKind)> =
+            threads.iter().map(|t| (t.name.clone(), t.kind)).collect();
         if let Some(a) = mem.analysis() {
-            let roster: Vec<(String, ThreadKind)> =
-                threads.iter().map(|t| (t.name.clone(), t.kind)).collect();
             a.on_sim_start(&roster);
         }
-
         if let Some(t) = mem.tracer() {
-            let roster: Vec<(String, ThreadKind)> =
-                threads.iter().map(|t| (t.name.clone(), t.kind)).collect();
             t.on_sim_start(&roster);
         }
-
-        shard::run(mem, eng, threads, bodies, cpu_step)
-    }
-}
-
-/// Spawn one OS thread per logical thread, each running the worker protocol
-/// of scheduler `rt`: announce, wait for the first GO, install the deferral
-/// context, run the body, and hand the shard's token on at exit.
-pub(super) fn spawn_workers(
-    mem: &Arc<MemorySystem>,
-    eng: &Arc<EngineShared>,
-    threads: &[Arc<ThreadShared>],
-    bodies: Vec<ThreadFn>,
-    cpu_step: u64,
-    rt: &Arc<ShardedRt>,
-) -> Vec<thread::JoinHandle<()>> {
-    let mut joins = Vec::with_capacity(bodies.len());
-    for (id, (ts, body)) in threads.iter().cloned().zip(bodies).enumerate() {
-        let eng2 = Arc::clone(eng);
-        let mem2 = Arc::clone(mem);
-        let rt = Arc::clone(rt);
-        joins.push(
-            thread::Builder::new()
-                .name(format!("sim-{}", ts.name))
-                .spawn(move || {
-                    *ts.handle.lock() = Some(thread::current());
-                    // Announce readiness and wait for the first GO.
-                    ts.state.store(ST_YIELD, Ordering::Release);
-                    unpark(&eng2.engine_thread);
-                    {
-                        let ts2 = Arc::clone(&ts);
-                        spin_wait(move || ts2.state.load(Ordering::Acquire) == ST_GO);
-                    }
-                    let my_shard = rt.shard_of(ts.kind);
-                    inbox::begin_thread(id, my_shard, rt.ctl_arc());
-                    let mut ctx = ThreadCtx {
-                        kind: ts.kind,
-                        id,
-                        ts: Arc::clone(&ts),
-                        eng: Arc::clone(&eng2),
-                        mem: mem2,
-                        clock: ts.clock.load(Ordering::Acquire),
-                        pending: 0,
-                        cpu_step,
-                        rt: Some(Arc::clone(&rt)),
-                        my_shard,
-                        next_gate: barrier::GATE_NONE,
-                    };
-                    inbox::set_clock(ctx.clock);
-                    let result = panic::catch_unwind(AssertUnwindSafe(|| body(&mut ctx)));
-                    // Start cycle of the turn the body returned in: the key
-                    // at which the sequential order observes ST_DONE.
-                    let final_turn = ctx.clock;
-                    let final_clock = ctx.clock + ctx.pending;
-                    ctx.ts.clock.store(final_clock, Ordering::Release);
-                    if let Err(p) = result {
-                        let msg = panic_message(p.as_ref());
-                        *ts.panic_note.lock() = Some(format!(
-                            "'{}' panicked at simulated cycle {final_clock}: {msg}",
-                            ts.name
-                        ));
-                        ts.panicked.store(true, Ordering::Release);
-                        rt.ctl().flag_panic();
-                    }
-                    if !ts.daemon {
-                        rt.ctl().non_daemon_done(barrier::pack(final_turn, id));
-                    }
-                    ts.state.store(ST_DONE, Ordering::Release);
-                    // Hand the shard's scheduling token to the next pending
-                    // thread (and republish the frontiers).
-                    rt.sched_step(my_shard, Some(id));
-                    *ts.deferred.lock() = Some(inbox::end_thread());
-                })
-                .expect("spawn sim thread"),
-        );
-    }
-    joins
-}
-
-/// Wait until every worker has announced readiness (left `ST_INIT`).
-pub(super) fn await_announcements(threads: &[Arc<ThreadShared>]) {
-    for ts in threads {
-        let ts2 = Arc::clone(ts);
-        spin_wait(move || ts2.state.load(Ordering::Acquire) != ST_INIT);
-    }
-}
-
-/// Propagate the first panic of the (already joined) workers, or build the
-/// outcome.
-pub(super) fn finish(threads: &[Arc<ThreadShared>]) -> SimOutcome {
-    if threads.iter().any(|t| t.panicked.load(Ordering::Acquire)) {
-        let notes: Vec<String> = threads
-            .iter()
-            .filter(|t| t.panicked.load(Ordering::Acquire))
-            .map(|t| {
-                t.panic_note.lock().take().unwrap_or_else(|| format!("'{}' (message lost)", t.name))
-            })
-            .collect();
-        panic!("simulated thread(s) panicked: {}", notes.join("; "));
-    }
-    SimOutcome {
-        clocks: threads.iter().map(|t| t.clock.load(Ordering::Acquire)).collect(),
-        names: threads.iter().map(|t| t.name.clone()).collect(),
-        daemons: threads.iter().map(|t| t.daemon).collect(),
+        sched::run(mem, threads, cpu_step)
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::AtomicUsize;
+    use std::panic::{self, AssertUnwindSafe};
+    use std::sync::atomic::{AtomicU64, AtomicUsize};
+    use std::sync::Mutex;
 
     fn tiny_sim() -> Simulation {
         Simulation::new(Config::tiny())
+    }
+
+    /// A simulation spawns no OS thread: every body runs on the thread that
+    /// called `run`.
+    #[test]
+    fn simulation_runs_on_the_calling_thread() {
+        let mut sim = tiny_sim();
+        let base = sim.mem().map().host_base;
+        let seen = Arc::new(Mutex::new(Vec::new()));
+        for core in 0..4 {
+            let seen = Arc::clone(&seen);
+            sim.spawn(format!("h{core}"), ThreadKind::Host { core }, move |ctx| {
+                let _ = ctx.read_u64(base + core as u32 * 8);
+                seen.lock().unwrap().push(thread::current().id());
+            });
+        }
+        let seen2 = Arc::clone(&seen);
+        sim.spawn_daemon("nmp0", ThreadKind::Nmp { part: 0 }, move |ctx| {
+            while !ctx.stop_requested() {
+                ctx.idle(16);
+            }
+            seen2.lock().unwrap().push(thread::current().id());
+        });
+        sim.run();
+        let seen = seen.lock().unwrap();
+        assert_eq!(seen.len(), 5);
+        assert!(seen.iter().all(|&id| id == thread::current().id()), "{seen:?}");
+    }
+
+    /// Clocks, final RAM and counters of a handshake between host threads
+    /// and an NMP daemon.
+    fn handshake_fingerprint() -> String {
+        let mut sim = tiny_sim();
+        let mem = sim.mem();
+        let base = mem.map().host_base;
+        let spad = mem.map().spad_base(0);
+        sim.spawn_daemon("nmp0", ThreadKind::Nmp { part: 0 }, move |ctx| {
+            let mut sum = 0u64;
+            while !ctx.stop_requested() {
+                let v = ctx.read_u64_acquire(spad);
+                if v == 0 {
+                    ctx.idle(24);
+                    continue;
+                }
+                sum += v;
+                ctx.write_u64(spad + 8, sum);
+                ctx.write_u64_release(spad, 0);
+            }
+        });
+        for core in 0..3 {
+            sim.spawn(format!("h{core}"), ThreadKind::Host { core }, move |ctx| {
+                for i in 0..20u64 {
+                    let cur = ctx.read_u64(base);
+                    let _ = ctx.cas_u64(base, cur, cur + i);
+                    if ctx.mmio_read_u64_acquire(spad) == 0 {
+                        ctx.mmio_write_u64_release(spad, 1 + core as u64 + i);
+                    }
+                    ctx.idle(30 + core as u64);
+                }
+            });
+        }
+        let out = sim.run();
+        format!("{out:?} {} {:?}", mem.ram().read_u64(base), mem.snapshot())
+    }
+
+    /// Two identical simulations running at once on two OS threads each
+    /// reproduce a lone run's bytes: no scheduler state is process-global
+    /// or thread-local.
+    #[test]
+    fn concurrent_simulations_do_not_share_state() {
+        let alone = handshake_fingerprint();
+        let (a, b) = thread::scope(|s| {
+            let a = s.spawn(handshake_fingerprint);
+            let b = s.spawn(handshake_fingerprint);
+            (a.join().unwrap(), b.join().unwrap())
+        });
+        assert_eq!(a, alone);
+        assert_eq!(b, alone);
+    }
+
+    /// The coroutine stack budget (`coro::STACK_BYTES`) holds a body that
+    /// recurses through 512 frames of a 1 KiB array each — about 1 MiB of
+    /// stack in a debug build — and yields to a sibling at the bottom.
+    #[test]
+    fn deep_body_fits_its_stack() {
+        fn descend(ctx: &mut ThreadCtx, addr: Addr, depth: u32) -> u64 {
+            let frame = std::hint::black_box([depth as u8; 1024]);
+            let below = if depth == 0 { ctx.read_u64(addr) } else { descend(ctx, addr, depth - 1) };
+            below + u64::from(frame[1023])
+        }
+        let mut sim = tiny_sim();
+        let base = sim.mem().map().host_base;
+        let sum = Arc::new(AtomicU64::new(0));
+        let sum2 = Arc::clone(&sum);
+        sim.spawn("deep", ThreadKind::Host { core: 0 }, move |ctx| {
+            sum2.store(descend(ctx, base, 511), Ordering::Relaxed);
+        });
+        sim.spawn("sibling", ThreadKind::Host { core: 1 }, move |ctx| {
+            for i in 0..64 {
+                let _ = ctx.read_u64(base + 8 + i * 8);
+            }
+        });
+        sim.run();
+        assert_eq!(sum.load(Ordering::Relaxed), (0..512u64).map(|d| d % 256).sum::<u64>());
     }
 
     #[test]
@@ -863,9 +744,20 @@ mod tests {
         sim.run();
     }
 
+    /// The panic fires while a sibling is suspended mid-access (its read
+    /// completes after the panic's cycle): the note names the panicking
+    /// thread only, and the sibling still resumes and finishes.
     #[test]
     fn worker_panic_carries_name_clock_and_message() {
         let mut sim = tiny_sim();
+        let base = sim.mem().map().host_base;
+        let finished = Arc::new(AtomicBool::new(false));
+        let finished2 = Arc::clone(&finished);
+        sim.spawn("parked", ThreadKind::Host { core: 1 }, move |ctx| {
+            ctx.advance(100);
+            let _ = ctx.read_u64(base);
+            finished2.store(true, Ordering::Relaxed);
+        });
         sim.spawn("exploder", ThreadKind::Host { core: 0 }, |ctx| {
             ctx.advance(123);
             ctx.idle(7);
@@ -877,6 +769,8 @@ mod tests {
         assert!(msg.contains("'exploder'"), "missing thread name: {msg}");
         assert!(msg.contains("simulated cycle 130"), "missing clock: {msg}");
         assert!(msg.contains("kaboom 42"), "missing payload message: {msg}");
+        assert!(!msg.contains("'parked'"), "the sibling did not panic: {msg}");
+        assert!(finished.load(Ordering::Relaxed), "the parked sibling must run to completion");
     }
 
     #[test]

@@ -12,8 +12,8 @@
 //!
 //! What a native run does *not* have is an NMP processor, and so no daemon
 //! threads either: its threads are host workers and nothing else. In a
-//! simulation an NMP core is a logical thread with its own clock and its own
-//! vault shard; natively it would be one more OS thread competing with the
+//! simulation an NMP core is a logical thread with its own clock; natively
+//! it would be one more OS thread competing with the
 //! host threads for the same CPUs, and every offload would cost two handoffs
 //! to it. [`Spawner::nmp_cores`] is how service-spawning code learns which of
 //! the two it is attached to: it hands back the simulation to put the flat
@@ -31,10 +31,7 @@ use parking_lot::Mutex;
 
 use crate::mem::MemorySystem;
 
-use super::barrier;
-use super::core::{
-    panic_message, EngineShared, Simulation, ThreadCtx, ThreadFn, ThreadKind, ThreadShared,
-};
+use super::core::{panic_message, Engine, Simulation, ThreadCtx, ThreadFn, ThreadKind};
 
 /// Object-safe spawning surface shared by [`Simulation`] and [`NativeRun`]:
 /// code that installs service threads (combiners, worker pools) can take
@@ -68,7 +65,9 @@ impl Spawner for Simulation {
 /// first panic.
 pub struct NativeRun {
     mem: Arc<MemorySystem>,
-    eng: Arc<EngineShared>,
+    /// Raised when a thread panicked, so siblings polling
+    /// `stop_requested` return and the run can be joined.
+    stop: Arc<AtomicBool>,
     cpu_step: u64,
     next_id: usize,
     workers: Vec<JoinHandle<()>>,
@@ -81,10 +80,7 @@ impl NativeRun {
         let cpu_step = mem.config().cpu_step_cycles;
         NativeRun {
             mem,
-            eng: Arc::new(EngineShared {
-                engine_thread: Mutex::new(None),
-                stop: AtomicBool::new(false),
-            }),
+            stop: Arc::new(AtomicBool::new(false)),
             cpu_step,
             next_id: 0,
             workers: Vec::new(),
@@ -121,10 +117,10 @@ impl NativeRun {
 
 impl Spawner for NativeRun {
     fn spawn_boxed(&mut self, name: String, kind: ThreadKind, f: ThreadFn) {
-        let ts = Arc::new(ThreadShared::new(name.clone(), kind, false, self.mem.config()));
+        kind.check(self.mem.config());
         let id = self.next_id;
         self.next_id += 1;
-        let eng = Arc::clone(&self.eng);
+        let stop = Arc::clone(&self.stop);
         let mem = Arc::clone(&self.mem);
         let cpu_step = self.cpu_step;
         let panics = Arc::clone(&self.panics);
@@ -134,15 +130,11 @@ impl Spawner for NativeRun {
                 let mut ctx = ThreadCtx {
                     kind,
                     id,
-                    ts,
-                    eng: Arc::clone(&eng),
                     mem,
                     clock: 0,
                     pending: 0,
                     cpu_step,
-                    rt: None,
-                    my_shard: 0,
-                    next_gate: barrier::GATE_NONE,
+                    engine: Engine::Native(Arc::clone(&stop)),
                 };
                 let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| f(&mut ctx)));
                 if let Err(p) = result {
@@ -150,7 +142,7 @@ impl Spawner for NativeRun {
                     panics.lock().push(format!("'{name}' panicked: {msg}"));
                     // Release every worker polling stop, so the run can be
                     // joined instead of hanging.
-                    eng.stop.store(true, Ordering::Release);
+                    stop.store(true, Ordering::Release);
                 }
             })
             .expect("spawn native thread");

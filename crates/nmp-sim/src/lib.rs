@@ -12,7 +12,8 @@
 //!   node-size register buffer and a scratchpad that is memory-mapped into
 //!   the host address space (the publication-list channel),
 //! * a deterministic discrete-event engine that interleaves logical host /
-//!   NMP threads at memory-access granularity.
+//!   NMP threads at memory-access granularity, as coroutines on the OS
+//!   thread that runs the simulation.
 //!
 //! The machine's bytes live in one [`Ram`] (real atomics, real orderings).
 //! A [`Simulation`] and a [`NativeRun`] — free-running OS threads, no cycle

@@ -175,64 +175,46 @@ impl OffloadCounters {
         }
     }
 
-    /// Zero the host-recorded counters (posts, retries, lock-path falls,
-    /// lane occupancy, pqueue stale probes). Counters bumped by NMP
-    /// combiners are reset per partition by
-    /// [`OffloadCounters::reset_part_side`], so a sharded engine can apply
-    /// each side's reset at its own canonical stream position.
-    fn reset_host_side(&self) {
-        for v in [&self.posted, &self.retries, &self.lock_path, &self.pq_stale] {
+    /// Zero every counter.
+    fn reset(&self) {
+        for v in [
+            &self.posted,
+            &self.completed,
+            &self.retries,
+            &self.lock_path,
+            &self.lane_posted,
+            &self.combined_hist,
+            &self.pq_stale,
+            &self.coalesced,
+        ] {
             for a in v.iter() {
                 a.store(0, Ordering::Relaxed);
             }
         }
-        for a in self.lane_posted.iter() {
-            a.store(0, Ordering::Relaxed);
-        }
-    }
-
-    /// Zero the combiner-recorded counters of partition `part` (completed
-    /// requests, coalesced completions, and the combined-per-pass histogram
-    /// row).
-    fn reset_part_side(&self, part: usize) {
-        self.completed[part].store(0, Ordering::Relaxed);
-        self.coalesced[part].store(0, Ordering::Relaxed);
-        for b in 0..OFFLOAD_HIST_BUCKETS {
-            self.combined_hist[part * OFFLOAD_HIST_BUCKETS + b].store(0, Ordering::Relaxed);
-        }
     }
 }
 
-/// Timing state owned by the host shard: the cache hierarchy, the host
-/// main-memory vaults, and the host-side MMIO issue counters. Exactly one
-/// shard (the host shard) mutates this.
-struct HostTiming {
+/// The mutable timing state: the host cache hierarchy, every DRAM vault
+/// (the `main_vaults` block-interleaved host vaults, then one per NMP
+/// partition), each NMP core's single-block node-register buffer, and the
+/// MMIO issue counters.
+struct Timing {
     l1: Vec<Cache>,
     l2: Cache,
-    /// The `main_vaults` host main-memory vaults (block-interleaved).
     vaults: Vec<Vault>,
+    /// Last block resident in each NMP core's node-register buffer.
+    nmp_buf: Vec<Option<Addr>>,
+    nmp_buffer_hits: u64,
     mmio_reads: u64,
     mmio_writes: u64,
 }
 
-/// Timing state owned by one NMP partition's vault shard: its DRAM vault
-/// and the NMP core's single-block node-register buffer. Only the shard
-/// that owns partition `p` mutates entry `p`.
-struct PartTiming {
-    vault: Vault,
-    /// Last block resident in this NMP core's node-register buffer.
-    nmp_buf: Option<Addr>,
-    nmp_buffer_hits: u64,
-}
-
 /// The timed memory system shared by all logical threads of a simulation.
 ///
-/// Timing state is partitioned by shard ownership: `HostTiming` behind one
-/// lock, one `PartTiming` lock per NMP partition, and the immutable
-/// [`DramTiming`] shared read-only. Each engine shard only ever takes the
-/// locks it owns, so cross-shard timing state is never touched directly
-/// (under the single-loop test topology one shard owns them all and the
-/// finer locks are simply uncontended).
+/// The mutable timing state sits behind one lock, which is uncontended: a
+/// simulation runs one logical thread at a time on one OS thread, and a
+/// native run never prices an access. The [`DramTiming`] parameters are
+/// immutable.
 pub struct MemorySystem {
     backing: Ram,
     map: MemMap,
@@ -243,8 +225,7 @@ pub struct MemorySystem {
     block_bytes: u32,
     offload: OffloadCounters,
     dram: DramTiming,
-    host_t: Mutex<HostTiming>,
-    parts_t: Vec<Mutex<PartTiming>>,
+    timing: Mutex<Timing>,
     /// Correctness checkers, attached at most once per machine (see
     /// [`crate::analysis`]). Empty = zero checking overhead.
     analysis: OnceLock<Arc<Analysis>>,
@@ -260,22 +241,15 @@ impl MemorySystem {
         cfg.validate();
         let map = MemMap::new(&cfg);
         let dram = DramTiming::from_config(&cfg);
-        let host_t = HostTiming {
+        let timing = Timing {
             l1: (0..cfg.host_cores).map(|_| Cache::new(&cfg.l1)).collect(),
             l2: Cache::new(&cfg.l2),
-            vaults: (0..cfg.main_vaults).map(|_| Vault::new(&dram)).collect(),
+            vaults: (0..cfg.num_vaults).map(|_| Vault::new(&dram)).collect(),
+            nmp_buf: vec![None; cfg.nmp_partitions()],
+            nmp_buffer_hits: 0,
             mmio_reads: 0,
             mmio_writes: 0,
         };
-        let parts_t = (0..cfg.nmp_partitions())
-            .map(|_| {
-                Mutex::new(PartTiming {
-                    vault: Vault::new(&dram),
-                    nmp_buf: None,
-                    nmp_buffer_hits: 0,
-                })
-            })
-            .collect();
         MemorySystem {
             backing: Ram::new(map.total_bytes),
             map,
@@ -286,8 +260,7 @@ impl MemorySystem {
             offload: OffloadCounters::new(cfg.nmp_partitions()),
             cfg,
             dram,
-            host_t: Mutex::new(host_t),
-            parts_t,
+            timing: Mutex::new(timing),
             analysis: OnceLock::new(),
             tracer: OnceLock::new(),
         }
@@ -359,7 +332,7 @@ impl MemorySystem {
         // tracer after releasing it (the tracer lock never nests inside it).
         let mut vault_busy: Option<(usize, u64, u64)> = None;
         let lat = {
-            let t = &mut *self.host_t.lock();
+            let t = &mut *self.timing.lock();
             let mut lat = t.l1[core].latency;
             let mut l1_hit = false;
             match t.l1[core].access(addr, is_write) {
@@ -422,22 +395,19 @@ impl MemorySystem {
         }
         let mut vault_busy: Option<(usize, u64, u64)> = None;
         let lat = {
-            let t = &mut *self.parts_t[part].lock();
+            let t = &mut *self.timing.lock();
             let block = addr & !(self.cfg.nmp_buffer_bytes - 1);
-            if !is_write && t.nmp_buf == Some(block) {
+            if !is_write && t.nmp_buf[part] == Some(block) {
                 t.nmp_buffer_hits += 1;
                 1
             } else {
                 let local = addr - self.map.part_base(part);
-                let lat = t.vault.access(now, local, is_write, &self.dram);
-                vault_busy = Some((self.cfg.main_vaults + part, now, now + lat));
-                if is_write {
-                    // Write-through; keep the buffer coherent if it holds this block.
-                    if t.nmp_buf != Some(block) && t.nmp_buf.is_some() {
-                        // leave buffer as-is: writes don't allocate
-                    }
-                } else {
-                    t.nmp_buf = Some(block);
+                let v = self.cfg.main_vaults + part;
+                let lat = t.vaults[v].access(now, local, is_write, &self.dram);
+                vault_busy = Some((v, now, now + lat));
+                // Write-through, and writes do not allocate in the buffer.
+                if !is_write {
+                    t.nmp_buf[part] = Some(block);
                 }
                 lat
             }
@@ -456,7 +426,7 @@ impl MemorySystem {
             Region::Spad(_) => {}
             r => panic!("MMIO access to non-scratchpad region {r:?} at {addr:#x}"),
         }
-        let t = &mut *self.host_t.lock();
+        let t = &mut *self.timing.lock();
         if is_write {
             t.mmio_writes += 1;
             self.mmio_write_cycles
@@ -517,34 +487,20 @@ impl MemorySystem {
     /// cumulative over the machine's lifetime — [`MemorySystem::reset_stats`]
     /// deliberately does not clear them.
     pub fn snapshot(&self) -> StatsSnapshot {
-        // Wait until every other shard has run past the caller's current
-        // cycle so the counters read here reflect the same prefix of work a
-        // sequential scheduler would have applied.
-        crate::engine::quiesce_for_global_mutation();
         let (races_detected, policy_violations) =
             self.analysis.get().map_or((0, 0), |a| (a.race_count(), a.policy_count()));
-        let (l1, l2, mut vaults, mmio_reads, mmio_writes) = {
-            let t = self.host_t.lock();
-            let mut l1 = crate::stats::CacheStats::default();
-            for c in &t.l1 {
-                l1.add(&c.stats);
-            }
-            let vaults: Vec<_> = t.vaults.iter().map(|v| v.stats).collect();
-            (l1, t.l2.stats, vaults, t.mmio_reads, t.mmio_writes)
-        };
-        let mut nmp_buffer_hits = 0;
-        for pt in &self.parts_t {
-            let pt = pt.lock();
-            vaults.push(pt.vault.stats);
-            nmp_buffer_hits += pt.nmp_buffer_hits;
+        let t = self.timing.lock();
+        let mut l1 = crate::stats::CacheStats::default();
+        for c in &t.l1 {
+            l1.add(&c.stats);
         }
         StatsSnapshot {
             l1,
-            l2,
-            vaults,
-            mmio_reads,
-            mmio_writes,
-            nmp_buffer_hits,
+            l2: t.l2.stats,
+            vaults: t.vaults.iter().map(|v| v.stats).collect(),
+            mmio_reads: t.mmio_reads,
+            mmio_writes: t.mmio_writes,
+            nmp_buffer_hits: t.nmp_buffer_hits,
             main_vaults: self.cfg.main_vaults,
             races_detected,
             policy_violations,
@@ -552,12 +508,10 @@ impl MemorySystem {
         }
     }
 
-    /// Zero the host-owned counters (caches, host vaults, MMIO issue counts,
-    /// host-side offload counters) while keeping cache/row state warm. Part
-    /// of [`MemorySystem::reset_stats`], split out so a sharded engine can
-    /// apply it at the host shard's canonical stream position.
-    pub fn reset_host_stats(&self) {
-        let t = &mut *self.host_t.lock();
+    /// Zero all counters while *keeping* cache/buffer/row state warm.
+    /// Used to discard warm-up traffic before a measurement window.
+    pub fn reset_stats(&self) {
+        let t = &mut *self.timing.lock();
         for c in &mut t.l1 {
             c.stats = Default::default();
         }
@@ -565,36 +519,10 @@ impl MemorySystem {
         for v in &mut t.vaults {
             v.stats = Default::default();
         }
+        t.nmp_buffer_hits = 0;
         t.mmio_reads = 0;
         t.mmio_writes = 0;
-        self.offload.reset_host_side();
-    }
-
-    /// Zero the counters owned by partition `part`'s vault shard (its vault,
-    /// its NMP-buffer hit count, its combiner-side offload counters) while
-    /// keeping buffer/row state warm. Part of [`MemorySystem::reset_stats`],
-    /// split out so a sharded engine can apply it at the owning shard's
-    /// canonical stream position.
-    pub fn reset_part_stats(&self, part: usize) {
-        let t = &mut *self.parts_t[part].lock();
-        t.vault.stats = Default::default();
-        t.nmp_buffer_hits = 0;
-        self.offload.reset_part_side(part);
-    }
-
-    /// Zero all counters while *keeping* cache/buffer/row state warm.
-    /// Used to discard warm-up traffic before a measurement window.
-    pub fn reset_stats(&self) {
-        // This mutates every shard's timing counters, so it is only legal
-        // at quiescent points (the driver's measurement barrier, where no
-        // offload is in flight). Wait for all other shards to pass the
-        // caller's cycle first, which makes the reset land at the same
-        // stream position as under a sequential scheduler.
-        crate::engine::quiesce_for_global_mutation();
-        self.reset_host_stats();
-        for p in 0..self.parts_t.len() {
-            self.reset_part_stats(p);
-        }
+        self.offload.reset();
     }
 
     /// Pre-load the block containing `addr` into the shared L2 (and the
@@ -605,14 +533,14 @@ impl MemorySystem {
         if self.map.region_of(addr) != Region::Host {
             return;
         }
-        let t = &mut *self.host_t.lock();
+        let t = &mut *self.timing.lock();
         let _ = t.l2.access(addr, false);
         let _ = t.l1[core].access(addr, false);
         for c in &mut t.l1 {
             c.stats = Default::default();
         }
         t.l2.stats = Default::default();
-        for v in &mut t.vaults {
+        for v in &mut t.vaults[..self.cfg.main_vaults] {
             v.stats = Default::default();
         }
     }

@@ -118,12 +118,6 @@ impl EventRing {
         self.dropped
     }
 
-    /// Account for events dropped upstream (the sharded engine's per-thread
-    /// deferred logs apply the same drop-oldest bound before the merge).
-    pub(crate) fn add_dropped(&mut self, n: u64) {
-        self.dropped += n;
-    }
-
     pub(crate) fn iter(&self) -> impl Iterator<Item = &TraceEvent> {
         self.buf.iter()
     }

@@ -218,34 +218,13 @@ impl Tracer {
         self.inner.lock().roster = roster.to_vec();
     }
 
-    /// Route an event into the ring — or, inside a simulation, into the
-    /// calling logical thread's deferred log, to be merged and replayed in
-    /// global key order after the run (shards run ahead of each other, so
-    /// live pushes would scramble the exported stream).
-    fn emit(&self, g: &mut Inner, ev: TraceEvent) {
-        if !crate::engine::defer_trace(ev, self.cap) {
-            g.events.push(ev);
-        }
-    }
-
-    /// Feed the merged deferred event stream back into the ring after a
-    /// simulation; `early_dropped` counts events already evicted from the
-    /// per-thread logs by the same drop-oldest bound the ring applies.
-    pub(crate) fn replay(&self, events: Vec<TraceEvent>, early_dropped: u64) {
-        let mut g = self.inner.lock();
-        for ev in events {
-            g.events.push(ev);
-        }
-        g.events.add_dropped(early_dropped);
-    }
-
     /// Begin an op umbrella on `core`'s track; returns the op id.
     pub fn op_begin(&self, core: usize, kind: u8, now: u64) -> u64 {
         let mut g = self.inner.lock();
         let op = g.next_op;
         g.next_op += 1;
         g.ops_begun += 1;
-        self.emit(&mut g, TraceEvent::OpBegin { core, kind, op, ts: now });
+        g.events.push(TraceEvent::OpBegin { core, kind, op, ts: now });
         op
     }
 
@@ -260,7 +239,7 @@ impl Tracer {
         if g.records.len() < self.cap {
             g.records.push(rec);
         }
-        self.emit(&mut g, TraceEvent::OpEnd { core, kind: rec.kind, op: rec.op, ts: rec.end });
+        g.events.push(TraceEvent::OpEnd { core, kind: rec.kind, op: rec.op, ts: rec.end });
     }
 
     /// Record a publication post: a `post` span on the host track and an open
@@ -268,10 +247,13 @@ impl Tracer {
     pub fn note_post(&self, core: usize, part: usize, slot: usize, op: u64, start: u64, end: u64) {
         let mut g = self.inner.lock();
         g.legs_posted += 1;
-        self.emit(
-            &mut g,
-            TraceEvent::Span { track: Track::Host(core), name: "post", start, end, arg: op },
-        );
+        g.events.push(TraceEvent::Span {
+            track: Track::Host(core),
+            name: "post",
+            start,
+            end,
+            arg: op,
+        });
         g.legs.insert(
             (part, slot),
             Leg { op, posted: end, exec_start: 0, exec_end: 0, executed: false },
@@ -291,19 +273,25 @@ impl Tracer {
         } else {
             0
         };
-        self.emit(
-            &mut g,
-            TraceEvent::Span { track: Track::Nmp(part), name: "exec", start, end, arg: op },
-        );
+        g.events.push(TraceEvent::Span {
+            track: Track::Nmp(part),
+            name: "exec",
+            start,
+            end,
+            arg: op,
+        });
     }
 
     /// Record a combiner batch pass over `part` that executed `n` requests.
     pub fn note_batch(&self, part: usize, start: u64, end: u64, n: u64) {
         let mut g = self.inner.lock();
-        self.emit(
-            &mut g,
-            TraceEvent::Span { track: Track::Nmp(part), name: "batch", start, end, arg: n },
-        );
+        g.events.push(TraceEvent::Span {
+            track: Track::Nmp(part),
+            name: "batch",
+            start,
+            end,
+            arg: n,
+        });
     }
 
     /// The host observed the response for `(part, slot)` at cycle `now`:
@@ -323,22 +311,25 @@ impl Tracer {
     /// Emit a zero-duration marker on `track`.
     pub fn instant(&self, track: Track, name: &'static str, ts: u64) {
         let mut g = self.inner.lock();
-        self.emit(&mut g, TraceEvent::Instant { track, name, ts });
+        g.events.push(TraceEvent::Instant { track, name, ts });
     }
 
     /// Emit a counter-track sample.
     pub fn counter(&self, name: &'static str, ts: u64, value: u64) {
         let mut g = self.inner.lock();
-        self.emit(&mut g, TraceEvent::Counter { name, ts, value });
+        g.events.push(TraceEvent::Counter { name, ts, value });
     }
 
     /// Record a DRAM vault busy window (one per vault access).
     pub fn vault_busy(&self, vault: usize, start: u64, end: u64) {
         let mut g = self.inner.lock();
-        self.emit(
-            &mut g,
-            TraceEvent::Span { track: Track::Vault(vault), name: "busy", start, end, arg: 0 },
-        );
+        g.events.push(TraceEvent::Span {
+            track: Track::Vault(vault),
+            name: "busy",
+            start,
+            end,
+            arg: 0,
+        });
     }
 
     /// Record a host last-level-cache miss on `core` at cycle `ts`.

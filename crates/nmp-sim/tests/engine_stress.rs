@@ -1,9 +1,9 @@
 //! Engine stress tests: multiple simulations coexisting in one process.
 //!
-//! The engine parks/unparks OS threads and keeps per-simulation state in
-//! `Arc`s; nothing may leak across engine instances. These tests run whole
-//! simulations concurrently from scoped OS threads and check that each
-//! remains bit-deterministic.
+//! A simulation runs on the OS thread that calls `run`, and all of its
+//! scheduler state belongs to that run; nothing may leak across engine
+//! instances. These tests run whole simulations concurrently from scoped OS
+//! threads and check that each remains bit-deterministic.
 
 use nmp_sim::{Config, Machine, ThreadKind};
 

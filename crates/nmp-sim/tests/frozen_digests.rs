@@ -1,39 +1,20 @@
-//! Byte-identity of the scheduler's two topologies.
+//! Engine-level frozen digests: the scheduler's simulated bytes, pinned.
 //!
-//! The per-partition topology (one event loop per vault shard plus a host
-//! shard, conservative frontier gating, the keyed stop protocol) must be
-//! *indistinguishable* from the single-loop topology
-//! (`Config::with_single_loop`: every thread in one shard, which is the
-//! sequential min-`(clock, id)` order by construction): under a fixed seed
-//! every observable artifact — per-thread final clocks, final RAM contents,
-//! the stats snapshot, the Chrome-trace export, the trace summary, and the
-//! analysis report — must be byte-for-byte identical.
+//! Each workload runs under a fixed seed and folds every observable
+//! artifact — per-thread final clocks, final RAM contents, the stats
+//! snapshot, the Chrome-trace export, the trace summary and the analysis
+//! report — into a string whose 64-bit FNV-1a digest must equal a frozen
+//! constant.
 //!
-//! Both topologies share the deferred-replay merge and the thread-side
-//! accessors, so the differential cannot see a bug there; two frozen
-//! digests of the scheduler this one replaced (a separate engine thread
-//! resuming the global minimum-key thread) pin the absolute bytes instead.
-//!
-//! The workload here is deliberately adversarial for a conservative
-//! scheduler: host threads CAS-contend on shared DRAM, post MMIO work to
-//! both partitions' scratchpads (crossing the host-shard/vault-shard
-//! boundary in both directions), and NMP daemons mutate their own partition
-//! heaps while polling their mailboxes. Everything stays policy-clean: a
-//! policy violation opens all gates (fail-fast ordering is preserved but
-//! not byte-reproduced; see DESIGN.md §4.9).
+//! The workloads are deliberately adversarial for a scheduler: host threads
+//! CAS-contend on shared DRAM, post MMIO work to every partition's
+//! scratchpad and wait for the acks, and NMP daemons mutate their own
+//! partition heaps while polling their mailboxes, so every turn order
+//! decision shows up in some clock, counter or trace byte.
 
 use std::sync::Arc;
 
 use nmp_sim::{Config, Machine, ThreadKind};
-
-/// `Config::tiny()` under the chosen topology.
-fn tiny(single_loop: bool) -> Config {
-    if single_loop {
-        Config::tiny().with_single_loop()
-    } else {
-        Config::tiny()
-    }
-}
 
 /// 64-bit FNV-1a.
 fn fnv1a64(s: &str) -> u64 {
@@ -41,28 +22,29 @@ fn fnv1a64(s: &str) -> u64 {
 }
 
 /// FNV-1a of `fingerprint` / `fingerprint_adaptive_backoff` as produced by
-/// the engine-thread sequential scheduler deleted in the commit that added
-/// these constants (computed at its parent with `shards = 1`).
+/// the sequential engine-thread scheduler that the sharded OS-thread
+/// scheduler, and then the coroutine loop, replaced.
 const LEGACY_HANDSHAKE_FNV: u64 = 0xe236_3d25_95b1_3c2a;
 const LEGACY_BACKOFF_FNV: u64 = 0x79fa_5e20_08c9_307d;
 
-/// Both topologies must agree with each other and with the frozen digest.
-fn assert_both_topologies_match(fp: fn(bool) -> String, frozen: u64) {
-    let reference = fp(true);
-    assert_eq!(reference, fp(false), "per-partition topology diverged from the single loop");
+/// FNV-1a of `fingerprint_one_partition`, taken from the single-loop
+/// topology of the OS-thread scheduler before it became a coroutine loop.
+const ONE_PARTITION_FNV: u64 = 0x5826_ddcb_6553_4389;
+
+fn assert_digest(fp: &str, frozen: u64) {
     assert_eq!(
-        fnv1a64(&reference),
+        fnv1a64(fp),
         frozen,
-        "both topologies agree but no longer reproduce the deleted sequential engine's bytes. \
-         Re-bless the digest (from `with_single_loop()` only) when the timing model or an \
-         observer format changed on purpose; otherwise this is a scheduler regression."
+        "the run no longer reproduces its frozen bytes. Re-bless the digest when the timing \
+         model or an observer format changed on purpose; otherwise this is a scheduler \
+         regression."
     );
 }
 
-/// Run the handshake workload under the chosen topology and fold every
-/// observable artifact into one big string fingerprint.
-fn fingerprint(single_loop: bool) -> String {
-    let machine = Machine::new(tiny(single_loop));
+/// Run the handshake workload and fold every observable artifact into one
+/// big string fingerprint.
+fn fingerprint() -> String {
+    let machine = Machine::new(Config::tiny());
     let tracer = machine.attach_tracer();
     let analysis = machine.attach_analysis();
 
@@ -151,22 +133,19 @@ fn fingerprint(single_loop: bool) -> String {
     fp
 }
 
-/// One event loop per vault of `Config::tiny` reproduces the single loop —
-/// and the deleted sequential engine — byte-for-byte, including trace
-/// export and analysis report.
+/// The handshake workload reproduces the sequential engine byte for byte,
+/// including trace export and analysis report.
 #[test]
-fn per_partition_matches_single_loop_byte_for_byte() {
-    assert_both_topologies_match(fingerprint, LEGACY_HANDSHAKE_FNV);
+fn handshake_matches_its_frozen_digest() {
+    assert_digest(&fingerprint(), LEGACY_HANDSHAKE_FNV);
 }
 
-/// The per-partition topology is deterministic run-to-run on its own (same
-/// OS-level thread interleavings are *not* required for this — only
-/// frontier order).
+/// A simulation is deterministic run to run within one process, too.
 #[test]
-fn per_partition_topology_is_self_deterministic() {
-    let a = fingerprint(false);
+fn handshake_is_deterministic_run_to_run() {
+    let a = fingerprint();
     for _ in 0..3 {
-        assert_eq!(a, fingerprint(false));
+        assert_eq!(a, fingerprint());
     }
 }
 
@@ -176,10 +155,10 @@ fn per_partition_topology_is_self_deterministic() {
 /// work (the combiner idle back-off of the hybrids offload policy), and
 /// host threads double their ack-wait interval per empty poll (the
 /// pipeline's stall back-off). Because the intervals derive only
-/// from values the threads read out of simulated memory, the conservative
-/// cross-shard gating must reproduce them bit-for-bit.
-fn fingerprint_adaptive_backoff(single_loop: bool) -> String {
-    let machine = Machine::new(tiny(single_loop));
+/// from values the threads read out of simulated memory, they reproduce
+/// bit-for-bit.
+fn fingerprint_adaptive_backoff() -> String {
+    let machine = Machine::new(Config::tiny());
     let tracer = machine.attach_tracer();
     let analysis = machine.attach_analysis();
 
@@ -262,18 +241,17 @@ fn fingerprint_adaptive_backoff(single_loop: bool) -> String {
     fp
 }
 
-/// State-driven adaptive back-off is topology-invariant.
+/// State-driven adaptive back-off reproduces the sequential engine too.
 #[test]
-fn adaptive_backoff_is_topology_invariant() {
-    assert_both_topologies_match(fingerprint_adaptive_backoff, LEGACY_BACKOFF_FNV);
+fn adaptive_backoff_matches_its_frozen_digest() {
+    assert_digest(&fingerprint_adaptive_backoff(), LEGACY_BACKOFF_FNV);
 }
 
-/// A one-partition machine: host shard plus a single vault shard (the
-/// smallest machine with a cross-shard gate). One NMP mailbox daemon serving
-/// a request/response slot pair per host, two host threads posting through
-/// MMIO; clocks, stats, trace events and RAM must not depend on the topology.
-fn fingerprint_one_partition(single_loop: bool) -> String {
-    let mut cfg = tiny(single_loop);
+/// A one-partition machine: one NMP mailbox daemon serving a
+/// request/response slot pair per host, two host threads posting through
+/// MMIO; clocks, stats, trace events and RAM are pinned.
+fn fingerprint_one_partition() -> String {
+    let mut cfg = Config::tiny();
     cfg.num_vaults = 3;
     cfg.main_vaults = 2;
     let machine = Machine::new(cfg);
@@ -331,39 +309,34 @@ fn fingerprint_one_partition(single_loop: bool) -> String {
 }
 
 #[test]
-fn one_partition_machine_is_topology_invariant() {
-    assert_eq!(fingerprint_one_partition(true), fingerprint_one_partition(false));
+fn one_partition_machine_matches_its_frozen_digest() {
+    assert_digest(&fingerprint_one_partition(), ONE_PARTITION_FNV);
 }
 
-/// A worker panic still propagates with the original message under either
-/// topology (gates open so no peer deadlocks waiting on the dead shard).
+/// A worker panic propagates with the original message while daemons are
+/// polling for the stop.
 #[test]
 fn worker_panic_propagates_with_message() {
-    for single_loop in [false, true] {
-        let machine = Machine::new(tiny(single_loop));
-        let base = machine.host_arena().alloc(8);
-        let mut sim = machine.simulation();
-        for p in 0..machine.partitions() {
-            sim.spawn_daemon(format!("nmp{p}"), ThreadKind::Nmp { part: p }, move |ctx| {
-                while !ctx.stop_requested() {
-                    ctx.idle(16);
-                }
-            });
-        }
-        sim.spawn("boom", ThreadKind::Host { core: 0 }, move |ctx| {
-            ctx.write_u64(base, 1);
-            panic!("deliberate test panic");
+    let machine = Machine::new(Config::tiny());
+    let base = machine.host_arena().alloc(8);
+    let mut sim = machine.simulation();
+    for p in 0..machine.partitions() {
+        sim.spawn_daemon(format!("nmp{p}"), ThreadKind::Nmp { part: p }, move |ctx| {
+            while !ctx.stop_requested() {
+                ctx.idle(16);
+            }
         });
-        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
-            .expect_err("worker panic must propagate");
-        let msg = err
-            .downcast_ref::<String>()
-            .cloned()
-            .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
-            .unwrap_or_default();
-        assert!(
-            msg.contains("deliberate test panic"),
-            "single_loop={single_loop}: unexpected panic payload: {msg}"
-        );
     }
+    sim.spawn("boom", ThreadKind::Host { core: 0 }, move |ctx| {
+        ctx.write_u64(base, 1);
+        panic!("deliberate test panic");
+    });
+    let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run()))
+        .expect_err("worker panic must propagate");
+    let msg = err
+        .downcast_ref::<String>()
+        .cloned()
+        .or_else(|| err.downcast_ref::<&str>().map(|s| s.to_string()))
+        .unwrap_or_default();
+    assert!(msg.contains("deliberate test panic"), "unexpected panic payload: {msg}");
 }

@@ -41,7 +41,9 @@
 //!   `setsockopt`, `fcntl`) lives only in the evented runtime
 //!   (`crates/server/src/runtime/`), behind its `Poller` trait. The rest
 //!   of the server crate — and everything below it — talks `std::net`
-//!   and the runtime's queue API, never raw FFI (DESIGN.md §4.12).
+//!   and the runtime's queue API, never raw FFI (DESIGN.md §4.12). The
+//!   memory-mapping calls (`mmap`, `munmap`, `mprotect`) may appear there
+//!   and in the simulator's coroutine stacks (`engine/coro.rs`) only.
 //! * **marker-location** — the `// xtask:` markers above may only appear in
 //!   an explicit allow-list of files, so the lint cannot be silenced by
 //!   sprinkling new markers.
@@ -123,6 +125,10 @@ pub const NET_SCOPE: &str = "crates/server/";
 /// FFI, `setsockopt`, `fcntl`): the evented connection runtime, which wraps
 /// it behind the `Poller` trait and socket-option helpers.
 pub const SYS_SCOPE: &str = "crates/server/src/runtime/";
+
+/// The one simulator file allowed to map memory: the coroutine stacks of
+/// the scheduler, which `mmap` each stack with a guard page.
+pub const CORO_MODULE: &str = "crates/nmp-sim/src/engine/coro.rs";
 
 /// Directories scanned by [`lint_tree`], relative to the repo root. The
 /// simulator crate (`nmp-sim` implements `Ram` and the memory model) is
@@ -441,7 +447,8 @@ struct Confinement {
 
 /// The simulator crate implements `Ram`, the MMIO channel and the memory
 /// model, so the effect-discipline rules do not apply to it; it must stay
-/// network- and syscall-free like every other layer.
+/// network- and syscall-free like every other layer, except for the
+/// `mmap`ed coroutine stacks of [`CORO_MODULE`].
 const SIM_SCOPE: &str = "crates/nmp-sim/";
 
 /// raw-mem and the confinement rules, in reporting order.
@@ -491,6 +498,17 @@ const CONFINEMENTS: &[Confinement] = &[
         exempt: |rel, _| rel.starts_with(SYS_SCOPE),
         line_marker: None,
         msg: SYS_MSG,
+    },
+    // Mapping memory by hand: the coroutine stacks, and nothing else.
+    Confinement {
+        rule: "sys-confinement",
+        tokens: &["mmap", "munmap", "mprotect"],
+        bound: Bound::Ident,
+        exempt: |rel, _| rel == CORO_MODULE || rel.starts_with(SYS_SCOPE),
+        line_marker: None,
+        msg: "`{tok}` (raw memory-mapping syscall) outside the simulator's coroutine stacks \
+              (crates/nmp-sim/src/engine/coro.rs) and the evented runtime; allocate through \
+              std instead",
     },
     // Raw `Ram` access (untimed, race-detector-invisible) only inside
     // sanctioned accessor modules.

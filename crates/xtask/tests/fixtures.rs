@@ -159,6 +159,28 @@ fn epoll_fixture_fails_everywhere_but_the_evented_runtime() {
 }
 
 #[test]
+fn mmap_fixture_fails_everywhere_but_the_coroutine_stacks() {
+    let src = include_str!("../fixtures/mmap_bad.rs");
+    // Live code holds four memory-mapping tokens: the mmap and munmap
+    // extern decls and their calls. The doc comment, the inline comment,
+    // the string literal, and the test module must not count.
+    for bad in [
+        "crates/nmp-sim/src/engine/core.rs",
+        "crates/nmp-sim/src/mem.rs",
+        "crates/hybrids/src/widget.rs",
+        "crates/server/src/server.rs",
+    ] {
+        let v = lint_as(bad, src);
+        assert!(v.iter().all(|v| v.rule == "sys-confinement"), "{bad}: {v:?}");
+        assert_eq!(v.len(), 4, "{bad}: {v:?}");
+    }
+    for ok in ["crates/nmp-sim/src/engine/coro.rs", "crates/server/src/runtime/sys.rs"] {
+        let v = lint_as(ok, src);
+        assert!(v.is_empty(), "{ok}: {v:?}");
+    }
+}
+
+#[test]
 fn clean_fixture_passes_in_strictest_scope() {
     let v = lint_as("crates/hybrids/src/widget.rs", include_str!("../fixtures/clean.rs"));
     assert!(v.is_empty(), "{v:?}");

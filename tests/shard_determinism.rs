@@ -1,19 +1,20 @@
-//! Whole-stack byte-identity across the scheduler's two topologies.
+//! Whole-stack frozen digests: the simulated bytes of real hybrid
+//! structures, pinned.
 //!
-//! The per-partition topology (host shard + one vault shard per partition,
-//! what every other run uses) must be observationally indistinguishable
-//! from the single-loop reference (`Config::with_single_loop`: all threads
-//! in one shard, the sequential order by construction) for real hybrid
-//! structures, not just hand-rolled engine workloads: same `RunResult`
-//! (minus wall-clock fields), same stats snapshot, same analysis report,
-//! and a byte-identical Chrome-trace export, for the skip list, B+ tree,
-//! and priority queue in both blocking (`inflight = 1`) and lane-pipelined
-//! (`inflight = 4`) modes, and for the hash map lane-pipelined.
+//! Each test runs one structure under a fixed seed and folds every
+//! observable artifact — the `RunResult` (minus its wall-clock fields), the
+//! stats snapshot, the trace summary, the Chrome-trace export and the
+//! analysis report — into a string, whose 64-bit FNV-1a digest must equal a
+//! frozen constant. Covered: the skip list, B+ tree and priority queue
+//! blocking (`inflight = 1`) and lane-pipelined (`inflight = 4`), and the
+//! hash map lane-pipelined, under `Policy::Fixed` and `Policy::Adaptive`.
 //!
-//! If any conservative barrier, frontier rule or keyed stop decision is
-//! wrong, some counter or trace byte here diverges. (The deferred-replay
-//! merge is common to both topologies; `engine/inbox.rs`'s unit test and the
-//! frozen digests in `crates/nmp-sim/tests/shard_determinism.rs` pin it.)
+//! The digests were taken from the single-loop reference topology of the
+//! scheduler that ran every logical thread as an OS thread, at the commit
+//! before the one that made them coroutines on one loop and deleted that
+//! topology; the tests kept their names from when they compared the two
+//! topologies with each other. The engine-level pair in
+//! `crates/nmp-sim/tests/frozen_digests.rs` pins the scheduler alone.
 
 use std::sync::Arc;
 
@@ -39,14 +40,19 @@ fn spec(seed: u64, inflight: usize) -> RunSpec {
     }
 }
 
-/// `Config::tiny()` under the chosen topology and policy.
-fn tiny(single_loop: bool, policy: Policy) -> Config {
-    let cfg = Config::tiny().with_policy(policy);
-    if single_loop {
-        cfg.with_single_loop()
-    } else {
-        cfg
-    }
+/// 64-bit FNV-1a.
+fn fnv1a64(s: &str) -> u64 {
+    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+}
+
+fn assert_digest(fp: &str, frozen: u64) {
+    assert_eq!(
+        fnv1a64(fp),
+        frozen,
+        "the run no longer reproduces its frozen bytes. Re-bless the digest when the timing \
+         model or an observer format changed on purpose; otherwise this is a scheduler \
+         regression."
+    );
 }
 
 /// Fold one run's observable artifacts into a comparison string, dropping
@@ -66,9 +72,9 @@ fn fold(m: &Arc<Machine>, tracer: &Arc<nmp_sim::trace::Tracer>, r: Option<RunRes
     fp
 }
 
-fn skiplist_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
+fn skiplist_fp(inflight: usize, policy: Policy) -> String {
     let ks = KeySpace::new(512, 2, 256);
-    let m = Machine::new(tiny(single_loop, policy));
+    let m = Machine::new(Config::tiny().with_policy(policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let sl = HybridSkipList::new(Arc::clone(&m), ks, 10, 4, 42, inflight.max(1));
@@ -79,9 +85,9 @@ fn skiplist_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
     fp
 }
 
-fn btree_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
+fn btree_fp(inflight: usize, policy: Policy) -> String {
     let ks = KeySpace::new(512, 2, 384);
-    let m = Machine::new(tiny(single_loop, policy));
+    let m = Machine::new(Config::tiny().with_policy(policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let pairs: Vec<(Key, Value)> =
@@ -98,9 +104,9 @@ fn btree_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
 /// key space: with `inflight = 4`, same-key requests meet in one combiner
 /// pass, so `Policy::Adaptive` coalesces them. Returns the fingerprint and
 /// the run's `offload_coalesced`.
-fn hashmap_fp(single_loop: bool, inflight: usize, policy: Policy) -> (String, u64) {
+fn hashmap_fp(inflight: usize, policy: Policy) -> (String, u64) {
     let ks = KeySpace::new(64, 2, 256);
-    let m = Machine::new(tiny(single_loop, policy));
+    let m = Machine::new(Config::tiny().with_policy(policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let hm = HybridHashMap::new(Arc::clone(&m), 64, 42, inflight.max(1));
@@ -118,9 +124,9 @@ fn hashmap_fp(single_loop: bool, inflight: usize, policy: Policy) -> (String, u6
     (fp, coalesced)
 }
 
-fn pqueue_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
+fn pqueue_fp(inflight: usize, policy: Policy) -> String {
     let ks = KeySpace::new(256, 2, 128);
-    let m = Machine::new(tiny(single_loop, policy));
+    let m = Machine::new(Config::tiny().with_policy(policy));
     let tracer = m.attach_tracer();
     let analysis = m.attach_analysis();
     let pq = HybridPqueue::new(Arc::clone(&m), ks, 8, 5, inflight.max(1));
@@ -188,70 +194,68 @@ fn pqueue_fp(single_loop: bool, inflight: usize, policy: Policy) -> String {
 
 #[test]
 fn skiplist_blocking_is_topology_invariant() {
-    assert_eq!(skiplist_fp(true, 1, Policy::Fixed), skiplist_fp(false, 1, Policy::Fixed));
+    assert_digest(&skiplist_fp(1, Policy::Fixed), 0xb039_ff7d_3eb2_ada6);
 }
 
 #[test]
 fn skiplist_pipelined_is_topology_invariant() {
-    assert_eq!(skiplist_fp(true, 4, Policy::Fixed), skiplist_fp(false, 4, Policy::Fixed));
+    assert_digest(&skiplist_fp(4, Policy::Fixed), 0x3fca_995d_9078_dfc1);
 }
 
 #[test]
 fn btree_blocking_is_topology_invariant() {
-    assert_eq!(btree_fp(true, 1, Policy::Fixed), btree_fp(false, 1, Policy::Fixed));
+    assert_digest(&btree_fp(1, Policy::Fixed), 0xa583_7818_30e1_378a);
 }
 
 #[test]
 fn btree_pipelined_is_topology_invariant() {
-    assert_eq!(btree_fp(true, 4, Policy::Fixed), btree_fp(false, 4, Policy::Fixed));
+    assert_digest(&btree_fp(4, Policy::Fixed), 0x324f_6257_458c_90a1);
 }
 
 #[test]
 fn hashmap_pipelined_is_topology_invariant() {
-    assert_eq!(hashmap_fp(true, 4, Policy::Fixed), hashmap_fp(false, 4, Policy::Fixed));
+    assert_digest(&hashmap_fp(4, Policy::Fixed).0, 0xda4c_e9f1_b0ab_2d28);
 }
 
 #[test]
 fn pqueue_blocking_is_topology_invariant() {
-    assert_eq!(pqueue_fp(true, 1, Policy::Fixed), pqueue_fp(false, 1, Policy::Fixed));
+    assert_digest(&pqueue_fp(1, Policy::Fixed), 0x82df_e78b_2ffa_4424);
 }
 
 #[test]
 fn pqueue_pipelined_is_topology_invariant() {
-    assert_eq!(pqueue_fp(true, 4, Policy::Fixed), pqueue_fp(false, 4, Policy::Fixed));
+    assert_digest(&pqueue_fp(4, Policy::Fixed), 0x09ef_356e_97de_f198);
 }
 
 // ---- adaptive-policy battery ----
 //
-// Every self-tuning decision (coalesced runs, combiner back-off, lane-depth
-// probes, stall back-off) is required to be a pure function of simulated
-// state, so the whole-stack fingerprint — RunResult, stats snapshot, trace
-// export, analysis report — must stay byte-identical across the two
-// topologies with `Policy::Adaptive` live.
+// Every self-tuning decision (coalesced runs, combiner back-off, stall
+// back-off) is required to be a pure function of simulated state, so the
+// whole-stack fingerprint is pinned with `Policy::Adaptive` live too.
 
 #[test]
 fn skiplist_pipelined_adaptive_is_topology_invariant() {
-    assert_eq!(skiplist_fp(true, 4, Policy::Adaptive), skiplist_fp(false, 4, Policy::Adaptive));
+    assert_digest(&skiplist_fp(4, Policy::Adaptive), 0xaa86_d17b_6e56_7bb6);
 }
 
 #[test]
 fn btree_pipelined_adaptive_is_topology_invariant() {
-    assert_eq!(btree_fp(true, 4, Policy::Adaptive), btree_fp(false, 4, Policy::Adaptive));
+    assert_digest(&btree_fp(4, Policy::Adaptive), 0xbbb5_f82b_7c79_b611);
 }
 
 #[test]
 fn pqueue_pipelined_adaptive_is_topology_invariant() {
-    assert_eq!(pqueue_fp(true, 4, Policy::Adaptive), pqueue_fp(false, 4, Policy::Adaptive));
+    assert_digest(&pqueue_fp(4, Policy::Adaptive), 0xc112_14a1_63ce_dd6c);
 }
 
 #[test]
 fn hashmap_pipelined_adaptive_is_topology_invariant() {
-    let (reference, coalesced) = hashmap_fp(true, 4, Policy::Adaptive);
+    let (fp, coalesced) = hashmap_fp(4, Policy::Adaptive);
     assert!(coalesced > 0, "the stream must exercise the coalescing path");
-    assert_eq!(reference, hashmap_fp(false, 4, Policy::Adaptive).0);
+    assert_digest(&fp, 0x03fb_f310_6a48_9231);
 }
 
 #[test]
 fn skiplist_blocking_adaptive_is_topology_invariant() {
-    assert_eq!(skiplist_fp(true, 1, Policy::Adaptive), skiplist_fp(false, 1, Policy::Adaptive));
+    assert_digest(&skiplist_fp(1, Policy::Adaptive), 0xcefa_c470_25c8_eb5f);
 }
