@@ -92,8 +92,8 @@ impl Scale {
         cfg.part_heap_bytes = 6 * 1024 * 1024;
         Scale {
             name: "ci",
-            // 2^17 keys x ~48 B/node over a 16 kB LLC keeps the paper's
-            // structure : LLC ratio (~400-500x).
+            // 2^17 keys x ~48 B/node = ~6 MB over the 64 kB LLC above:
+            // a structure : LLC ratio of about 96x.
             cfg,
             skiplist_keys: 1 << 17,
             btree_keys: 400_000,

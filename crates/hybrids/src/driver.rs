@@ -254,7 +254,7 @@ fn run_index_inner<S: SimIndex>(
             // arriver resets the counters (cache state stays warm).
             let n = shared.arrived.fetch_add(1, Ordering::Relaxed) + 1;
             if n == threads {
-                machine.mem().reset_stats();
+                ctx.reset_stats();
                 shared.released.store(1, Ordering::Release);
             } else {
                 let idle = machine.config().host_pipeline_idle_cycles;

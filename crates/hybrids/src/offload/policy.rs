@@ -37,6 +37,8 @@
 
 pub use nmp_sim::Policy;
 
+use nmp_sim::IdleSequence;
+
 use crate::publist::{OpCode, Request};
 
 /// Sort a combining-pass batch for coalescing: by key, then by slot index
@@ -94,7 +96,7 @@ impl Backoff {
             Policy::Fixed => self.base,
             Policy::Adaptive => {
                 let v = self.cur;
-                self.cur = (self.cur * 2).min(self.cap).max(1);
+                self.cur = self.doubled();
                 v
             }
         }
@@ -104,6 +106,23 @@ impl Backoff {
     /// re-checks promptly.
     pub fn rearm(&mut self) {
         self.cur = (self.base / 4).max(1);
+    }
+
+    /// The value `cur` becomes after an adaptive idle.
+    fn doubled(&self) -> u64 {
+        (self.cur * 2).min(self.cap).max(1)
+    }
+}
+
+/// A parked combiner's skipped passes take their idles from here
+/// ([`nmp_sim::ThreadCtx::park`]).
+impl IdleSequence for Backoff {
+    fn next_idle(&mut self) -> u64 {
+        Backoff::next_idle(self)
+    }
+
+    fn settled(&self) -> bool {
+        self.policy == Policy::Fixed || self.doubled() == self.cur
     }
 }
 
@@ -174,6 +193,24 @@ mod tests {
             b.rearm();
             assert_eq!(b.next_idle(), after, "case {i} after re-arm");
             assert!(got.iter().all(|&v| v >= 1), "case {i} idled 0 cycles");
+        }
+    }
+
+    /// `settled` answers true exactly when every later idle repeats the
+    /// next one: at once under `Fixed`, at the cap under `Adaptive`.
+    #[test]
+    fn backoff_settles_at_its_cap() {
+        for (policy, base) in [(Policy::Fixed, 16), (Policy::Adaptive, 16), (Policy::Adaptive, 1)] {
+            let mut b = Backoff::combiner(policy, base);
+            for _ in 0..12 {
+                let settled = b.settled();
+                let mut ahead = b.clone();
+                let next = IdleSequence::next_idle(&mut ahead);
+                let repeats = (0..4).all(|_| IdleSequence::next_idle(&mut ahead) == next);
+                assert_eq!(settled, repeats, "{policy:?} base {base}");
+                IdleSequence::next_idle(&mut b);
+            }
+            assert!(b.settled());
         }
     }
 }

@@ -12,16 +12,18 @@
 //! Who runs a combining pass depends on the run type, and on nothing else.
 //! A [`nmp_sim::Simulation`] models each NMP core as a processor of its
 //! own, so [`spawn_combiners`] gives every partition a daemon that loops
-//! over `Combiner::combine_pass`. A [`nmp_sim::NativeRun`] has no such
-//! processor: a combiner thread there would be a cost with no model behind
-//! it (two OS-thread handoffs per offload), so nothing is spawned and the
-//! *posting* host thread combines — classic flat combining. The host side
-//! of the protocol ([`PubLists::try_response`]) try-locks the partition's
-//! combiner and, if it wins, runs one pass over every posted slot, its own
-//! included; a loser finds its response already written by the winner, or
-//! retries. The lock's release/acquire orders successive combiners' plain
-//! accesses to the partition's memory; the ctrl-word protocol below is the
-//! same in both cases.
+//! over `Combiner::combine_pass`; between passes the daemon parks
+//! ([`ThreadCtx::park`]) until a host posts into its list, and resumes at
+//! the first scan that would have seen the post. A [`nmp_sim::NativeRun`]
+//! has no such processor: a combiner thread there would be a cost with no
+//! model behind it (two OS-thread handoffs per offload), so nothing is
+//! spawned and the *posting* host thread combines — classic flat
+//! combining. The host side of the protocol ([`PubLists::try_response`])
+//! try-locks the partition's combiner and, if it wins, runs one pass over
+//! every posted slot, its own included; a loser finds its response already
+//! written by the winner, or retries. The lock's release/acquire orders
+//! successive combiners' plain accesses to the partition's memory; the
+//! ctrl-word protocol below is the same in both cases.
 //!
 //! Slot layout (8 words):
 //!
@@ -39,7 +41,9 @@
 
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
-use nmp_sim::{Addr, EffectSpec, Machine, Policy, Spawner, ThreadCtx, ThreadKind, NULL};
+use nmp_sim::{
+    Addr, EffectSpec, Machine, Policy, PollLoop, Resume, Spawner, ThreadCtx, ThreadKind, NULL,
+};
 use workloads::{Key, Value};
 
 use crate::offload::policy::{coalesce_run_len, sort_batch, Backoff};
@@ -359,6 +363,21 @@ impl PubLists {
         })
     }
 
+    /// Whether any slot of partition `part` holds a posted request, read
+    /// untimed: the combiner's decision to park, not a modeled access.
+    fn any_posted(&self, part: usize) -> bool {
+        (0..self.slots_per_part).any(|slot| {
+            // xtask: allow(raw-mem) — the park decision peeks, it does not scan
+            self.machine.ram().read_u64(self.slot_addr(part, slot)) & CTRL_VALID != 0
+        })
+    }
+
+    /// The combiner's polling loop over partition `part`'s control words,
+    /// as [`ThreadCtx::park`] fast-forwards it.
+    fn poll_loop(&self, part: usize) -> PollLoop {
+        PollLoop { base: self.slot_addr(part, 0), stride: SLOT_BYTES, words: self.slots_per_part }
+    }
+
     /// Write the response words, then clear the valid bit (publishing the
     /// completion to the polling host thread). Combiner side, like `scan`.
     pub fn complete(&self, ctx: &mut ThreadCtx, part: usize, slot: usize, resp: &Response) {
@@ -453,11 +472,24 @@ impl<E: NmpExec> Combiner<E> {
     /// size, which also feeds the combined-per-pass histogram in
     /// [`nmp_sim::OffloadStats`].
     fn combine_pass(&mut self, lists: &PubLists, ctx: &mut ThreadCtx) -> usize {
+        let pass_start = ctx.now();
+        self.combine_from(lists, ctx, 0, pass_start)
+    }
+
+    /// [`Combiner::combine_pass`] picked up at its scan of `first_slot`, in
+    /// a pass that began at cycle `pass_start`: where a parked combiner
+    /// resumes.
+    fn combine_from(
+        &mut self,
+        lists: &PubLists,
+        ctx: &mut ThreadCtx,
+        first_slot: usize,
+        pass_start: u64,
+    ) -> usize {
         let part = self.part;
         let mem = lists.machine.mem();
         self.batch.clear();
-        let pass_start = ctx.now();
-        for slot in 0..lists.slots_per_part() {
+        for slot in first_slot..lists.slots_per_part() {
             if let Some(req) = lists.scan(ctx, part, slot) {
                 self.batch.push((slot, req));
             }
@@ -520,10 +552,11 @@ impl<E: NmpExec> Combiner<E> {
 /// Generic over the run type ([`Spawner`]). Where the run models NMP cores
 /// ([`Spawner::nmp_cores`] hands back the [`nmp_sim::Simulation`]) each
 /// combiner is a daemon on its partition's NMP core, looping over
-/// `Combiner::combine_pass` and idling between empty passes. Where it
-/// does not (a [`nmp_sim::NativeRun`]) **no thread is spawned**: the
-/// combiners are installed in `lists` and the posting host threads run the
-/// passes themselves (see the module docs).
+/// `Combiner::combine_pass` and parking between passes (polling on when a
+/// request was posted after its slot's scan). Where it does not (a
+/// [`nmp_sim::NativeRun`]) **no thread is spawned**: the combiners are
+/// installed in `lists` and the posting host threads run the passes
+/// themselves (see the module docs).
 pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>, exec: Arc<E>) {
     let base_idle = lists.machine.config().nmp_idle_poll_cycles;
     let policy = lists.machine.config().policy;
@@ -546,13 +579,37 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                 let part = combiner.part;
                 sim.spawn_daemon(format!("nmp-{part}"), ThreadKind::Nmp { part }, move |ctx| {
                     let mut idle = Backoff::combiner(policy, base_idle);
+                    let mut served = combiner.combine_pass(&lists, ctx);
                     loop {
-                        if combiner.combine_pass(&lists, ctx) > 0 {
+                        // The gap before the next pass: none after work,
+                        // the back-off after a pass that found nothing.
+                        let gap = if served > 0 {
                             idle.rearm();
+                            0
                         } else if ctx.stop_requested() {
                             return;
                         } else {
-                            ctx.idle(idle.next_idle());
+                            idle.next_idle()
+                        };
+                        if lists.any_posted(part) {
+                            // Posted after its slot's scan: the next pass
+                            // sees it, so this gap is taken as polled.
+                            if gap > 0 {
+                                ctx.idle(gap);
+                            }
+                            served = combiner.combine_pass(&lists, ctx);
+                            continue;
+                        }
+                        let mem = lists.machine.mem();
+                        match ctx.park(lists.poll_loop(part), gap, &mut idle) {
+                            Resume::Scan { word, pass_start, empty_passes } => {
+                                mem.note_offload_empty_passes(part, empty_passes);
+                                served = combiner.combine_from(&lists, ctx, word, pass_start);
+                            }
+                            Resume::Stop { empty_passes } => {
+                                mem.note_offload_empty_passes(part, empty_passes);
+                                return;
+                            }
                         }
                     }
                 });

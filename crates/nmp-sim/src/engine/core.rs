@@ -16,6 +16,11 @@
 //! thread's, so effects are applied in global simulated-time order — a
 //! sequentially-consistent execution).
 //!
+//! An NMP daemon that polls its scratchpad need not take a turn per poll:
+//! between passes it may [`ThreadCtx::park`] and is resumed, in closed
+//! form, exactly where its polling loop would first have seen a host's post
+//! (see `DESIGN.md` §4.9).
+//!
 //! This file holds the thread-side half: [`ThreadCtx`] and its accessors,
 //! and the [`Simulation`] builder.
 
@@ -28,9 +33,9 @@ use std::thread;
 use crate::analysis::MemOp;
 use crate::backend::Ram;
 use crate::config::Config;
-use crate::mem::{Addr, MemorySystem};
+use crate::mem::{Addr, MemorySystem, Region, SCRATCHPAD_CYCLES};
 
-use super::sched::{self, pack, Sched, Spawned};
+use super::sched::{self, first_clock_after, pack, Sched, Spawned, Wake, Watch};
 
 /// Latency charged to an access that violates the region policy while an
 /// analysis is attached (the real machine path does not exist; this keeps
@@ -79,6 +84,95 @@ pub(super) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
         s.clone()
     } else {
         "<non-string panic payload>".to_string()
+    }
+}
+
+/// The polling loop a [`ThreadCtx::park`]ed NMP daemon stands in for. One
+/// pass reads `words` words of the core's own scratchpad, `stride` bytes
+/// apart from `base`, each read followed by one [`ThreadCtx::step`]; the
+/// daemon acts on any word it finds set. After a pass that found nothing
+/// the loop checks [`ThreadCtx::stop_requested`] (returning if it answers
+/// true) and then calls [`ThreadCtx::idle`] with the next value of its
+/// [`IdleSequence`].
+#[derive(Debug, Clone, Copy)]
+pub struct PollLoop {
+    /// The word each pass reads first.
+    pub base: Addr,
+    /// Bytes between consecutive words of a pass.
+    pub stride: u32,
+    /// Words read per pass (at least one).
+    pub words: usize,
+}
+
+/// The idle cycles a [`PollLoop`] waits after each pass that found
+/// nothing.
+pub trait IdleSequence {
+    /// The next idle, advancing the sequence.
+    fn next_idle(&mut self) -> u64;
+    /// True when every later [`IdleSequence::next_idle`] returns the same
+    /// value and leaves the sequence as it is.
+    fn settled(&self) -> bool;
+}
+
+/// Where a [`ThreadCtx::park`]ed polling loop picks up.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Resume {
+    /// Another thread wrote a watched word. Continue the pass that began at
+    /// cycle `pass_start` with its read of word `word`: the first read of
+    /// the loop that completes after the write. The thread's clock stands
+    /// just before that read.
+    Scan {
+        /// Index of the next word to read in the pass.
+        word: usize,
+        /// Cycle the pass began.
+        pass_start: u64,
+        /// Whole passes skipped (each found nothing) since the later of the
+        /// park and the last [`ThreadCtx::reset_stats`].
+        empty_passes: u64,
+    },
+    /// The run stopped. The loop ran more empty passes, the last of which
+    /// saw [`ThreadCtx::stop_requested`] answer true; the thread's clock
+    /// stands at that check, and the loop returns.
+    Stop {
+        /// Empty passes run, the last included, since the later of the
+        /// park and the last [`ThreadCtx::reset_stats`].
+        empty_passes: u64,
+    },
+}
+
+/// The passes of a parked [`PollLoop`], in closed form: when each starts
+/// and when its last read (and so its stop check) completes.
+struct Passes<'a, I: IdleSequence> {
+    /// Cycle the current pass starts.
+    start: u64,
+    /// Cycles from a pass's start to the completion of its last read.
+    last_read: u64,
+    /// Cycles from a pass's start to the end of its final step.
+    span: u64,
+    idle: &'a mut I,
+}
+
+impl<I: IdleSequence> Passes<'_, I> {
+    /// Cycle the current pass checks for a stop.
+    fn check(&self) -> u64 {
+        self.start + self.last_read
+    }
+
+    /// Move to the first pass whose stop check is at or after cycle `t`;
+    /// returns how many passes were passed over.
+    fn skip_before(&mut self, t: u64) -> u64 {
+        let mut skipped = 0;
+        while self.check() < t {
+            if self.idle.settled() {
+                let period = self.span + self.idle.next_idle();
+                let n = (t - self.check()).div_ceil(period);
+                self.start += n * period;
+                return skipped + n;
+            }
+            self.start += self.span + self.idle.next_idle();
+            skipped += 1;
+        }
+        skipped
     }
 }
 
@@ -243,7 +337,83 @@ impl ThreadCtx {
         if let Some(a) = self.mem.analysis() {
             a.on_access(self.id, self.clock, addr, bytes, op, mmio, site);
         }
+        if is_write && mmio {
+            self.sched().on_mmio_write(addr, pack(self.clock, self.id));
+        }
         out
+    }
+
+    /// Zero the memory system's counters, keeping caches warm (see
+    /// [`MemorySystem::reset_stats`]), as of this thread's current turn:
+    /// passes that parked daemons skip count from here on.
+    pub fn reset_stats(&self) {
+        self.mem.reset_stats();
+        if let Engine::Sim(rt) = &self.engine {
+            rt.note_reset(pack(self.clock, self.id));
+        }
+    }
+
+    /// Park an NMP daemon in place of its [`PollLoop`] `poll`: the `gap`
+    /// cycles it would idle before its next pass (0 when that pass follows
+    /// at once, as after a pass that found work), and every pass from
+    /// there on that would find nothing. Call it where the loop would take
+    /// that gap, after the stop check if the last pass found nothing. The
+    /// thread takes no turn until another thread's MMIO write lands on a
+    /// word of `poll` or the run stops. It then resumes exactly as the
+    /// polling loop would have gone on: `idle` has given every idle the
+    /// skipped passes took, and the clock stands where the [`Resume`]
+    /// says. Simulated threads only.
+    ///
+    /// The caller must make sure nothing was posted after its read in the
+    /// pass just run (a polling loop would see that post next pass, a
+    /// parked one never); only writes from then on wake it. A stop wake
+    /// assumes that no write follows the stop, as only non-daemons post.
+    ///
+    /// # Panics
+    /// On a native thread, on a host thread, or if `poll` leaves the
+    /// thread's own scratchpad.
+    pub fn park(&mut self, poll: PollLoop, gap: u64, idle: &mut impl IdleSequence) -> Resume {
+        let ThreadKind::Nmp { part } = self.kind else { panic!("only an NMP core parks") };
+        assert!(poll.words >= 1 && poll.stride >= 1, "a polling pass reads at least one word");
+        let words = poll.words as u32;
+        let end = poll.base + (words - 1) * poll.stride;
+        let map = self.mem.map();
+        assert!(
+            map.region_of(poll.base) == Region::Spad(part)
+                && map.region_of(end) == Region::Spad(part),
+            "a parked NMP core {part} polls its own scratchpad"
+        );
+        let watch = Watch { base: poll.base, stride: poll.stride, count: words };
+        let wake = self.sched().park(self.id, pack(self.clock, self.id), watch);
+        let word = SCRATCHPAD_CYCLES + self.cpu_step;
+        let counted_from = first_clock_after(self.sched().last_reset(), self.id);
+        let mut passes = Passes {
+            start: self.clock + self.pending + gap,
+            last_read: (poll.words as u64 - 1) * word + SCRATCHPAD_CYCLES,
+            span: poll.words as u64 * word,
+            idle,
+        };
+        let (Wake::Write(key) | Wake::Stop(key)) = wake;
+        let t = first_clock_after(key, self.id);
+        passes.skip_before(t.min(counted_from));
+        let mut empty_passes = passes.skip_before(t);
+        match wake {
+            Wake::Write(_) => {
+                // The first read of this pass completing at or after `t`.
+                let first = passes.start + SCRATCHPAD_CYCLES;
+                let next = t.saturating_sub(first).div_ceil(word);
+                (self.clock, self.pending) = match next {
+                    0 => (passes.start, 0),
+                    n => (first + (n - 1) * word, self.cpu_step),
+                };
+                Resume::Scan { word: next as usize, pass_start: passes.start, empty_passes }
+            }
+            Wake::Stop(_) => {
+                empty_passes += u64::from(passes.check() >= counted_from);
+                (self.clock, self.pending) = (passes.check(), self.cpu_step);
+                Resume::Stop { empty_passes }
+            }
+        }
     }
 
     /// Timed 64-bit load.

@@ -16,5 +16,7 @@ mod coro;
 mod native;
 mod sched;
 
-pub use self::core::{SimOutcome, Simulation, ThreadCtx, ThreadFn, ThreadKind};
+pub use self::core::{
+    IdleSequence, PollLoop, Resume, SimOutcome, Simulation, ThreadCtx, ThreadFn, ThreadKind,
+};
 pub use self::native::{NativeRun, Spawner};

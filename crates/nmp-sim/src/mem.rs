@@ -114,6 +114,9 @@ impl MemMap {
     }
 }
 
+/// Latency, in cycles, of an NMP core's access to its own scratchpad.
+pub const SCRATCHPAD_CYCLES: u64 = 1;
+
 /// Combined-per-pass histogram buckets tracked per partition: bucket `i`
 /// counts combiner scan passes that collected exactly `i` requests, with the
 /// last bucket saturating (so `OFFLOAD_HIST_BUCKETS - 1` = "16 or more").
@@ -386,11 +389,12 @@ impl MemorySystem {
 
     /// Timed access by NMP core `part`. The core has no cache, only a single
     /// node-register buffer of one block; everything else goes to its vault.
-    /// Scratchpad accesses by the owning core are local (1 cycle).
+    /// Scratchpad accesses by the owning core are local
+    /// ([`SCRATCHPAD_CYCLES`]).
     pub fn nmp_access(&self, part: usize, now: u64, addr: Addr, is_write: bool) -> u64 {
         match self.map.region_of(addr) {
             Region::Part(p) if p == part => {}
-            Region::Spad(p) if p == part => return 1,
+            Region::Spad(p) if p == part => return SCRATCHPAD_CYCLES,
             r => panic!("NMP core {part} accessed foreign region {r:?} at {addr:#x}"),
         }
         let mut vault_busy: Option<(usize, u64, u64)> = None;
@@ -462,6 +466,14 @@ impl MemorySystem {
         self.offload.completed[part].fetch_add(combined as u64, Ordering::Relaxed);
     }
 
+    /// Record `passes` combiner scan passes over partition `part`'s
+    /// publication list that each collected nothing: the passes a parked
+    /// combiner skipped (see [`crate::ThreadCtx::park`]).
+    pub fn note_offload_empty_passes(&self, part: usize, passes: u64) {
+        self.offload.combined_hist[part * OFFLOAD_HIST_BUCKETS]
+            .fetch_add(passes, Ordering::Relaxed);
+    }
+
     /// Record a request of partition `part` served by replicating a
     /// coalesced sibling's response instead of its own NMP descent
     /// (key-range coalescing, adaptive policy only).
@@ -509,7 +521,10 @@ impl MemorySystem {
     }
 
     /// Zero all counters while *keeping* cache/buffer/row state warm.
-    /// Used to discard warm-up traffic before a measurement window.
+    /// Used to discard warm-up traffic before a measurement window. From
+    /// inside a running simulation call [`crate::ThreadCtx::reset_stats`]
+    /// instead: it also starts the window for the passes parked daemons
+    /// skip.
     pub fn reset_stats(&self) {
         let t = &mut *self.timing.lock();
         for c in &mut t.l1 {
@@ -735,7 +750,8 @@ mod tests {
     #[test]
     fn nmp_spad_access_local() {
         let s = sys();
-        assert_eq!(s.nmp_access(0, 0, s.map().spad_base(0), false), 1);
+        assert_eq!(s.nmp_access(0, 0, s.map().spad_base(0), false), SCRATCHPAD_CYCLES);
+        assert_eq!(SCRATCHPAD_CYCLES, 1);
     }
 
     #[test]
@@ -792,6 +808,8 @@ mod tests {
         s.note_offload_pass(0, 2);
         s.note_offload_pass(0, 0);
         s.note_offload_pass(1, 40); // saturates into the last bucket
+        s.note_offload_empty_passes(1, 5);
+        s.note_offload_empty_passes(0, 0);
         s.note_pqueue_stale(1, 123);
         s.note_pqueue_stale(1, 456);
         let o = s.snapshot().offload;
@@ -807,6 +825,7 @@ mod tests {
         assert_eq!(o.hist_buckets(), OFFLOAD_HIST_BUCKETS);
         assert_eq!(o.combined_hist[2], 1); // part 0, bucket 2
         assert_eq!(o.combined_hist[0], 1); // part 0, empty pass
+        assert_eq!(o.combined_hist[OFFLOAD_HIST_BUCKETS], 5); // part 1, skipped empty passes
         assert_eq!(o.combined_hist[OFFLOAD_HIST_BUCKETS + OFFLOAD_HIST_BUCKETS - 1], 1);
         assert_eq!(o.passes_with(1), 2);
         assert_eq!(o.passes_with(2), 2);

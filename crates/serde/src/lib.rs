@@ -201,6 +201,12 @@ macro_rules! impl_float {
 
 impl_float!(f32, f64);
 
+impl Serialize for Value {
+    fn to_value(&self) -> Value {
+        self.clone()
+    }
+}
+
 impl Serialize for bool {
     fn to_value(&self) -> Value {
         Value::Bool(*self)

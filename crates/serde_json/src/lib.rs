@@ -316,17 +316,24 @@ impl<'a> Parser<'a> {
                     }
                     self.pos += 1;
                 }
-                Some(_) => {
-                    // Consume one UTF-8 character (input is a &str, so the
-                    // byte stream is valid UTF-8).
-                    let rest = &self.bytes[self.pos..];
-                    let ch = std::str::from_utf8(rest)
-                        .map_err(|_| Error::msg("invalid utf-8"))?
-                        .chars()
-                        .next()
-                        .unwrap();
+                Some(lead) => {
+                    // Consume one UTF-8 character, its length read off the
+                    // lead byte: decoding only those bytes keeps a string
+                    // linear in its length.
+                    let len = match lead {
+                        0x00..=0x7F => 1,
+                        0xC0..=0xDF => 2,
+                        0xE0..=0xEF => 3,
+                        _ => 4,
+                    };
+                    let ch = self
+                        .bytes
+                        .get(self.pos..self.pos + len)
+                        .and_then(|b| std::str::from_utf8(b).ok())
+                        .and_then(|c| c.chars().next())
+                        .ok_or_else(|| Error::msg("invalid utf-8"))?;
                     s.push(ch);
-                    self.pos += ch.len_utf8();
+                    self.pos += len;
                 }
             }
         }
@@ -436,6 +443,19 @@ mod tests {
     fn unicode_escapes() {
         assert_eq!(from_str::<String>(r#""é""#).unwrap(), "é");
         assert_eq!(from_str::<String>(r#""😀""#).unwrap(), "😀");
+    }
+
+    /// 2-, 3- and 4-byte characters, inside a string and as its last
+    /// character, decode from their lead byte alone.
+    #[test]
+    fn multibyte_characters_inside_and_at_the_end() {
+        for text in ["aéb", "a€b", "a😀b", "é", "ab€", "ab😀", "ñ€😀ñ€😀"] {
+            let json = format!("\"{text}\"");
+            assert_eq!(from_str::<String>(&json).unwrap(), text, "{json}");
+            let obj = format!("{{\"k{text}\": \"{text}\"}}");
+            let v = parse_value_str(&obj).unwrap();
+            assert_eq!(v.field(&format!("k{text}")), Ok(&Value::Str(text.into())), "{obj}");
+        }
     }
 
     #[test]
