@@ -9,7 +9,7 @@
 
 use std::sync::Arc;
 
-use nmp_sim::{EffectSpec, Simulation, ThreadCtx, ThreadKind};
+use nmp_sim::{Addr, EffectSpec, Simulation, ThreadCtx, ThreadKind};
 use workloads::{Op, Value};
 
 /// Result of one completed data-structure operation.
@@ -74,6 +74,17 @@ pub trait SimIndex: Send + Sync + 'static {
     /// (e.g. linking a tall skiplist node, the LOCK_PATH / RESUME_INSERT
     /// dance) and internally re-issues on retry.
     fn poll(&self, ctx: &mut ThreadCtx, pending: &mut Self::Pending) -> PollOutcome;
+
+    /// The publication-list control word a pending operation waits on,
+    /// while its request is posted and not yet answered (an untimed peek).
+    /// Until that word is written, [`SimIndex::poll`] on it is one MMIO
+    /// read of the word and nothing else, which is what lets a host whose
+    /// lanes all wait park on their words ([`ThreadCtx::park`]). `None`
+    /// when the operation has host-side work to do next, and always for a
+    /// host-only index.
+    fn awaited_word(&self, _pending: &Self::Pending) -> Option<Addr> {
+        None
+    }
 
     /// The structure's declared memory-effect plan: per operation code, the
     /// regions each thread class may read and write, with what ordering and

@@ -18,12 +18,13 @@ use std::sync::Arc;
 
 use nmp_sim::analysis::{HistEvent, HistOp, HistoryRecorder};
 use nmp_sim::trace::{kind_label, LatencyHist, OP_KINDS};
-use nmp_sim::{Machine, StatsSnapshot, ThreadCtx, ThreadKind};
+use nmp_sim::{Addr, Machine, Resume, StatsSnapshot, ThreadCtx, ThreadKind};
 use serde::Serialize;
 use workloads::{KeySpace, Op, WorkloadSpec};
 
-use crate::api::{Issued, OpResult, PollOutcome, SimIndex};
+use crate::api::{host_core, Issued, OpResult, PollOutcome, SimIndex};
 use crate::offload::policy::Backoff;
+use crate::publist;
 
 /// Per-thread view of a history recorder: the recorder plus the recording
 /// thread's id. `None` disables recording (the normal benchmarking path).
@@ -259,6 +260,11 @@ fn run_index_inner<S: SimIndex>(
             } else {
                 let idle = machine.config().host_pipeline_idle_cycles;
                 while shared.released.load(Ordering::Acquire) == 0 {
+                    // A thread panicked, so a sibling may never arrive:
+                    // end, and let the run report the panic.
+                    if ctx.stop_requested() {
+                        return;
+                    }
                     ctx.idle(idle);
                 }
             }
@@ -358,7 +364,11 @@ impl Footprint {
 
 /// Execute a stream of operations; returns how many reported success.
 /// `inflight == 1` uses blocking calls; otherwise a lane-based pipeline of
-/// non-blocking NMP calls (Fig. 4b).
+/// non-blocking NMP calls (Fig. 4b). The pipeline polls its lanes round
+/// after round, idling its [`Backoff`] after a round that made no progress;
+/// when every occupied lane then waits on a posted request, the host parks
+/// on their control words instead ([`ThreadCtx::park`]) and resumes at the
+/// lane whose poll is the first to see a combiner's answer.
 fn run_stream<S: SimIndex>(
     ctx: &mut ThreadCtx,
     index: &S,
@@ -387,11 +397,15 @@ fn run_stream<S: SimIndex>(
     let mut lanes: Vec<Option<S::Pending>> = (0..inflight).map(|_| None).collect();
     // Invocation metadata per lane, kept for the completion record.
     let mut issued: Vec<(Op, u64)> = vec![(Op::Read(0), 0); inflight];
+    // The control words the occupied lanes wait on, and those lanes.
+    let (mut words, mut waiting) = (Vec::with_capacity(inflight), Vec::with_capacity(inflight));
+    // Where the next round starts: a parked round resumes mid-way.
+    let mut first_lane = 0;
     let mut next = 0usize;
     let mut done = 0usize;
     while done < ops.len() {
         let mut progressed = false;
-        for lane in 0..inflight {
+        for lane in std::mem::take(&mut first_lane)..inflight {
             match lanes[lane].take() {
                 None if next < ops.len() => {
                     let op = ops[next];
@@ -433,11 +447,44 @@ fn run_stream<S: SimIndex>(
         }
         if progressed {
             idle.rearm();
-        } else {
-            ctx.idle(idle.next_idle());
+            continue;
+        }
+        let gap = idle.next_idle();
+        if !awaited_words(index, &lanes, &mut words, &mut waiting) {
+            // Host-side work is due, or an answer landed after its lane's
+            // poll this round: the next round polls.
+            ctx.idle(gap);
+            continue;
+        }
+        match ctx.park(&words, gap, &mut idle) {
+            Resume::Scan { word, .. } => first_lane = waiting[word],
+            Resume::Stop { .. } => {
+                publist::stopping(&format!("host {} lanes {waiting:?}", host_core(ctx)))
+            }
         }
     }
     ok
+}
+
+/// Fill `words` with the control word each occupied lane waits on and
+/// `waiting` with those lanes, in lane order. False if no lane is occupied
+/// or one has something other than a wait to do next.
+fn awaited_words<S: SimIndex>(
+    index: &S,
+    lanes: &[Option<S::Pending>],
+    words: &mut Vec<Addr>,
+    waiting: &mut Vec<usize>,
+) -> bool {
+    words.clear();
+    waiting.clear();
+    for (lane, p) in lanes.iter().enumerate() {
+        if let Some(p) = p {
+            let Some(word) = index.awaited_word(p) else { return false };
+            words.push(word);
+            waiting.push(lane);
+        }
+    }
+    !words.is_empty()
 }
 
 #[cfg(test)]
@@ -586,6 +633,34 @@ mod tests {
         assert_eq!(rec.len() as u64, r.measured_ops + 20);
         rec.check_linearizable(|k| initial.get(&k).copied()).expect("history must linearize");
         sl.check_invariants();
+    }
+
+    /// A host that panics in warm-up never reaches the barrier: the others
+    /// stop waiting for it, and the run reports the panic.
+    #[test]
+    #[should_panic(expected = "host 0 fails in warm-up")]
+    fn a_warmup_panic_ends_the_run() {
+        struct FailsOnHost0;
+        impl SimIndex for FailsOnHost0 {
+            type Pending = ();
+            fn execute(&self, ctx: &mut ThreadCtx, _op: Op) -> OpResult {
+                ctx.idle(10);
+                assert_ne!(ctx.kind(), ThreadKind::Host { core: 0 }, "host 0 fails in warm-up");
+                OpResult::ok(0)
+            }
+            fn issue(&self, ctx: &mut ThreadCtx, _lane: usize, op: Op) -> Issued<()> {
+                Issued::Done(self.execute(ctx, op))
+            }
+            fn poll(&self, _: &mut ThreadCtx, _: &mut ()) -> PollOutcome {
+                unreachable!("every op is done at issue")
+            }
+            fn effect_spec(&self) -> nmp_sim::EffectSpec {
+                nmp_sim::EffectSpec::new("fails-on-host-0")
+            }
+            fn spawn_services(self: &Arc<Self>, _: &mut nmp_sim::Simulation) {}
+        }
+        let m = Machine::new(Config::tiny());
+        run_index(&m, &Arc::new(FailsOnHost0), &ks(), &RunSpec::new(wl(2, 4, Mix::ycsb_c()), 2, 1));
     }
 
     #[test]

@@ -39,7 +39,7 @@ pub mod policy;
 
 use std::sync::Arc;
 
-use nmp_sim::{EffectSpec, Machine, Simulation, ThreadCtx};
+use nmp_sim::{Addr, EffectSpec, Machine, Simulation, ThreadCtx};
 use workloads::Op;
 
 use crate::api::{host_core, Issued, OpResult, PollOutcome, SimIndex};
@@ -189,6 +189,10 @@ impl<T: Offloaded> SimIndex for T {
 
     fn poll(&self, ctx: &mut ThreadCtx, pending: &mut Self::Pending) -> PollOutcome {
         self.runtime().poll(ctx, self, pending)
+    }
+
+    fn awaited_word(&self, pending: &Self::Pending) -> Option<Addr> {
+        self.runtime().awaited_word(pending)
     }
 
     fn effect_spec(&self) -> EffectSpec {
@@ -436,6 +440,12 @@ impl OffloadRuntime {
             }
             None => Issued::Pending(pend),
         }
+    }
+
+    /// The control word `pend` waits on, if it is posted and unanswered
+    /// ([`SimIndex::awaited_word`]).
+    fn awaited_word<S>(&self, pend: &PendingOp<S>) -> Option<Addr> {
+        pend.posted.then(|| self.lists.unanswered_ctrl(pend.part, pend.slot)).flatten()
     }
 
     /// Poll a pending operation: drain a ready response (driving retries,

@@ -4,17 +4,21 @@
 //! address space. A fixed array of 64-byte slots lives there: slot
 //! `core * max_inflight + lane` belongs to host thread `core`'s lane
 //! `lane`. To offload an operation, the host writes the request words, then
-//! the control word with the valid bit set — each an MMIO write — and polls
-//! the control word until the NMP core clears the valid bit. The NMP core
-//! (the *combiner*) repeatedly scans all slots of its partition, executing
-//! every posted operation one at a time.
+//! the control word with the valid bit set — each an MMIO write — and waits
+//! for the NMP core to clear the valid bit. The NMP core (the *combiner*)
+//! repeatedly scans all slots of its partition, executing every posted
+//! operation one at a time.
 //!
 //! Who runs a combining pass depends on the run type, and on nothing else.
 //! A [`nmp_sim::Simulation`] models each NMP core as a processor of its
 //! own, so [`spawn_combiners`] gives every partition a daemon that loops
 //! over `Combiner::combine_pass`; between passes the daemon parks
 //! ([`ThreadCtx::park`]) until a host posts into its list, and resumes at
-//! the first scan that would have seen the post. A [`nmp_sim::NativeRun`]
+//! the first scan that would have seen the post. The waiting host parks the
+//! same way: the model is a host that polls the control word by MMIO every
+//! `host_poll_interval_cycles` ([`PubLists::wait_response`]), but it takes
+//! no turn until the combiner writes the word, and resumes at the poll that
+//! would have seen it, with the skipped polls counted. A [`nmp_sim::NativeRun`]
 //! has no such processor: a combiner thread there would be a cost with no
 //! model behind it (two OS-thread handoffs per offload), so nothing is
 //! spawned and the *posting* host thread combines — classic flat
@@ -41,9 +45,7 @@
 
 use std::sync::{Arc, Mutex, OnceLock, TryLockError};
 
-use nmp_sim::{
-    Addr, EffectSpec, Machine, Policy, PollLoop, Resume, Spawner, ThreadCtx, ThreadKind, NULL,
-};
+use nmp_sim::{Addr, EffectSpec, Machine, Policy, Resume, Spawner, ThreadCtx, ThreadKind, NULL};
 use workloads::{Key, Value};
 
 use crate::offload::policy::{coalesce_run_len, sort_batch, Backoff};
@@ -166,6 +168,12 @@ type ErasedPass = dyn FnMut(&PubLists, &mut ThreadCtx) + Send;
 /// Failed polls a native waiter spins through before it starts yielding the
 /// CPU (so a preempted lock holder can finish even on a single CPU).
 const NATIVE_SPINS: u32 = 64;
+
+/// Give up a wait for `what` (e.g. "partition 1 slot 3"): the run is
+/// stopping because a thread panicked, and the answer may never come.
+pub(crate) fn stopping(what: &str) -> ! {
+    panic!("{what}: the run is stopping (a thread panicked) with the request still unanswered")
+}
 
 /// The publication lists of every NMP partition for one structure.
 pub struct PubLists {
@@ -306,11 +314,13 @@ impl PubLists {
     }
 
     /// Blocking wait: poll until the response arrives, idling the host
-    /// thread by the configured poll interval between polls. A native
-    /// waiter (another thread holds the partition's combiner) spins briefly,
-    /// then yields; it gives up with a panic once the run is stopping,
-    /// which on a native run means a thread has died and the answer may
-    /// never come.
+    /// thread by the configured poll interval between polls. A simulated
+    /// waiter parks after a failed poll instead ([`ThreadCtx::park`] with
+    /// that interval as a constant idle) and resumes at the poll that sees
+    /// the combiner's write. A native waiter (another thread holds the
+    /// partition's combiner) spins briefly, then yields. Either gives up
+    /// with a panic once the run is stopping, which means a thread has died
+    /// and the answer may never come.
     pub fn wait_response(&self, ctx: &mut ThreadCtx, part: usize, slot: usize) -> Response {
         let interval = self.machine.config().host_poll_interval_cycles;
         let mut polls = 0u32;
@@ -318,20 +328,34 @@ impl PubLists {
             if let Some(r) = self.try_response(ctx, part, slot) {
                 return r;
             }
-            if ctx.is_native() {
-                assert!(
-                    !ctx.stop_requested(),
-                    "partition {part} slot {slot}: the run is stopping (a thread panicked) \
-                     with the request still unanswered"
-                );
-                polls += 1;
-                if polls < NATIVE_SPINS {
-                    std::hint::spin_loop();
-                    continue;
+            if !ctx.is_native() {
+                // The failed poll and this park share a turn, so no write
+                // can land between them.
+                let ctrl = [self.slot_addr(part, slot)];
+                if let Resume::Stop { .. } = ctx.park(&ctrl, interval, &mut { interval }) {
+                    stopping(&format!("partition {part} slot {slot}"));
                 }
+                continue;
             }
-            ctx.idle(interval);
+            if ctx.stop_requested() {
+                stopping(&format!("partition {part} slot {slot}"));
+            }
+            polls += 1;
+            if polls < NATIVE_SPINS {
+                std::hint::spin_loop();
+            } else {
+                ctx.idle(interval);
+            }
         }
+    }
+
+    /// The control word of `slot` in partition `part` while it holds a
+    /// posted request the combiner has not answered yet, peeked untimed: a
+    /// host's decision to park on it, not a modeled access.
+    pub(crate) fn unanswered_ctrl(&self, part: usize, slot: usize) -> Option<Addr> {
+        let a = self.slot_addr(part, slot);
+        // xtask: allow(raw-mem) — the park decision peeks, it does not poll
+        (self.machine.ram().read_u64(a) & CTRL_VALID != 0).then_some(a)
     }
 
     // ---- NMP side (scratchpad-local) ----
@@ -372,10 +396,10 @@ impl PubLists {
         })
     }
 
-    /// The combiner's polling loop over partition `part`'s control words,
-    /// as [`ThreadCtx::park`] fast-forwards it.
-    fn poll_loop(&self, part: usize) -> PollLoop {
-        PollLoop { base: self.slot_addr(part, 0), stride: SLOT_BYTES, words: self.slots_per_part }
+    /// The control words a pass of partition `part`'s combiner reads, in
+    /// order: what [`ThreadCtx::park`] fast-forwards it over.
+    fn ctrl_words(&self, part: usize) -> Vec<Addr> {
+        (0..self.slots_per_part).map(|slot| self.slot_addr(part, slot)).collect()
     }
 
     /// Write the response words, then clear the valid bit (publishing the
@@ -579,6 +603,7 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                 let part = combiner.part;
                 sim.spawn_daemon(format!("nmp-{part}"), ThreadKind::Nmp { part }, move |ctx| {
                     let mut idle = Backoff::combiner(policy, base_idle);
+                    let ctrl_words = lists.ctrl_words(part);
                     let mut served = combiner.combine_pass(&lists, ctx);
                     loop {
                         // The gap before the next pass: none after work,
@@ -601,7 +626,7 @@ pub fn spawn_combiners<S: Spawner, E: NmpExec>(sim: &mut S, lists: Arc<PubLists>
                             continue;
                         }
                         let mem = lists.machine.mem();
-                        match ctx.park(lists.poll_loop(part), gap, &mut idle) {
+                        match ctx.park(&ctrl_words, gap, &mut idle) {
                             Resume::Scan { word, pass_start, empty_passes } => {
                                 mem.note_offload_empty_passes(part, empty_passes);
                                 served = combiner.combine_from(&lists, ctx, word, pass_start);
@@ -718,6 +743,61 @@ mod tests {
             lists.scan(ctx, 0, 0);
         });
         sim.run();
+    }
+
+    /// A host waits on a slot whose executor panics: the run ends at once,
+    /// the executor's panic first, then the waiter's give-up.
+    #[test]
+    fn a_waiter_on_a_panicking_executor_gives_up() {
+        struct Explodes;
+        impl NmpExec for Explodes {
+            type SlotState = ();
+            fn exec(&self, _: &mut ThreadCtx, _: usize, _: &Request, _: &mut ()) -> Response {
+                panic!("the executor exploded");
+            }
+            fn effect_spec(&self) -> EffectSpec {
+                protocol_only("explodes")
+            }
+        }
+        let m = machine();
+        let lists = Arc::new(PubLists::new(Arc::clone(&m), 1));
+        let mut sim = m.simulation();
+        // The waiter has the lower id, so only panic order puts it second.
+        let l2 = Arc::clone(&lists);
+        sim.spawn("h0", ThreadKind::Host { core: 0 }, move |ctx| {
+            l2.post(ctx, 1, 0, &Request::new(OpCode::Read, 5, 0));
+            l2.wait_response(ctx, 1, 0);
+        });
+        spawn_combiners(&mut sim, lists, Arc::new(Explodes));
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        let cause = msg.find("the executor exploded").expect(&msg);
+        let waiter = msg
+            .find("'h0' panicked at simulated cycle")
+            .and_then(|at| {
+                msg[at..].contains("partition 1 slot 0: the run is stopping").then_some(at)
+            })
+            .expect(&msg);
+        assert!(cause < waiter, "the executor's panic must come first: {msg}");
+    }
+
+    /// A host waits on a partition that has no combiner: nothing will ever
+    /// answer, and the run ends with a deadlock report naming the waiter
+    /// and the word it waits on.
+    #[test]
+    fn a_waiter_on_a_partition_without_a_combiner_is_a_deadlock() {
+        let m = machine();
+        let lists = Arc::new(PubLists::new(Arc::clone(&m), 1));
+        let ctrl = lists.slot_addr(1, 2);
+        let mut sim = m.simulation();
+        sim.spawn("h0", ThreadKind::Host { core: 0 }, move |ctx| {
+            lists.post(ctx, 1, 2, &Request::new(OpCode::Read, 5, 0));
+            lists.wait_response(ctx, 1, 2);
+        });
+        let err = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| sim.run())).unwrap_err();
+        let msg = err.downcast_ref::<String>().cloned().unwrap_or_default();
+        assert!(msg.starts_with("deadlock"), "{msg}");
+        assert!(msg.contains(&format!("'h0' watching [\n    {ctrl:#x},\n]")), "{msg}");
     }
 
     #[test]

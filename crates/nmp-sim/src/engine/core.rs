@@ -16,10 +16,11 @@
 //! thread's, so effects are applied in global simulated-time order — a
 //! sequentially-consistent execution).
 //!
-//! An NMP daemon that polls its scratchpad need not take a turn per poll:
-//! between passes it may [`ThreadCtx::park`] and is resumed, in closed
-//! form, exactly where its polling loop would first have seen a host's post
-//! (see `DESIGN.md` §4.9).
+//! A thread that polls scratchpad words need not take a turn per poll: an
+//! NMP daemon between passes over its publication list, or a host waiting
+//! on its posted slots, may [`ThreadCtx::park`] and is resumed, in closed
+//! form, exactly where its polling loop would first have seen the write it
+//! waits for (see `DESIGN.md` §4.9).
 //!
 //! This file holds the thread-side half: [`ThreadCtx`] and its accessors,
 //! and the [`Simulation`] builder.
@@ -33,9 +34,9 @@ use std::thread;
 use crate::analysis::MemOp;
 use crate::backend::Ram;
 use crate::config::Config;
-use crate::mem::{Addr, MemorySystem, Region, SCRATCHPAD_CYCLES};
+use crate::mem::{Addr, MemorySystem, SCRATCHPAD_CYCLES};
 
-use super::sched::{self, first_clock_after, pack, Sched, Spawned, Wake, Watch};
+use super::sched::{self, first_clock_after, pack, part_bit, Sched, Spawned, Wake};
 
 /// Latency charged to an access that violates the region policy while an
 /// analysis is attached (the real machine path does not exist; this keeps
@@ -87,31 +88,25 @@ pub(super) fn panic_message(p: &(dyn std::any::Any + Send)) -> String {
     }
 }
 
-/// The polling loop a [`ThreadCtx::park`]ed NMP daemon stands in for. One
-/// pass reads `words` words of the core's own scratchpad, `stride` bytes
-/// apart from `base`, each read followed by one [`ThreadCtx::step`]; the
-/// daemon acts on any word it finds set. After a pass that found nothing
-/// the loop checks [`ThreadCtx::stop_requested`] (returning if it answers
-/// true) and then calls [`ThreadCtx::idle`] with the next value of its
-/// [`IdleSequence`].
-#[derive(Debug, Clone, Copy)]
-pub struct PollLoop {
-    /// The word each pass reads first.
-    pub base: Addr,
-    /// Bytes between consecutive words of a pass.
-    pub stride: u32,
-    /// Words read per pass (at least one).
-    pub words: usize,
-}
-
-/// The idle cycles a [`PollLoop`] waits after each pass that found
-/// nothing.
+/// The idle cycles a polling loop waits after each pass that found
+/// nothing (see [`ThreadCtx::park`]).
 pub trait IdleSequence {
     /// The next idle, advancing the sequence.
     fn next_idle(&mut self) -> u64;
     /// True when every later [`IdleSequence::next_idle`] returns the same
     /// value and leaves the sequence as it is.
     fn settled(&self) -> bool;
+}
+
+/// A constant idle is its own sequence.
+impl IdleSequence for u64 {
+    fn next_idle(&mut self) -> u64 {
+        *self
+    }
+
+    fn settled(&self) -> bool {
+        true
+    }
 }
 
 /// Where a [`ThreadCtx::park`]ed polling loop picks up.
@@ -140,7 +135,7 @@ pub enum Resume {
     },
 }
 
-/// The passes of a parked [`PollLoop`], in closed form: when each starts
+/// The passes of a parked polling loop, in closed form: when each starts
 /// and when its last read (and so its stop check) completes.
 struct Passes<'a, I: IdleSequence> {
     /// Cycle the current pass starts.
@@ -304,7 +299,12 @@ impl ThreadCtx {
             }
         }
         match self.kind {
-            _ if mmio => self.mem.mmio_access(now, addr, is_write),
+            // Counted unless issued before the last counter reset, which
+            // only the poll a parked host resumes with can be (see `park`).
+            _ if mmio => {
+                let counted = pack(self.clock, self.id) >= self.sched().last_reset();
+                self.mem.mmio_access(addr, is_write, counted)
+            }
             ThreadKind::Host { core } => self.mem.host_access(core, now, addr, is_write),
             ThreadKind::Nmp { part } => self.mem.nmp_access(part, now, addr, is_write),
         }
@@ -337,8 +337,10 @@ impl ThreadCtx {
         if let Some(a) = self.mem.analysis() {
             a.on_access(self.id, self.clock, addr, bytes, op, mmio, site);
         }
-        if is_write && mmio {
-            self.sched().on_mmio_write(addr, pack(self.clock, self.id));
+        if is_write {
+            if let Some(part) = self.mem.map().spad_part(addr) {
+                self.sched().on_spad_write(addr, part_bit(part), pack(self.clock, self.id));
+            }
         }
         out
     }
@@ -353,67 +355,97 @@ impl ThreadCtx {
         }
     }
 
-    /// Park an NMP daemon in place of its [`PollLoop`] `poll`: the `gap`
+    /// Park a polling thread in place of its polling loop: the `gap`
     /// cycles it would idle before its next pass (0 when that pass follows
-    /// at once, as after a pass that found work), and every pass from
-    /// there on that would find nothing. Call it where the loop would take
-    /// that gap, after the stop check if the last pass found nothing. The
-    /// thread takes no turn until another thread's MMIO write lands on a
-    /// word of `poll` or the run stops. It then resumes exactly as the
-    /// polling loop would have gone on: `idle` has given every idle the
-    /// skipped passes took, and the clock stands where the [`Resume`]
-    /// says. Simulated threads only.
+    /// at once, as after a pass that found work), and every pass from there
+    /// on that would find nothing. Call it where the loop would take that
+    /// gap, after the stop check if it has one. The thread takes no turn
+    /// until another thread writes one of `words` or the run stops. It then
+    /// resumes exactly as the polling loop would have gone on: `idle` has
+    /// given every idle the skipped passes took, and the clock stands where
+    /// the [`Resume`] says. Simulated threads only.
     ///
-    /// The caller must make sure nothing was posted after its read in the
-    /// pass just run (a polling loop would see that post next pass, a
+    /// The loop: one pass reads `words` in order, each read completing
+    /// `read` cycles after the previous step and followed by `after` cycles
+    /// of compute, then idles the next value of `idle` if it found nothing.
+    /// Both costs are the thread kind's own access path:
+    /// - an NMP core reads its own scratchpad (`SCRATCHPAD_CYCLES`) and
+    ///   takes one [`ThreadCtx::step`] per word, and checks
+    ///   [`ThreadCtx::stop_requested`] after a pass that found nothing;
+    /// - a host reads by MMIO (`mmio_read_ns`) with nothing in between: a
+    ///   round of polls over the control words its lanes wait on. Its
+    ///   skipped polls are charged to the `mmio_reads` counter here: each
+    ///   one issued at or after the later of the park and the last
+    ///   [`ThreadCtx::reset_stats`].
+    ///
+    /// The caller must make sure nothing was written after its read in the
+    /// pass just run (a polling loop would see that write next pass, a
     /// parked one never); only writes from then on wake it. A stop wake
-    /// assumes that no write follows the stop, as only non-daemons post.
+    /// assumes that no write follows the stop, as only non-daemons post; a
+    /// host is woken by a stop only when a thread panicked.
     ///
     /// # Panics
-    /// On a native thread, on a host thread, or if `poll` leaves the
-    /// thread's own scratchpad.
-    pub fn park(&mut self, poll: PollLoop, gap: u64, idle: &mut impl IdleSequence) -> Resume {
-        let ThreadKind::Nmp { part } = self.kind else { panic!("only an NMP core parks") };
-        assert!(poll.words >= 1 && poll.stride >= 1, "a polling pass reads at least one word");
-        let words = poll.words as u32;
-        let end = poll.base + (words - 1) * poll.stride;
+    /// On a native thread, or if `words` is empty or leaves the scratchpads
+    /// the thread's kind polls (an NMP core: its own; a host: any).
+    pub fn park(&mut self, words: &[Addr], gap: u64, idle: &mut impl IdleSequence) -> Resume {
+        assert!(!words.is_empty(), "a polling pass reads at least one word");
         let map = self.mem.map();
-        assert!(
-            map.region_of(poll.base) == Region::Spad(part)
-                && map.region_of(end) == Region::Spad(part),
-            "a parked NMP core {part} polls its own scratchpad"
-        );
-        let watch = Watch { base: poll.base, stride: poll.stride, count: words };
-        let wake = self.sched().park(self.id, pack(self.clock, self.id), watch);
-        let word = SCRATCHPAD_CYCLES + self.cpu_step;
+        let (read, after, parts) = match self.kind {
+            ThreadKind::Nmp { part } => {
+                let own = map.spad_base(part)..map.spad_base(part) + map.spad_size;
+                assert!(
+                    words.iter().all(|w| own.contains(w)),
+                    "a parked NMP core {part} polls its own scratchpad"
+                );
+                (SCRATCHPAD_CYCLES, self.cpu_step, part_bit(part))
+            }
+            ThreadKind::Host { .. } => {
+                let parts = words.iter().try_fold(0, |m, &w| Some(m | part_bit(map.spad_part(w)?)));
+                let parts = parts.expect("a parked host polls scratchpad words");
+                let cfg = self.mem.config();
+                (cfg.cycles(cfg.mmio_read_ns), 0, parts)
+            }
+        };
+        let wake = self.sched().park(self.id, pack(self.clock, self.id), words, parts);
+        let (n, word) = (words.len() as u64, read + after);
         let counted_from = first_clock_after(self.sched().last_reset(), self.id);
         let mut passes = Passes {
             start: self.clock + self.pending + gap,
-            last_read: (poll.words as u64 - 1) * word + SCRATCHPAD_CYCLES,
-            span: poll.words as u64 * word,
+            last_read: (n - 1) * word + read,
+            span: n * word,
             idle,
         };
         let (Wake::Write(key) | Wake::Stop(key)) = wake;
         let t = first_clock_after(key, self.id);
         passes.skip_before(t.min(counted_from));
+        // Host polls of this pass issued before the reset, which zeroed them
+        // (a host's read `j` issues `j * word` into its pass).
+        let wiped = counted_from.saturating_sub(passes.start).div_ceil(word).min(n);
         let mut empty_passes = passes.skip_before(t);
-        match wake {
+        let (resume, polls) = match wake {
             Wake::Write(_) => {
                 // The first read of this pass completing at or after `t`.
-                let first = passes.start + SCRATCHPAD_CYCLES;
+                let first = passes.start + read;
                 let next = t.saturating_sub(first).div_ceil(word);
                 (self.clock, self.pending) = match next {
                     0 => (passes.start, 0),
-                    n => (first + (n - 1) * word, self.cpu_step),
+                    j => (first + (j - 1) * word, after),
                 };
-                Resume::Scan { word: next as usize, pass_start: passes.start, empty_passes }
+                let resume =
+                    Resume::Scan { word: next as usize, pass_start: passes.start, empty_passes };
+                (resume, empty_passes * n + next)
             }
             Wake::Stop(_) => {
+                let polls = (empty_passes + 1) * n;
                 empty_passes += u64::from(passes.check() >= counted_from);
-                (self.clock, self.pending) = (passes.check(), self.cpu_step);
-                Resume::Stop { empty_passes }
+                (self.clock, self.pending) = (passes.check(), after);
+                (Resume::Stop { empty_passes }, polls)
             }
+        };
+        if matches!(self.kind, ThreadKind::Host { .. }) {
+            self.mem.note_skipped_mmio_reads(polls.saturating_sub(wiped));
         }
+        resume
     }
 
     /// Timed 64-bit load.
@@ -982,6 +1014,36 @@ mod tests {
                 }
                 ctx.idle(40);
             }
+        });
+        sim.run();
+    }
+
+    /// A host parked on a control word wakes only when that word is
+    /// written: not on the response data words next to it (`w4`, `w5` of a
+    /// publication-list slot), which an NMP core writes first.
+    #[test]
+    fn a_parked_host_ignores_writes_to_other_words() {
+        let mut sim = tiny_sim();
+        let ctrl = sim.mem().map().spad_base(1) + 128;
+        sim.spawn("host", ThreadKind::Host { core: 0 }, move |ctx| {
+            ctx.mmio_write_u64_release(ctrl, 1);
+            assert_eq!(ctx.mmio_read_u64_acquire(ctrl), 1);
+            let resume = ctx.park(&[ctrl], 40, &mut 40);
+            assert!(matches!(resume, Resume::Scan { word: 0, .. }), "{resume:?}");
+            // It stands just before the first poll completing after the
+            // clear at cycle 5 000 (polls are `read + 40` apart), not after
+            // the data writes at 1 000.
+            let read = ctx.mem().config().cycles(ctx.mem().config().mmio_read_ns);
+            let done = ctx.now() + read;
+            assert!((5_000..5_000 + read + 40).contains(&done), "{}", ctx.now());
+            assert_eq!(ctx.mmio_read_u64_acquire(ctrl), 0);
+        });
+        sim.spawn("nmp1", ThreadKind::Nmp { part: 1 }, move |ctx| {
+            ctx.advance(1_000);
+            ctx.write_u64(ctrl + 32, 7);
+            ctx.write_u64(ctrl + 40, 8);
+            ctx.advance(5_000 - 1 - ctx.now());
+            ctx.write_u64_release(ctrl, 0);
         });
         sim.run();
     }

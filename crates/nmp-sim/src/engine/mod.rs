@@ -17,6 +17,6 @@ mod native;
 mod sched;
 
 pub use self::core::{
-    IdleSequence, PollLoop, Resume, SimOutcome, Simulation, ThreadCtx, ThreadFn, ThreadKind,
+    IdleSequence, Resume, SimOutcome, Simulation, ThreadCtx, ThreadFn, ThreadKind,
 };
 pub use self::native::{NativeRun, Spawner};

@@ -14,10 +14,10 @@
 //! `DESIGN.md` §4.9).
 //!
 //! A thread may also *park* ([`Sched::park`]): it leaves the queue and costs
-//! nothing until another thread's MMIO write lands on a word it watches, or
-//! until the run stops. The waker puts it back in the queue with the
-//! smallest key of its own above the waking turn's, so the thread resumes
-//! before anything later than the wake happens.
+//! nothing until another thread's write lands on a scratchpad word it
+//! watches, or until the run stops. The waker puts it back in the queue
+//! with the smallest key of its own above the waking turn's, so the thread
+//! resumes before anything later than the wake happens.
 
 use std::cell::{Cell, RefCell};
 use std::cmp::Reverse;
@@ -58,20 +58,36 @@ pub(super) fn first_clock_after(key: u64, id: usize) -> u64 {
     }
 }
 
-/// `count` words `stride` bytes apart from `base`: what a parked thread
-/// watches for writes.
+/// A parked thread, with the smallest and largest of the scratchpad words
+/// it watches: a combiner's control words, or the scattered control words
+/// a host's lanes wait on. The span turns most writes away without a look
+/// at the words themselves.
 #[derive(Debug, Clone, Copy)]
-pub(super) struct Watch {
-    pub(super) base: Addr,
-    pub(super) stride: u32,
-    pub(super) count: u32,
+struct Parked {
+    id: usize,
+    lo: Addr,
+    hi: Addr,
+    /// The scratchpads the words sit in, as a [`part_bit`] mask.
+    parts: u64,
 }
 
-impl Watch {
-    fn covers(&self, addr: Addr) -> bool {
-        addr >= self.base
-            && (addr - self.base).is_multiple_of(self.stride)
-            && (addr - self.base) / self.stride < self.count
+/// A scratchpad's bit in a mask of watched scratchpads (shared above 64
+/// partitions, which costs a needless look, never a missed wake).
+pub(super) fn part_bit(part: usize) -> u64 {
+    1 << (part % 64)
+}
+
+impl Parked {
+    fn new(id: usize, words: &[Addr], parts: u64) -> Self {
+        let (Some(&lo), Some(&hi)) = (words.iter().min(), words.iter().max()) else {
+            panic!("a parked thread watches at least one word")
+        };
+        Parked { id, lo, hi, parts }
+    }
+
+    /// Whether a write to `addr` lands on one of `words`, this thread's.
+    fn covers(&self, words: &[Addr], addr: Addr) -> bool {
+        (self.lo..=self.hi).contains(&addr) && words.contains(&addr)
     }
 }
 
@@ -98,10 +114,10 @@ struct Thread {
     coro: Coro,
     /// Clock when the body ended (committed time plus accrued compute).
     final_clock: Cell<u64>,
-    /// "'name' panicked at simulated cycle N: message".
-    panic_note: Cell<Option<String>>,
     /// Set by the turn that wakes the thread from [`Sched::park`].
     woken: Cell<Option<Wake>>,
+    /// The words the thread watches while parked, refilled at every park.
+    watch: RefCell<Vec<Addr>>,
 }
 
 /// The state of one run, shared by the loop and every thread's context.
@@ -120,8 +136,10 @@ pub(super) struct Sched {
     /// Turns taken after the last non-daemon ended (safety valve against
     /// daemons that ignore `stop_requested`).
     after_stop: Cell<u64>,
-    /// Parked threads and their watches; none of them is in the queue.
-    parked: RefCell<Vec<(usize, Watch)>>,
+    /// Parked threads; none of them is in the queue.
+    parked: RefCell<Vec<Parked>>,
+    /// The scratchpads some parked thread watches, as a [`part_bit`] mask.
+    watched: Cell<u64>,
     /// Key of the turn that last reset the memory system's counters
     /// through [`ThreadCtx::reset_stats`] (0 = none).
     last_reset: Cell<u64>,
@@ -168,30 +186,52 @@ impl Sched {
         }
     }
 
-    /// Park thread `id`, running the turn `key`, until a turn writes a word
-    /// of `watch` through MMIO or the run stops. Returns at once if the run
-    /// is already stopping.
-    pub(super) fn park(&self, id: usize, key: u64, watch: Watch) -> Wake {
+    /// Park thread `id`, running the turn `key`, until a turn writes one of
+    /// `words`, which sit in the scratchpads of the [`part_bit`] mask
+    /// `parts`, or the run stops. Returns at once if the run is already
+    /// stopping.
+    pub(super) fn park(&self, id: usize, key: u64, words: &[Addr], parts: u64) -> Wake {
         if self.stop_query(key) {
             return Wake::Stop(if self.panicked.get() { key } else { self.nd_last_key.get() });
         }
-        self.parked.borrow_mut().push((id, watch));
+        let parked = Parked::new(id, words, parts);
+        self.watched.set(self.watched.get() | parts);
+        let mut watch = self.threads[id].watch.borrow_mut();
+        watch.clear();
+        watch.extend_from_slice(words);
+        drop(watch);
+        self.parked.borrow_mut().push(parked);
         self.threads[id].coro.suspend();
         self.threads[id].woken.take().expect("a parked thread resumes only when woken")
     }
 
-    /// The turn `key` wrote `addr` through MMIO: wake every thread parked
-    /// on a watch that covers it.
-    pub(super) fn on_mmio_write(&self, addr: Addr, key: u64) {
+    /// The turn `key` wrote the word `addr` of the scratchpad `part_bit`
+    /// stands for, by MMIO or from its NMP core: wake every thread parked
+    /// on a watch that covers it. Costs one test unless a parked thread
+    /// watches that scratchpad.
+    #[inline]
+    pub(super) fn on_spad_write(&self, addr: Addr, part_bit: u64, key: u64) {
+        if self.watched.get() & part_bit != 0 {
+            self.wake_watchers(addr, key);
+        }
+    }
+
+    fn wake_watchers(&self, addr: Addr, key: u64) {
         let mut parked = self.parked.borrow_mut();
         let mut i = 0;
+        let mut woke = false;
         while i < parked.len() {
-            if parked[i].1.covers(addr) {
-                let (id, _) = parked.swap_remove(i);
-                self.wake(id, Wake::Write(key));
+            let p = parked[i];
+            if p.covers(&self.threads[p.id].watch.borrow(), addr) {
+                parked.swap_remove(i);
+                self.wake(p.id, Wake::Write(key));
+                woke = true;
             } else {
                 i += 1;
             }
+        }
+        if woke {
+            self.watched.set(parked.iter().fold(0, |m, p| m | p.parts));
         }
     }
 
@@ -206,7 +246,8 @@ impl Sched {
     }
 
     fn wake_all(&self, why: Wake) {
-        for (id, _) in self.parked.take() {
+        self.watched.set(0);
+        for Parked { id, .. } in self.parked.take() {
             self.wake(id, why);
         }
     }
@@ -265,8 +306,8 @@ pub(super) fn run(mem: Arc<MemorySystem>, spawned: Vec<Spawned>, cpu_step: u64) 
                     daemon,
                     coro: Coro::new(Box::new(start)),
                     final_clock: Cell::new(0),
-                    panic_note: Cell::new(None),
                     woken: Cell::new(None),
+                    watch: RefCell::default(),
                 }
             })
             .collect(),
@@ -275,25 +316,43 @@ pub(super) fn run(mem: Arc<MemorySystem>, spawned: Vec<Spawned>, cpu_step: u64) 
         panicked: Cell::new(false),
         after_stop: Cell::new(0),
         parked: RefCell::new(Vec::new()),
+        watched: Cell::new(0),
         last_reset: Cell::new(0),
     });
 
+    // "'name' panicked at simulated cycle N: message", in the order the
+    // panics happened: the first is the cause, later ones its consequences.
+    let mut notes = Vec::new();
     while let Some((id, key)) = sched.next() {
         let t = &sched.threads[id];
         if let Some(Err(p)) = t.coro.resume() {
-            t.panic_note.set(Some(format!(
+            notes.push(format!(
                 "'{}' panicked at simulated cycle {}: {}",
                 t.name,
                 t.final_clock.get(),
                 panic_message(p.as_ref())
-            )));
+            ));
             sched.panicked.set(true);
             sched.wake_all(Wake::Stop(key));
         }
     }
-    assert!(sched.parked.borrow().is_empty(), "a thread was still parked when the run ended");
+    let parked = sched.parked.take();
+    if !parked.is_empty() {
+        let report: Vec<String> = parked
+            .iter()
+            .map(|p| {
+                let t = &sched.threads[p.id];
+                format!("'{}' watching {:#x?}", t.name, t.watch.borrow())
+            })
+            .collect();
+        // A panic wakes every parked thread and refuses every later park,
+        // so this is a deadlock, not the aftermath of a panic.
+        panic!(
+            "deadlock: no thread can run, and these wait on words nobody will write: {}",
+            report.join("; ")
+        );
+    }
 
-    let notes: Vec<String> = sched.threads.iter().filter_map(|t| t.panic_note.take()).collect();
     if !notes.is_empty() {
         panic!("simulated thread(s) panicked: {}", notes.join("; "));
     }
@@ -325,8 +384,14 @@ mod tests {
 
     #[test]
     fn watch_covers_its_words_only() {
-        let w = Watch { base: 1024, stride: 64, count: 3 };
-        assert!(w.covers(1024) && w.covers(1088) && w.covers(1152));
-        assert!(!w.covers(1016) && !w.covers(1032) && !w.covers(1216));
+        let words = [1024, 1088, 1152];
+        let p = Parked::new(0, &words, 1);
+        assert!(words.iter().all(|&w| p.covers(&words, w)));
+        assert!(![1016, 1032, 1216].iter().any(|&w| p.covers(&words, w)));
+        // Scattered words, as a host's lanes in different partitions.
+        let words = [9000, 1024];
+        let p = Parked::new(0, &words, 3);
+        assert!(p.covers(&words, 1024) && p.covers(&words, 9000));
+        assert!(![1088, 8936, 9064].iter().any(|&w| p.covers(&words, w)));
     }
 }

@@ -93,7 +93,7 @@ pub use analysis::{AccessDecl, EffectSpec, OpSpec, SpecError, Topology};
 pub use analysis::{Analysis, HistEvent, HistOp, HistoryRecorder, Report};
 pub use backend::Ram;
 pub use config::{CacheConfig, Config, Policy};
-pub use engine::{IdleSequence, PollLoop, Resume};
+pub use engine::{IdleSequence, Resume};
 pub use engine::{NativeRun, SimOutcome, Simulation, Spawner, ThreadCtx, ThreadFn, ThreadKind};
 pub use machine::Machine;
 pub use mem::{Addr, MemMap, MemorySystem, Region, NULL, OFFLOAD_HIST_BUCKETS, OFFLOAD_LANE_CAP};

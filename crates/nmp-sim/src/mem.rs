@@ -99,6 +99,14 @@ impl MemMap {
         self.spad_base0 + (p as u32) * self.spad_size
     }
 
+    /// The NMP core whose scratchpad holds `addr`, if any (the one region a
+    /// host reaches by MMIO).
+    pub fn spad_part(&self, addr: Addr) -> Option<usize> {
+        (self.spad_base0..self.total_bytes)
+            .contains(&addr)
+            .then(|| ((addr - self.spad_base0) / self.spad_size) as usize)
+    }
+
     /// Classify an address. Panics on the null page or out-of-range
     /// addresses — in a simulator a wild pointer is a bug to surface loudly.
     pub fn region_of(&self, addr: Addr) -> Region {
@@ -424,19 +432,29 @@ impl MemorySystem {
         lat
     }
 
-    /// Host MMIO access to a scratchpad (publication list) word.
-    pub fn mmio_access(&self, _now: u64, addr: Addr, is_write: bool) -> u64 {
+    /// Host MMIO access to a scratchpad (publication list) word; bumps the
+    /// MMIO counters if `counted`.
+    pub fn mmio_access(&self, addr: Addr, is_write: bool, counted: bool) -> u64 {
         match self.map.region_of(addr) {
             Region::Spad(_) => {}
             r => panic!("MMIO access to non-scratchpad region {r:?} at {addr:#x}"),
         }
-        let t = &mut *self.timing.lock();
+        if counted {
+            let t = &mut *self.timing.lock();
+            *(if is_write { &mut t.mmio_writes } else { &mut t.mmio_reads }) += 1;
+        }
         if is_write {
-            t.mmio_writes += 1;
             self.mmio_write_cycles
         } else {
-            t.mmio_reads += 1;
             self.mmio_read_cycles
+        }
+    }
+
+    /// Count `reads` MMIO polls a parked host skipped
+    /// ([`crate::ThreadCtx::park`]).
+    pub(crate) fn note_skipped_mmio_reads(&self, reads: u64) {
+        if reads > 0 {
+            self.timing.lock().mmio_reads += reads;
         }
     }
 
@@ -758,10 +776,11 @@ mod tests {
     fn mmio_charges_fixed_cost_and_counts() {
         let s = sys();
         let a = s.map().spad_base(1);
-        let w = s.mmio_access(0, a, true);
-        let r = s.mmio_access(10, a, false);
+        let w = s.mmio_access(a, true, true);
+        let r = s.mmio_access(a, false, true);
         assert_eq!(w, s.config().cycles(s.config().mmio_write_ns));
         assert_eq!(r, s.config().cycles(s.config().mmio_read_ns));
+        assert_eq!(s.mmio_access(a, false, false), r, "an uncounted access costs the same");
         let snap = s.snapshot();
         assert_eq!((snap.mmio_reads, snap.mmio_writes), (1, 1));
     }
@@ -770,7 +789,7 @@ mod tests {
     #[should_panic(expected = "MMIO access to non-scratchpad")]
     fn mmio_rejects_host_region() {
         let s = sys();
-        let _ = s.mmio_access(0, s.map().host_base, false);
+        let _ = s.mmio_access(s.map().host_base, false, true);
     }
 
     #[test]

@@ -1,6 +1,7 @@
-//! Parked polling daemons, held against the polling loop they stand in for.
+//! Parked pollers, held against the polling loops they stand in for: NMP
+//! daemons first, then hosts (further down).
 //!
-//! Each case runs one host script twice: once against an NMP daemon that
+//! Each daemon case runs one host script twice: once against an NMP daemon that
 //! polls its scratchpad words pass after pass, idling between empty
 //! passes, and once against the same daemon that parks after an empty pass
 //! ([`ThreadCtx::park`]). The two runs must agree on every thread's final
@@ -12,8 +13,7 @@
 use std::sync::{Arc, Mutex};
 
 use nmp_sim::{
-    Addr, Config, IdleSequence, Machine, MemorySystem, PollLoop, Resume, Simulation, ThreadCtx,
-    ThreadKind,
+    Addr, Config, IdleSequence, Machine, MemorySystem, Resume, Simulation, ThreadCtx, ThreadKind,
 };
 
 /// Scratchpad words one daemon pass reads (64 bytes apart, like
@@ -105,7 +105,7 @@ fn daemon(
     log: &Shared,
 ) {
     let base = word_addr(mem, part, 0);
-    let poll = PollLoop { base, stride: STRIDE, words: WORDS };
+    let poll: Vec<Addr> = (0..WORDS).map(|w| word_addr(mem, part, w)).collect();
     let (mut first, mut start) = (0, ctx.now());
     let mut batch = Vec::new();
     loop {
@@ -140,7 +140,7 @@ fn daemon(
             (first, start) = (0, ctx.now());
             continue;
         }
-        match ctx.park(poll, gap, &mut idle) {
+        match ctx.park(&poll, gap, &mut idle) {
             Resume::Scan { word, pass_start, empty_passes } => {
                 mem.note_offload_empty_passes(part, empty_passes);
                 (first, start) = (word, pass_start);
@@ -400,5 +400,284 @@ fn a_parked_daemon_skips_its_empty_scans() {
         let (polled, parked) = (polled_log.scans.len(), parked_log.scans.len());
         assert!(polled > 50 * WORDS, "the polling daemon read {polled} words");
         assert!(parked <= 5 * WORDS, "the parked daemon read {parked} words (polling: {polled})");
+    }
+}
+
+// ---- Parked hosts ----
+//
+// The same check from the other side: a host that posts into scratchpad
+// words and polls them by MMIO, round after round, against the same host
+// parking after a round that saw no answer. The answers come from scripted
+// NMP threads that write a word's response and then clear the word at a
+// chosen cycle, so a case can put an answer one cycle before, at or after
+// a poll. The two runs must agree on every thread's final clock, on every
+// response and when the host read it, on the stats snapshot (`mmio_reads`
+// included) and on the analysis report. Every poll the parked host makes,
+// the one it resumes with first, must be a poll the polling host made: the
+// same word at the same cycle.
+
+/// What a host case logs.
+#[derive(Default)]
+struct HostLog {
+    /// `(word index, cycle)` of every control-word poll.
+    polls: Vec<(usize, u64)>,
+    /// `(word index, response, cycle the host read it)`.
+    responses: Vec<(usize, u64, u64)>,
+    /// Times the parked host was woken by a write.
+    wakes: usize,
+}
+
+type HostShared = Arc<Mutex<HostLog>>;
+
+/// The host under test: post a request into each of `words`, then poll the
+/// unanswered ones round by round until every one is answered. A round
+/// reads each unanswered word in order (MMIO acquire) and, on a cleared
+/// one, reads its response one word later. After a round that saw no
+/// answer the host idles the next value of `idle`; when `park`, it parks on
+/// the unanswered words instead, unless one was answered after its poll.
+fn poller(
+    ctx: &mut ThreadCtx,
+    mem: &MemorySystem,
+    words: &[Addr],
+    mut idle: Idle,
+    park: bool,
+    log: &HostShared,
+) {
+    for (i, &a) in words.iter().enumerate() {
+        ctx.mmio_write_u64_release(a, 1 + i as u64);
+    }
+    let mut unanswered: Vec<usize> = (0..words.len()).collect();
+    let mut first = 0;
+    while !unanswered.is_empty() {
+        let mut answered = false;
+        let mut k = std::mem::take(&mut first);
+        while k < unanswered.len() {
+            let (w, a) = (unanswered[k], words[unanswered[k]]);
+            let ctrl = ctx.mmio_read_u64_acquire(a);
+            log.lock().unwrap().polls.push((w, ctx.now()));
+            if ctrl != 0 {
+                k += 1;
+                continue;
+            }
+            let r = ctx.mmio_read_u64(a + 8);
+            log.lock().unwrap().responses.push((w, r, ctx.now()));
+            unanswered.remove(k);
+            answered = true;
+        }
+        if answered {
+            idle.rearm();
+            continue;
+        }
+        let gap = idle.next_idle();
+        let watch: Vec<Addr> = unanswered.iter().map(|&w| words[w]).collect();
+        if !park || watch.iter().any(|&a| mem.ram().read_u64(a) == 0) {
+            ctx.idle(gap);
+            continue;
+        }
+        match ctx.park(&watch, gap, &mut idle) {
+            Resume::Scan { word, .. } => {
+                log.lock().unwrap().wakes += 1;
+                first = word;
+            }
+            Resume::Stop { .. } => panic!("a host is stopped only by a panic"),
+        }
+    }
+}
+
+/// One host case: the host's words as `(partition, slot word)`, the cycle
+/// each is answered, and who else runs.
+#[derive(Clone)]
+struct HostCase {
+    words: Vec<(usize, usize)>,
+    answers: Vec<u64>,
+    idle: Idle,
+    /// Spawn the answering threads before the host (a same-cycle write
+    /// then comes from a lower id than the host's poll).
+    answerers_first: bool,
+    /// A second host resets the counters at this cycle...
+    reset_at: Option<u64>,
+    /// ...spawned before the host under test.
+    resetter_first: bool,
+    analysis: bool,
+}
+
+impl HostCase {
+    fn new(idle: Idle, words: Vec<(usize, usize)>, answers: Vec<u64>) -> Self {
+        HostCase {
+            words,
+            answers,
+            idle,
+            answerers_first: false,
+            reset_at: None,
+            resetter_first: false,
+            analysis: false,
+        }
+    }
+
+    fn run(&self, park: bool) -> (String, HostLog) {
+        let machine = Machine::new(Config::tiny());
+        let analysis = self.analysis.then(|| machine.attach_analysis());
+        let mut sim = machine.simulation();
+        let mem = sim.mem();
+        let log: HostShared = Arc::default();
+        let words: Vec<Addr> = self.words.iter().map(|&(p, w)| word_addr(&mem, p, w)).collect();
+        if self.answerers_first {
+            self.spawn_answerers(&mut sim, &words);
+        }
+        let reset = self.reset_at.map(|at| {
+            move |ctx: &mut ThreadCtx| {
+                ctx.idle(at - ctx.now());
+                ctx.reset_stats();
+            }
+        });
+        if let (Some(r), true) = (reset, self.resetter_first) {
+            sim.spawn("resetter", ThreadKind::Host { core: 1 }, r);
+        }
+        let (host_mem, host_words, host_log, idle) =
+            (sim.mem(), words.clone(), Arc::clone(&log), self.idle);
+        sim.spawn("h0", ThreadKind::Host { core: 0 }, move |ctx| {
+            poller(ctx, &host_mem, &host_words, idle, park, &host_log);
+        });
+        if let (Some(r), false) = (reset, self.resetter_first) {
+            sim.spawn("resetter", ThreadKind::Host { core: 1 }, r);
+        }
+        if !self.answerers_first {
+            self.spawn_answerers(&mut sim, &words);
+        }
+        let outcome = sim.run();
+        let log = Arc::try_unwrap(log).ok().unwrap().into_inner().unwrap();
+        let fp = format!(
+            "clocks={:?}\nresponses={:?}\nsnapshot={:?}\nreport={:?}\n",
+            outcome.clocks,
+            log.responses,
+            machine.mem().snapshot(),
+            analysis.map(|a| a.report()),
+        );
+        (fp, log)
+    }
+
+    /// One NMP thread per word, on the word's partition: it writes the
+    /// response (`7 * (index + 1)`) and then clears the word, the clear
+    /// completing at the word's answer cycle.
+    fn spawn_answerers(&self, sim: &mut Simulation, words: &[Addr]) {
+        for (i, (&(part, _), &a)) in self.words.iter().zip(words).enumerate() {
+            let at = self.answers[i];
+            sim.spawn(format!("a{i}"), ThreadKind::Nmp { part }, move |ctx| {
+                ctx.advance(at - 2 - ctx.now());
+                ctx.write_u64(a + 8, 7 * (i as u64 + 1));
+                ctx.write_u64_release(a, 0);
+                assert_eq!(ctx.now(), at);
+            });
+        }
+    }
+
+    /// The parked host reproduces the polling one.
+    fn check(&self) {
+        let (polled, polled_log) = self.run(false);
+        let (parked, parked_log) = self.run(true);
+        assert_eq!(parked, polled, "the parked host diverges from the polling one");
+        assert_eq!(polled_log.responses.len(), self.words.len(), "{polled}");
+        assert!(parked_log.wakes > 0, "the host never parked:\n{parked}");
+        for poll in &parked_log.polls {
+            assert!(polled_log.polls.contains(poll), "the parked host polled {poll:?} off-beat");
+        }
+    }
+}
+
+/// One word; three words, in both partitions and out of address order.
+fn word_sets() -> [Vec<(usize, usize)>; 2] {
+    [vec![(1, 3)], vec![(1, 5), (0, 2), (1, 0)]]
+}
+
+/// A constant idle, and a doubling one that settles at its cap, with the
+/// stock host poll interval as base.
+fn host_idles() -> [Idle; 2] {
+    let base = Config::tiny().host_poll_interval_cycles;
+    [Idle::Fixed(base), Idle::doubling(base)]
+}
+
+/// `(word index, completion cycle)` of the polls of a host that waits on
+/// `words` with nothing answered until long after.
+fn quiet_polls(idle: Idle, words: &[(usize, usize)]) -> Vec<(usize, u64)> {
+    let answers = (0..words.len()).map(|i| 40_000 + 100 * i as u64).collect();
+    HostCase::new(idle, words.to_vec(), answers).run(false).1.polls
+}
+
+/// An answer that lands one cycle before, at and one cycle after a poll of
+/// its word, early (before a doubling idle settles) and late, from answering
+/// threads spawned on both sides of the host; the other words are answered
+/// later, one at a time.
+#[test]
+fn host_answer_lands_before_at_and_after_a_poll() {
+    for idle in host_idles() {
+        for words in word_sets() {
+            let polls = quiet_polls(idle, &words);
+            for target in [0, words.len() - 1] {
+                let mine: Vec<u64> = polls.iter().filter(|p| p.0 == target).map(|p| p.1).collect();
+                for round in [2, 9] {
+                    for offset in [-1i64, 0, 1] {
+                        for answerers_first in [false, true] {
+                            let at = (mine[round] as i64 + offset) as u64;
+                            let answers = (0..words.len())
+                                .map(|i| if i == target { at } else { at + 700 * (i as u64 + 1) })
+                                .collect();
+                            let case = HostCase {
+                                answerers_first,
+                                ..HostCase::new(idle, words.clone(), answers)
+                            };
+                            case.check();
+                        }
+                    }
+                }
+            }
+        }
+    }
+}
+
+/// A second host resets the counters while the host under test is parked:
+/// around the issue of a poll (one cycle before, at, after), while that
+/// poll is in flight, and in the cycle the answer it sees lands, from ids
+/// on both sides, with the race detector attached.
+#[test]
+fn host_mid_run_reset_with_analysis() {
+    let cfg = Config::tiny();
+    let read = cfg.cycles(cfg.mmio_read_ns);
+    for idle in host_idles() {
+        for words in word_sets() {
+            let polls = quiet_polls(idle, &words);
+            let last = words.len() - 1;
+            let done = polls.iter().filter(|p| p.0 == last).map(|p| p.1).nth(6).unwrap();
+            let issue = done - read;
+            for reset_at in [issue - 1, issue, issue + 1, issue + read / 2, done - 1, done] {
+                for (resetter_first, answerers_first) in [(false, false), (true, true)] {
+                    let answers = (0..words.len())
+                        .map(|i| if i == last { done - 1 } else { done + 900 * (i as u64 + 1) })
+                        .collect();
+                    let case = HostCase {
+                        reset_at: Some(reset_at),
+                        resetter_first,
+                        answerers_first,
+                        analysis: true,
+                        ..HostCase::new(idle, words.clone(), answers)
+                    };
+                    case.check();
+                }
+            }
+        }
+    }
+}
+
+/// Parking saves turns: over a long wait the parked host polls a handful
+/// of times, the polling one hundreds.
+#[test]
+fn a_parked_host_skips_its_polls() {
+    for idle in host_idles() {
+        let case = HostCase::new(idle, vec![(0, 1)], vec![30_000]);
+        let (polled, polled_log) = case.run(false);
+        let (parked, parked_log) = case.run(true);
+        assert_eq!(parked, polled);
+        let (polled, parked) = (polled_log.polls.len(), parked_log.polls.len());
+        assert!(polled > 50, "the polling host polled {polled} times");
+        assert!(parked <= 3, "the parked host polled {parked} times (polling: {polled})");
     }
 }
