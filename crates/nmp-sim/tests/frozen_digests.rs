@@ -1,10 +1,12 @@
-//! Engine-level frozen digests: the scheduler's simulated bytes, pinned.
+//! Engine-level frozen runs: the scheduler's simulated bytes, pinned.
 //!
 //! Each workload runs under a fixed seed and folds every observable
 //! artifact — per-thread final clocks, final RAM contents, the stats
-//! snapshot, the Chrome-trace export, the trace summary and the analysis
-//! report — into a string whose 64-bit FNV-1a digest must equal a frozen
-//! constant.
+//! snapshot, an FNV-1a digest of the Chrome-trace export, the trace
+//! summary, events and phase totals, and the analysis report — into a text
+//! that must equal its golden file, `golden/frozen_digests/<test>.txt`. On
+//! a mismatch the test names every moved line and prints the `cp` that
+//! accepts the new text.
 //!
 //! The workloads are deliberately adversarial for a scheduler: host threads
 //! CAS-contend on shared DRAM, post MMIO work to every partition's
@@ -12,33 +14,32 @@
 //! partition heaps while polling their mailboxes, so every turn order
 //! decision shows up in some clock, counter or trace byte.
 
+#[path = "../../../tests/support/golden.rs"]
+mod golden;
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
+use nmp_sim::trace::{TraceSink, Tracer};
 use nmp_sim::{Config, Machine, ThreadKind};
 
-/// 64-bit FNV-1a.
-fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+/// Hold a run's folded text against its golden file `<test>.txt`. The texts
+/// were first taken from the sequential engine-thread scheduler that the
+/// sharded OS-thread scheduler, and then the coroutine loop, replaced
+/// (`handshake`, `adaptive_backoff`), and from the single-loop topology of
+/// the OS-thread scheduler before it became a coroutine loop
+/// (`one_partition_machine`).
+fn assert_golden(test: &str, fp: &str) {
+    let fresh = BTreeMap::from([(format!("{test}.txt"), fp.to_string())]);
+    golden::check("frozen_digests", &fresh, |_, old, new| golden::line_moves(old, new));
 }
 
-/// FNV-1a of `fingerprint` / `fingerprint_adaptive_backoff` as produced by
-/// the sequential engine-thread scheduler that the sharded OS-thread
-/// scheduler, and then the coroutine loop, replaced.
-const LEGACY_HANDSHAKE_FNV: u64 = 0xe236_3d25_95b1_3c2a;
-const LEGACY_BACKOFF_FNV: u64 = 0x79fa_5e20_08c9_307d;
-
-/// FNV-1a of `fingerprint_one_partition`, taken from the single-loop
-/// topology of the OS-thread scheduler before it became a coroutine loop.
-const ONE_PARTITION_FNV: u64 = 0x5826_ddcb_6553_4389;
-
-fn assert_digest(fp: &str, frozen: u64) {
-    assert_eq!(
-        fnv1a64(fp),
-        frozen,
-        "the run no longer reproduces its frozen bytes. Re-bless the digest when the timing \
-         model or an observer format changed on purpose; otherwise this is a scheduler \
-         regression."
-    );
+/// The trace's events, one per line.
+fn events(fp: &mut String, tracer: &Tracer) {
+    for e in tracer.events() {
+        let _ = writeln!(fp, "event={e:?}");
+    }
 }
 
 /// Run the handshake workload and fold every observable artifact into one
@@ -124,12 +125,16 @@ fn fingerprint() -> String {
     for (p, h) in heap.iter().enumerate() {
         fp.push_str(&format!("heap{p}={}\n", machine.ram().read_u64(*h)));
     }
-    fp.push_str(&format!("snapshot={:?}\n", machine.mem().snapshot()));
-    fp.push_str(&format!("summary={:?}\n", tracer.summary()));
-    fp.push_str(&format!("events={:?}\n", tracer.events()));
-    fp.push_str(&format!("phases={:?}\n", tracer.phase_totals()));
-    fp.push_str(&format!("report={:?}\n", analysis.report()));
-    fp.push_str(&nmp_sim::trace::TraceSink::chrome_json(&tracer));
+    let _ = writeln!(fp, "snapshot={:#?}", machine.mem().snapshot());
+    let _ = writeln!(fp, "summary={:#?}", tracer.summary());
+    events(&mut fp, &tracer);
+    let _ = writeln!(fp, "phases={:#?}", tracer.phase_totals());
+    let _ = writeln!(fp, "report={:#?}", analysis.report());
+    let _ = writeln!(
+        fp,
+        "chrome_json.fnv1a={:016x}",
+        golden::fnv1a64(&TraceSink::chrome_json(&tracer))
+    );
     fp
 }
 
@@ -137,7 +142,7 @@ fn fingerprint() -> String {
 /// including trace export and analysis report.
 #[test]
 fn handshake_matches_its_frozen_digest() {
-    assert_digest(&fingerprint(), LEGACY_HANDSHAKE_FNV);
+    assert_golden("handshake_matches_its_frozen_digest", &fingerprint());
 }
 
 /// A simulation is deterministic run to run within one process, too.
@@ -233,18 +238,22 @@ fn fingerprint_adaptive_backoff() -> String {
     for (p, h) in heap.iter().enumerate() {
         fp.push_str(&format!("heap{p}={}\n", machine.ram().read_u64(*h)));
     }
-    fp.push_str(&format!("snapshot={:?}\n", machine.mem().snapshot()));
-    fp.push_str(&format!("summary={:?}\n", tracer.summary()));
-    fp.push_str(&format!("events={:?}\n", tracer.events()));
-    fp.push_str(&format!("report={:?}\n", analysis.report()));
-    fp.push_str(&nmp_sim::trace::TraceSink::chrome_json(&tracer));
+    let _ = writeln!(fp, "snapshot={:#?}", machine.mem().snapshot());
+    let _ = writeln!(fp, "summary={:#?}", tracer.summary());
+    events(&mut fp, &tracer);
+    let _ = writeln!(fp, "report={:#?}", analysis.report());
+    let _ = writeln!(
+        fp,
+        "chrome_json.fnv1a={:016x}",
+        golden::fnv1a64(&TraceSink::chrome_json(&tracer))
+    );
     fp
 }
 
 /// State-driven adaptive back-off reproduces the sequential engine too.
 #[test]
 fn adaptive_backoff_matches_its_frozen_digest() {
-    assert_digest(&fingerprint_adaptive_backoff(), LEGACY_BACKOFF_FNV);
+    assert_golden("adaptive_backoff_matches_its_frozen_digest", &fingerprint_adaptive_backoff());
 }
 
 /// A one-partition machine: one NMP mailbox daemon serving a
@@ -302,15 +311,15 @@ fn fingerprint_one_partition() -> String {
     // 16 requests, none lost: 1..=8 from h0 and 101..=108 from h1.
     assert_eq!(ram.read_u64(heap), 36 + 836);
     let mut fp = format!("clocks={:?}\n", outcome.clocks);
-    fp.push_str(&format!("snapshot={:?}\n", machine.mem().snapshot()));
-    fp.push_str(&format!("events={:?}\n", tracer.events()));
-    fp.push_str(&format!("r0={} r1={}\n", ram.read_u64(results), ram.read_u64(results + 8)));
+    let _ = writeln!(fp, "snapshot={:#?}", machine.mem().snapshot());
+    events(&mut fp, &tracer);
+    let _ = writeln!(fp, "r0={} r1={}", ram.read_u64(results), ram.read_u64(results + 8));
     fp
 }
 
 #[test]
 fn one_partition_machine_matches_its_frozen_digest() {
-    assert_digest(&fingerprint_one_partition(), ONE_PARTITION_FNV);
+    assert_golden("one_partition_machine_matches_its_frozen_digest", &fingerprint_one_partition());
 }
 
 /// A worker panic propagates with the original message while daemons are

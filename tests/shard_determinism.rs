@@ -1,21 +1,28 @@
-//! Whole-stack frozen digests: the simulated bytes of real hybrid
-//! structures, pinned.
+//! Whole-stack frozen runs: the simulated bytes of real hybrid structures,
+//! pinned.
 //!
 //! Each test runs one structure under a fixed seed and folds every
 //! observable artifact — the `RunResult` (minus its wall-clock fields), the
-//! stats snapshot, the trace summary, the Chrome-trace export and the
-//! analysis report — into a string, whose 64-bit FNV-1a digest must equal a
-//! frozen constant. Covered: the skip list, B+ tree and priority queue
-//! blocking (`inflight = 1`) and lane-pipelined (`inflight = 4`), and the
-//! hash map lane-pipelined, under `Policy::Fixed` and `Policy::Adaptive`.
+//! stats snapshot, the trace summary, an FNV-1a digest of the Chrome-trace
+//! export and the analysis report — into a text that must equal its golden
+//! file, `golden/shard_determinism/<test>.txt`. On a mismatch the test names
+//! every moved line and prints the `cp` that accepts the new text. Covered:
+//! the skip list, B+ tree and priority queue blocking (`inflight = 1`) and
+//! lane-pipelined (`inflight = 4`), and the hash map lane-pipelined, under
+//! `Policy::Fixed` and `Policy::Adaptive`.
 //!
-//! The digests were taken from the single-loop reference topology of the
-//! scheduler that ran every logical thread as an OS thread, at the commit
-//! before the one that made them coroutines on one loop and deleted that
-//! topology; the tests kept their names from when they compared the two
-//! topologies with each other. The engine-level pair in
-//! `crates/nmp-sim/tests/frozen_digests.rs` pins the scheduler alone.
+//! The texts were first taken from the single-loop reference topology of
+//! the scheduler that ran every logical thread as an OS thread, at the
+//! commit before the one that made them coroutines on one loop and deleted
+//! that topology; the tests kept their names from when they compared the
+//! two topologies with each other. The engine-level runs in
+//! `crates/nmp-sim/tests/frozen_digests.rs` pin the scheduler alone.
 
+#[path = "support/golden.rs"]
+mod golden;
+
+use std::collections::BTreeMap;
+use std::fmt::Write as _;
 use std::sync::Arc;
 
 use hybrids::driver::{run_index, RunResult, RunSpec};
@@ -40,35 +47,27 @@ fn spec(seed: u64, inflight: usize) -> RunSpec {
     }
 }
 
-/// 64-bit FNV-1a.
-fn fnv1a64(s: &str) -> u64 {
-    s.bytes().fold(0xcbf2_9ce4_8422_2325, |h, b| (h ^ b as u64).wrapping_mul(0x0100_0000_01b3))
+/// Hold a run's folded text against its golden file `<test>.txt`.
+fn assert_golden(test: &str, fp: &str) {
+    let fresh = BTreeMap::from([(format!("{test}.txt"), fp.to_string())]);
+    golden::check("shard_determinism", &fresh, |_, old, new| golden::line_moves(old, new));
 }
 
-fn assert_digest(fp: &str, frozen: u64) {
-    assert_eq!(
-        fnv1a64(fp),
-        frozen,
-        "the run no longer reproduces its frozen bytes. Re-bless the digest when the timing \
-         model or an observer format changed on purpose; otherwise this is a scheduler \
-         regression."
-    );
-}
-
-/// Fold one run's observable artifacts into a comparison string, dropping
+/// Fold one run's observable artifacts into a comparison text, dropping
 /// the two wall-clock-derived `RunResult` fields (everything else is
-/// simulated-time and must reproduce exactly).
+/// simulated-time and must reproduce exactly). Structs print one field per
+/// line, so a diff names the field that moved.
 fn fold(m: &Arc<Machine>, tracer: &Arc<nmp_sim::trace::Tracer>, r: Option<RunResult>) -> String {
     let mut fp = String::new();
     if let Some(mut r) = r {
         r.wall_ms = 0.0;
         r.sim_cycles_per_sec = 0.0;
-        fp.push_str(&format!("result={r:?}\n"));
+        let _ = writeln!(fp, "result={r:#?}");
     }
-    fp.push_str(&format!("snapshot={:?}\n", m.mem().snapshot()));
-    fp.push_str(&format!("summary={:?}\n", tracer.summary()));
-    fp.push_str(&TraceSink::chrome_json(tracer));
-    fp.push('\n');
+    let _ = writeln!(fp, "snapshot={:#?}", m.mem().snapshot());
+    let _ = writeln!(fp, "summary={:#?}", tracer.summary());
+    let _ =
+        writeln!(fp, "chrome_json.fnv1a={:016x}", golden::fnv1a64(&TraceSink::chrome_json(tracer)));
     fp
 }
 
@@ -81,7 +80,7 @@ fn skiplist_fp(inflight: usize, policy: Policy) -> String {
     sl.populate((0..ks.total_initial()).map(|i| (ks.initial_key(i), i)));
     let r = run_index(&m, &sl, &ks, &spec(42, inflight));
     let mut fp = fold(&m, &tracer, Some(r));
-    fp.push_str(&format!("report={:?}\n", analysis.report()));
+    let _ = writeln!(fp, "report={:#?}", analysis.report());
     fp
 }
 
@@ -96,7 +95,7 @@ fn btree_fp(inflight: usize, policy: Policy) -> String {
     let r = run_index(&m, &t, &ks, &spec(77, inflight));
     t.check_invariants();
     let mut fp = fold(&m, &tracer, Some(r));
-    fp.push_str(&format!("report={:?}\n", analysis.report()));
+    let _ = writeln!(fp, "report={:#?}", analysis.report());
     fp
 }
 
@@ -120,7 +119,7 @@ fn hashmap_fp(inflight: usize, policy: Policy) -> (String, u64) {
     let r = run_index(&m, &hm, &ks, &spec);
     let coalesced = r.offload_coalesced;
     let mut fp = fold(&m, &tracer, Some(r));
-    fp.push_str(&format!("report={:?}\n", analysis.report()));
+    let _ = writeln!(fp, "report={:#?}", analysis.report());
     (fp, coalesced)
 }
 
@@ -188,43 +187,43 @@ fn pqueue_fp(inflight: usize, policy: Policy) -> String {
     pq.check_invariants();
     let mut fp = format!("clocks={:?}\n", out.clocks);
     fp.push_str(&fold(&m, &tracer, None));
-    fp.push_str(&format!("report={:?}\n", analysis.report()));
+    let _ = writeln!(fp, "report={:#?}", analysis.report());
     fp
 }
 
 #[test]
 fn skiplist_blocking_is_topology_invariant() {
-    assert_digest(&skiplist_fp(1, Policy::Fixed), 0xb039_ff7d_3eb2_ada6);
+    assert_golden("skiplist_blocking_is_topology_invariant", &skiplist_fp(1, Policy::Fixed));
 }
 
 #[test]
 fn skiplist_pipelined_is_topology_invariant() {
-    assert_digest(&skiplist_fp(4, Policy::Fixed), 0x3fca_995d_9078_dfc1);
+    assert_golden("skiplist_pipelined_is_topology_invariant", &skiplist_fp(4, Policy::Fixed));
 }
 
 #[test]
 fn btree_blocking_is_topology_invariant() {
-    assert_digest(&btree_fp(1, Policy::Fixed), 0xa583_7818_30e1_378a);
+    assert_golden("btree_blocking_is_topology_invariant", &btree_fp(1, Policy::Fixed));
 }
 
 #[test]
 fn btree_pipelined_is_topology_invariant() {
-    assert_digest(&btree_fp(4, Policy::Fixed), 0x324f_6257_458c_90a1);
+    assert_golden("btree_pipelined_is_topology_invariant", &btree_fp(4, Policy::Fixed));
 }
 
 #[test]
 fn hashmap_pipelined_is_topology_invariant() {
-    assert_digest(&hashmap_fp(4, Policy::Fixed).0, 0xda4c_e9f1_b0ab_2d28);
+    assert_golden("hashmap_pipelined_is_topology_invariant", &hashmap_fp(4, Policy::Fixed).0);
 }
 
 #[test]
 fn pqueue_blocking_is_topology_invariant() {
-    assert_digest(&pqueue_fp(1, Policy::Fixed), 0x82df_e78b_2ffa_4424);
+    assert_golden("pqueue_blocking_is_topology_invariant", &pqueue_fp(1, Policy::Fixed));
 }
 
 #[test]
 fn pqueue_pipelined_is_topology_invariant() {
-    assert_digest(&pqueue_fp(4, Policy::Fixed), 0x09ef_356e_97de_f198);
+    assert_golden("pqueue_pipelined_is_topology_invariant", &pqueue_fp(4, Policy::Fixed));
 }
 
 // ---- adaptive-policy battery ----
@@ -235,27 +234,36 @@ fn pqueue_pipelined_is_topology_invariant() {
 
 #[test]
 fn skiplist_pipelined_adaptive_is_topology_invariant() {
-    assert_digest(&skiplist_fp(4, Policy::Adaptive), 0xaa86_d17b_6e56_7bb6);
+    assert_golden(
+        "skiplist_pipelined_adaptive_is_topology_invariant",
+        &skiplist_fp(4, Policy::Adaptive),
+    );
 }
 
 #[test]
 fn btree_pipelined_adaptive_is_topology_invariant() {
-    assert_digest(&btree_fp(4, Policy::Adaptive), 0xbbb5_f82b_7c79_b611);
+    assert_golden("btree_pipelined_adaptive_is_topology_invariant", &btree_fp(4, Policy::Adaptive));
 }
 
 #[test]
 fn pqueue_pipelined_adaptive_is_topology_invariant() {
-    assert_digest(&pqueue_fp(4, Policy::Adaptive), 0xc112_14a1_63ce_dd6c);
+    assert_golden(
+        "pqueue_pipelined_adaptive_is_topology_invariant",
+        &pqueue_fp(4, Policy::Adaptive),
+    );
 }
 
 #[test]
 fn hashmap_pipelined_adaptive_is_topology_invariant() {
     let (fp, coalesced) = hashmap_fp(4, Policy::Adaptive);
     assert!(coalesced > 0, "the stream must exercise the coalescing path");
-    assert_digest(&fp, 0x03fb_f310_6a48_9231);
+    assert_golden("hashmap_pipelined_adaptive_is_topology_invariant", &fp);
 }
 
 #[test]
 fn skiplist_blocking_adaptive_is_topology_invariant() {
-    assert_digest(&skiplist_fp(1, Policy::Adaptive), 0xcefa_c470_25c8_eb5f);
+    assert_golden(
+        "skiplist_blocking_adaptive_is_topology_invariant",
+        &skiplist_fp(1, Policy::Adaptive),
+    );
 }
