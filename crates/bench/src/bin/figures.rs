@@ -3,7 +3,7 @@
 //!
 //! ```text
 //! cargo run --release -p hybrids-bench --bin figures -- \
-//!     [--scale smoke|ci|scaled|paper] [--policy fixed|adaptive] [--ops N] [--out DIR] [names | all]
+//!     [--scale smoke|ci|paper] [--policy fixed|adaptive] [--ops N] [--out DIR] [names | all]
 //! ```
 //!
 //! Exit status: 2 for a command-line error (nothing has run), 1 when the

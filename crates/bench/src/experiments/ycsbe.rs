@@ -25,14 +25,12 @@ pub fn run(scale: &Scale) -> Results {
     println!("ycsb-e: 95% scans (1-100 items) / 5% inserts (scale = {})", scale.name);
     println!("{:<22} {:>12} {:>16}", "variant", "Mops/s", "DRAM reads/op");
     let mut records = Vec::new();
-    for (structure, v) in [
-        ("skiplist", Variant::LockFree),
-        ("skiplist", Variant::HybridBlocking),
-        ("btree", Variant::HostOnly),
-        ("btree", Variant::HybridBtBlocking),
-    ] {
+    let variants =
+        [Variant::LockFree, Variant::HybridBlocking, Variant::HostOnly, Variant::HybridBtBlocking];
+    for v in variants {
         let r = v.run(scale, wl);
-        println!("{structure:<8} {:<13} {:>12.4} {:>16.2}", v.label(), r.mops, r.dram_reads_per_op);
+        let (structure, label) = (v.structure(), v.label());
+        println!("{structure:<8} {label:<13} {:>12.4} {:>16.2}", r.mops, r.dram_reads_per_op);
         records.push(Record::new("ycsb_e", scale, v, "YCSB-E", r));
     }
     records.into()

@@ -5,7 +5,7 @@
 //!
 //! ```text
 //! cargo run --release -p hybrids-bench --bin figures -- \
-//!     [--scale smoke|ci|scaled|paper] [--policy fixed|adaptive] [--ops N] [--out DIR] [names | all]
+//!     [--scale smoke|ci|paper] [--policy fixed|adaptive] [--ops N] [--out DIR] [names | all]
 //! ```
 //!
 //! Experiments print paper-style rows to stdout; [`run_experiment`] appends
@@ -13,7 +13,7 @@
 //!
 //! ## Scales
 //!
-//! Cycle-level simulation is slow, so experiments run at one of four
+//! Cycle-level simulation is slow, so experiments run at one of three
 //! scales:
 //!
 //! * `smoke`: a `Config::tiny()` machine and a handful of ops — the whole
@@ -21,7 +21,6 @@
 //! * `ci` (default): a further-scaled machine so a full run finishes in
 //!   minutes — every *ratio* of the paper's setup (structure : LLC,
 //!   host-portion : LLC) is preserved.
-//! * `scaled`: the DESIGN.md default (LLC/16, 2^18-key skiplist).
 //! * `paper`: Table 1 verbatim (1 MB LLC, 2^22-key skiplist, ~30M-key
 //!   B+ tree). Expect very long runs.
 //!
@@ -69,12 +68,11 @@ pub struct Scale {
     pub btree_footprint_lines: u32,
 }
 
-/// The scale a `--scale` value names, if it is one of the four.
+/// The scale a `--scale` value names, if it is one of the three.
 fn scale_by_name(name: &str) -> Option<Scale> {
     match name {
         "smoke" => Some(Scale::smoke()),
         "ci" => Some(Scale::ci()),
-        "scaled" => Some(Scale::scaled()),
         "paper" => Some(Scale::paper()),
         _ => None,
     }
@@ -99,23 +97,6 @@ impl Scale {
             btree_keys: 400_000,
             ops_per_thread: 600,
             warmup_per_thread: 250,
-            btree_footprint_lines: 4,
-        }
-    }
-
-    pub fn scaled() -> Self {
-        let mut cfg = Config::default_scaled();
-        cfg.l1.size_bytes = 16 * 1024;
-        cfg.l2.size_bytes = 128 * 1024; // 10 host / 8 NMP levels at 2^18 keys
-        cfg.host_heap_bytes = 72 * 1024 * 1024;
-        cfg.part_heap_bytes = 12 * 1024 * 1024;
-        Scale {
-            name: "scaled",
-            cfg,
-            skiplist_keys: 1 << 18,
-            btree_keys: 1_900_000,
-            ops_per_thread: 1500,
-            warmup_per_thread: 500,
             btree_footprint_lines: 4,
         }
     }
@@ -223,6 +204,22 @@ impl Variant {
             Variant::HashMapNonblocking(k) => format!("hashmap-nonblocking{k}"),
             Variant::PqueueBlocking => "pqueue-blocking".into(),
             Variant::PqueueNonblocking(k) => format!("pqueue-nonblocking{k}"),
+        }
+    }
+
+    /// The structure this variant runs: two variants of different
+    /// structures may share a label (`hybrid-blocking`).
+    pub fn structure(&self) -> &'static str {
+        match self {
+            Variant::LockFree
+            | Variant::NmpBased
+            | Variant::HybridBlocking
+            | Variant::HybridNonblocking(_) => "skiplist",
+            Variant::HostOnly | Variant::HybridBtBlocking | Variant::HybridBtNonblocking(_) => {
+                "btree"
+            }
+            Variant::HashMapBlocking | Variant::HashMapNonblocking(_) => "hashmap",
+            Variant::PqueueBlocking | Variant::PqueueNonblocking(_) => "pqueue",
         }
     }
 
@@ -424,6 +421,8 @@ impl SimIndex for LockFreeIndex {
 pub struct Record {
     pub experiment: &'static str,
     pub scale: &'static str,
+    /// [`Variant::structure`].
+    pub structure: &'static str,
     pub variant: String,
     pub workload: String,
     /// Offload policy the run used (`fixed` or `adaptive`).
@@ -442,6 +441,7 @@ impl Record {
         Record {
             experiment,
             scale: scale.name,
+            structure: variant.structure(),
             variant: variant.label(),
             workload: workload.into(),
             policy: scale.cfg.policy.label(),
@@ -463,6 +463,7 @@ impl Serialize for Record {
         let mut row = vec![
             tag("experiment", self.experiment),
             tag("scale", self.scale),
+            tag("structure", self.structure),
             tag("variant", &self.variant),
             tag("workload", &self.workload),
             tag("policy", self.policy),
@@ -620,7 +621,7 @@ pub fn parse_args(args: impl IntoIterator<Item = String>) -> Result<Invocation, 
             "--scale" => {
                 let v = value()?;
                 scale = scale_by_name(&v)
-                    .ok_or(format!("--scale: `{v}` is not one of smoke|ci|scaled|paper"))?;
+                    .ok_or(format!("--scale: `{v}` is not one of smoke|ci|paper"))?;
             }
             "--policy" => {
                 let v = value()?;
@@ -677,7 +678,7 @@ mod tests {
 
     #[test]
     fn scales_are_valid() {
-        for s in [Scale::ci(), Scale::scaled(), Scale::paper()] {
+        for s in [Scale::ci(), Scale::paper()] {
             s.cfg.validate();
             let _ = s.skiplist_keyspace();
             let _ = s.btree_keyspace();
@@ -686,10 +687,11 @@ mod tests {
 
     #[test]
     fn scale_names_resolve_and_typos_do_not() {
-        for name in ["smoke", "ci", "scaled", "paper"] {
+        for name in ["smoke", "ci", "paper"] {
             assert_eq!(scale_by_name(name).expect("known scale").name, name);
         }
         assert!(scale_by_name("papr").is_none());
+        assert!(scale_by_name("scaled").is_none());
         assert!(scale_by_name("").is_none());
     }
 
@@ -722,7 +724,7 @@ mod tests {
     #[test]
     fn figures_argument_errors_name_the_offender_and_the_accepted_set() {
         for (line, offender, accepted) in [
-            ("--scale smok fig5", "`smok`", "smoke|ci|scaled|paper"),
+            ("--scale smok fig5", "`smok`", "smoke|ci|paper"),
             ("--policy x", "`x`", "fixed|adaptive"),
             ("--ops abc", "`abc`", "positive integer"),
             ("--ops 0", "`0`", "positive integer"),
@@ -749,6 +751,8 @@ mod tests {
         assert_eq!(Variant::HashMapNonblocking(4).label(), "hashmap-nonblocking4");
         assert_eq!(Variant::PqueueNonblocking(4).inflight(), 4);
         assert_eq!(Variant::PqueueBlocking.label(), "pqueue-blocking");
+        assert_eq!(Variant::HybridBlocking.structure(), "skiplist");
+        assert_eq!(Variant::HybridBtBlocking.structure(), "btree");
     }
 
     #[test]

@@ -111,8 +111,6 @@ pub struct RunResult {
     pub nmp_dram_reads_per_op: f64,
     /// MMIO transactions per operation (offload traffic).
     pub mmio_per_op: f64,
-    /// Modeled energy per operation (nJ).
-    pub energy_nj_per_op: f64,
     /// Host wall-clock milliseconds spent inside `sim.run()` (warm-up and
     /// measured phases): the real cost of simulating this experiment.
     pub wall_ms: f64,
@@ -327,7 +325,6 @@ fn run_index_inner<S: SimIndex>(
             .max(0.0),
         nmp_dram_reads_per_op: stats.nmp_dram_reads() as f64 / measured_ops as f64,
         mmio_per_op: (stats.mmio_reads + stats.mmio_writes) as f64 / measured_ops as f64,
-        energy_nj_per_op: stats.energy_nj() / measured_ops as f64,
         wall_ms: wall * 1e3,
         sim_cycles_per_sec: if wall > 0.0 { outcome.makespan() as f64 / wall } else { 0.0 },
         offload_posted: stats.offload.posted_total(),

@@ -11,18 +11,18 @@
 //!    establish happens-before edges; conflicting unordered plain accesses
 //!    are reported with both access sites, thread kinds, and the address's
 //!    [`Region`](crate::mem::Region).
-//! 2. **Region-policy lint** ([`policy`]): flags host threads touching
-//!    `Region::Part(p)` memory, NMP cores touching foreign partitions or
-//!    scratchpads, and non-MMIO host scratchpad access. With an [`Analysis`]
-//!    attached these are recorded (and the access charged a fallback
-//!    latency) instead of panicking, so negative fixtures run to completion.
-//! 3. **Linearizability checker** ([`history`]): records completed index
+//! 2. **Linearizability checker** ([`history`]): records completed index
 //!    operations and verifies the concurrent history against a sequential
 //!    map oracle with a Wing & Gong search.
-//! 4. **Spec-conformance mode** ([`conformance`]): checks every observed
+//! 3. **Spec-conformance mode** ([`conformance`]): checks every observed
 //!    access against the running structures' declared memory-effect plans
 //!    ([`effects::EffectSpec`]), producing declared-vs-observed blame
 //!    reports. Opt-in via [`Analysis::enable_conformance`].
+//!
+//! The region policy ([`policy`]: which processor may touch which region,
+//! and whether by MMIO) is not one of them: the engine checks it on every
+//! simulated access, attached or not, and a violation panics. So the
+//! checkers above only ever see legal accesses.
 //!
 //! The [`effects`] module itself — the declaration vocabulary and its
 //! static verifier [`effects::verify_specs`] — needs no attached
@@ -30,10 +30,9 @@
 //! zero simulation cycles.
 //!
 //! Attach an [`Analysis`] with [`crate::Machine::attach_analysis`]; without
-//! one the simulator behaves exactly as before (wild region accesses
-//! panic, nothing is recorded). Results are surfaced through
-//! [`Analysis::report`] and the `races_detected` / `policy_violations`
-//! fields of [`crate::stats::StatsSnapshot`].
+//! one nothing is recorded. Results are surfaced through
+//! [`Analysis::report`] and the `races_detected` field of
+//! [`crate::stats::StatsSnapshot`].
 
 pub mod conformance;
 pub mod effects;
@@ -56,7 +55,7 @@ pub use effects::{
     RegionClass, SpecError, ThreadClass, Topology,
 };
 pub use history::{HistEvent, HistOp, HistoryRecorder, LinearizabilityError};
-pub use policy::{PolicyRule, PolicyViolation};
+pub use policy::PolicyRule;
 pub use race::{AccessSite, RaceKind, RaceReport};
 
 /// How a timed memory operation participates in the happens-before model.
@@ -91,10 +90,6 @@ pub struct Report {
     pub races: Vec<RaceReport>,
     /// Total number of racy access pairs observed (uncapped).
     pub races_total: u64,
-    /// Deduplicated region-policy violations (capped).
-    pub policy_violations: Vec<PolicyViolation>,
-    /// Total number of policy-violating accesses observed (uncapped).
-    pub policy_total: u64,
     /// Deduplicated spec-conformance violations (capped); empty unless
     /// conformance mode is enabled ([`Analysis::enable_conformance`]).
     pub conformance: Vec<ConformanceViolation>,
@@ -103,10 +98,9 @@ pub struct Report {
 }
 
 impl Report {
-    /// True when no races, policy violations, or conformance violations
-    /// were observed.
+    /// True when no races or conformance violations were observed.
     pub fn is_clean(&self) -> bool {
-        self.races_total == 0 && self.policy_total == 0 && self.conformance_total == 0
+        self.races_total == 0 && self.conformance_total == 0
     }
 
     /// Panic with a readable listing if the report is not clean.
@@ -119,14 +113,11 @@ impl fmt::Display for Report {
     fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
         writeln!(
             f,
-            "{} race(s), {} policy violation(s), {} conformance violation(s)",
-            self.races_total, self.policy_total, self.conformance_total
+            "{} race(s), {} conformance violation(s)",
+            self.races_total, self.conformance_total
         )?;
         for r in &self.races {
             writeln!(f, "  {r}")?;
-        }
-        for v in &self.policy_violations {
-            writeln!(f, "  {v}")?;
         }
         for v in &self.conformance {
             writeln!(f, "  {v}")?;
@@ -137,7 +128,6 @@ impl fmt::Display for Report {
 
 struct Inner {
     race: race::RaceDetector,
-    policy: policy::PolicyChecker,
     conf: conformance::ConformanceChecker,
 }
 
@@ -156,7 +146,6 @@ impl Analysis {
             map,
             inner: Mutex::new(Inner {
                 race: race::RaceDetector::new(),
-                policy: policy::PolicyChecker::new(),
                 conf: conformance::ConformanceChecker::new(),
             }),
         })
@@ -187,7 +176,7 @@ impl Analysis {
         g.race.on_access(&self.map, tid, at, addr, bytes, op, site);
         let kind = g.race.thread_kind(tid);
         let region = self.map.region_of(addr);
-        let Inner { race, conf, .. } = &mut *g;
+        let Inner { race, conf } = &mut *g;
         conf.check(
             tid,
             || race.thread_name(tid),
@@ -223,42 +212,6 @@ impl Analysis {
         self.inner.lock().conf.set_current_op(tid, op);
     }
 
-    /// Check the region policy for an access about to be routed. Returns
-    /// `true` (and records a violation) when the access breaks the policy;
-    /// the engine then charges a fallback latency instead of panicking.
-    #[allow(clippy::too_many_arguments)]
-    pub(crate) fn check_policy(
-        &self,
-        tid: usize,
-        kind: ThreadKind,
-        addr: Addr,
-        is_write: bool,
-        mmio: bool,
-        at: u64,
-        site: &'static Location<'static>,
-    ) -> bool {
-        let region = self.map.region_of(addr);
-        let Some(rule) = policy::classify(kind, region, mmio) else {
-            return false;
-        };
-        let mut g = self.inner.lock();
-        let thread = g.race.thread_name(tid);
-        g.policy.record(PolicyViolation {
-            thread,
-            thread_kind: kind,
-            addr,
-            region,
-            is_write,
-            mmio,
-            rule,
-            file: site.file(),
-            line: site.line(),
-            column: site.column(),
-            at,
-        });
-        true
-    }
-
     /// Forget all per-cell race state in `[addr, addr + bytes)`. Called by
     /// the arenas on `free` so that block reuse does not manufacture false
     /// races between the old and new owner of the memory.
@@ -269,11 +222,6 @@ impl Analysis {
     /// Total racy access pairs observed so far.
     pub fn race_count(&self) -> u64 {
         self.inner.lock().race.total()
-    }
-
-    /// Total policy-violating accesses observed so far.
-    pub fn policy_count(&self) -> u64 {
-        self.inner.lock().policy.total()
     }
 
     /// Total undeclared (spec-nonconforming) accesses observed so far.
@@ -287,8 +235,6 @@ impl Analysis {
         Report {
             races: g.race.reports().to_vec(),
             races_total: g.race.total(),
-            policy_violations: g.policy.violations().to_vec(),
-            policy_total: g.policy.total(),
             conformance: g.conf.violations().to_vec(),
             conformance_total: g.conf.total(),
         }

@@ -1,21 +1,17 @@
-//! Region-policy lint: which processor may touch which [`Region`].
+//! The region policy: which processor may touch which [`Region`], and how.
 //!
 //! The HybriDS machine model (§2 of the paper) partitions physical memory:
 //! host cores may only touch host main memory directly and reach
 //! scratchpads exclusively through MMIO; NMP core `p` may only touch its
-//! own partition and its own scratchpad. Without an attached
-//! [`super::Analysis`] the memory system enforces this by panicking; with
-//! one attached, violations are recorded here instead so negative fixtures
-//! (and future structure bugs) surface as a report, not an abort.
+//! own partition and its own scratchpad. [`classify`] is the one table of
+//! these rules. The engine consults it once per simulated access, whether
+//! or not an [`super::Analysis`] is attached, and panics on a violation
+//! naming the rule, the access and its call site (`ThreadCtx::route`).
 
 use std::fmt;
 
 use crate::engine::ThreadKind;
-use crate::mem::{Addr, Region};
-
-/// At most this many distinct violations are stored (the total count keeps
-/// counting past the cap).
-pub const MAX_STORED_VIOLATIONS: usize = 64;
+use crate::mem::Region;
 
 /// Which architectural rule an access broke.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -29,6 +25,9 @@ pub enum PolicyRule {
     NmpTouchedForeign,
     /// An MMIO access targeted a non-scratchpad region.
     MmioToNonScratchpad,
+    /// An NMP core issued an MMIO access: MMIO is the host's window onto
+    /// the scratchpads.
+    NmpMmio,
 }
 
 impl fmt::Display for PolicyRule {
@@ -38,62 +37,17 @@ impl fmt::Display for PolicyRule {
             PolicyRule::HostDirectScratchpad => "host touched a scratchpad without MMIO",
             PolicyRule::NmpTouchedForeign => "NMP core touched a foreign region",
             PolicyRule::MmioToNonScratchpad => "MMIO to a non-scratchpad region",
+            PolicyRule::NmpMmio => "NMP core used MMIO, a host-side path",
         })
-    }
-}
-
-/// One recorded region-policy violation.
-#[derive(Debug, Clone)]
-pub struct PolicyViolation {
-    /// Logical thread name.
-    pub thread: String,
-    /// Host core or NMP core identity of the thread.
-    pub thread_kind: ThreadKind,
-    /// The offending simulated address.
-    pub addr: Addr,
-    /// The region that address falls in.
-    pub region: Region,
-    /// Whether the access was a store.
-    pub is_write: bool,
-    /// Whether the access went through the MMIO path.
-    pub mmio: bool,
-    /// Which rule was broken.
-    pub rule: PolicyRule,
-    /// Source file of the access.
-    pub file: &'static str,
-    /// Source line of the access.
-    pub line: u32,
-    /// Source column of the access.
-    pub column: u32,
-    /// Simulated issue time of the access, in cycles.
-    pub at: u64,
-}
-
-impl fmt::Display for PolicyViolation {
-    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
-        write!(
-            f,
-            "{}: {}{} of {:#x} ({:?}) by '{}' ({:?}) at {}:{}:{} (cycle {})",
-            self.rule,
-            if self.mmio { "MMIO " } else { "" },
-            if self.is_write { "write" } else { "read" },
-            self.addr,
-            self.region,
-            self.thread,
-            self.thread_kind,
-            self.file,
-            self.line,
-            self.column,
-            self.at,
-        )
     }
 }
 
 /// Classify an access against the region policy. `None` means allowed.
 pub fn classify(kind: ThreadKind, region: Region, mmio: bool) -> Option<PolicyRule> {
     if mmio {
-        return match region {
-            Region::Spad(_) => None,
+        return match (kind, region) {
+            (ThreadKind::Nmp { .. }, _) => Some(PolicyRule::NmpMmio),
+            (_, Region::Spad(_)) => None,
             _ => Some(PolicyRule::MmioToNonScratchpad),
         };
     }
@@ -106,36 +60,6 @@ pub fn classify(kind: ThreadKind, region: Region, mmio: bool) -> Option<PolicyRu
             (p != part).then_some(PolicyRule::NmpTouchedForeign)
         }
         (ThreadKind::Nmp { .. }, Region::Host) => Some(PolicyRule::NmpTouchedForeign),
-    }
-}
-
-pub(crate) struct PolicyChecker {
-    violations: Vec<PolicyViolation>,
-    seen: Vec<(&'static str, u32, u32, PolicyRule)>,
-    total: u64,
-}
-
-impl PolicyChecker {
-    pub(crate) fn new() -> Self {
-        PolicyChecker { violations: Vec::new(), seen: Vec::new(), total: 0 }
-    }
-
-    pub(crate) fn record(&mut self, v: PolicyViolation) {
-        self.total += 1;
-        let key = (v.file, v.line, v.column, v.rule);
-        if self.seen.contains(&key) || self.violations.len() >= MAX_STORED_VIOLATIONS {
-            return;
-        }
-        self.seen.push(key);
-        self.violations.push(v);
-    }
-
-    pub(crate) fn total(&self) -> u64 {
-        self.total
-    }
-
-    pub(crate) fn violations(&self) -> &[PolicyViolation] {
-        &self.violations
     }
 }
 
@@ -162,27 +86,8 @@ mod tests {
         assert_eq!(classify(nmp, Region::Part(0), false), Some(PolicyRule::NmpTouchedForeign));
         assert_eq!(classify(nmp, Region::Spad(2), false), Some(PolicyRule::NmpTouchedForeign));
         assert_eq!(classify(nmp, Region::Host, false), Some(PolicyRule::NmpTouchedForeign));
-    }
-
-    #[test]
-    fn dedup_keeps_counting() {
-        let mut c = PolicyChecker::new();
-        let v = PolicyViolation {
-            thread: "h0".into(),
-            thread_kind: ThreadKind::Host { core: 0 },
-            addr: 0x100,
-            region: Region::Part(0),
-            is_write: false,
-            mmio: false,
-            rule: PolicyRule::HostTouchedPartition,
-            file: "x.rs",
-            line: 1,
-            column: 1,
-            at: 10,
-        };
-        c.record(v.clone());
-        c.record(v);
-        assert_eq!(c.total(), 2);
-        assert_eq!(c.violations().len(), 1);
+        for region in [Region::Spad(1), Region::Part(1), Region::Host] {
+            assert_eq!(classify(nmp, region, true), Some(PolicyRule::NmpMmio), "{region:?}");
+        }
     }
 }

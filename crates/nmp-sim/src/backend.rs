@@ -1,8 +1,9 @@
 //! The data plane: one RAM under both engines.
 //!
 //! Every structure in this repo talks to memory through two layers: the
-//! *timing plane* ([`crate::mem::MemorySystem`], which prices accesses and
-//! enforces the region policy) and the *data plane* (what bytes actually
+//! *timing plane* ([`crate::mem::MemorySystem`], which prices accesses
+//! that the engine has checked against the region policy) and the *data
+//! plane* (what bytes actually
 //! hold). The data plane is [`Ram`], and there is exactly one of it: the
 //! deterministic engines ([`crate::engine::Simulation`]) and the real-thread
 //! engine ([`crate::engine::NativeRun`]) execute the *same* loads, stores

@@ -31,17 +31,19 @@
 //! * a vector-clock happens-before **race detector** over simulated
 //!   addresses, where simulated CAS and acquire/release-annotated accesses
 //!   are the synchronization operations,
-//! * a **region-policy lint** that records (instead of panicking on) host
-//!   accesses to NMP partitions, NMP accesses to foreign regions, and
-//!   non-MMIO scratchpad accesses,
 //! * a **linearizability checker** over recorded operation histories,
-//!   verified against a sequential map oracle.
+//!   verified against a sequential map oracle,
+//! * a **spec-conformance mode** that holds every access against the
+//!   running structures' declared memory-effect plans.
 //!
 //! The checkers are opt-in at runtime: call [`Machine::attach_analysis`]
 //! before running simulations, then inspect [`analysis::Report`] (or the
-//! `races_detected` / `policy_violations` counters in a
-//! [`StatsSnapshot`]). When nothing is attached the per-access overhead is
-//! a single atomic load, and benchmarks simply never attach.
+//! `races_detected` counter in a [`StatsSnapshot`]). When nothing is
+//! attached the per-access overhead is a single atomic load, and
+//! benchmarks simply never attach. The region policy of §2 (which
+//! processor may touch which region, and whether by MMIO;
+//! [`analysis::policy`]) is not opt-in: every simulated access is checked
+//! against it, and a violation panics.
 //!
 //! ## The `trace` layer
 //!

@@ -83,11 +83,11 @@ impl Machine {
         NativeRun::new(Arc::clone(&self.mem))
     }
 
-    /// Attach the correctness checkers (race detector, region-policy lint)
-    /// to this machine and return them. Idempotent: a second call returns
-    /// the already-attached instance. Once attached, every timed memory
-    /// access in every subsequent simulation over this machine is traced,
-    /// and region-policy violations are recorded instead of panicking.
+    /// Attach the correctness checkers (race detector, spec conformance)
+    /// to this machine and return them.
+    /// Idempotent: a second call returns the already-attached instance.
+    /// Once attached, every timed memory access in every subsequent
+    /// simulation over this machine is observed.
     pub fn attach_analysis(&self) -> Arc<crate::analysis::Analysis> {
         if let Some(a) = self.mem.analysis() {
             return Arc::clone(a);

@@ -326,19 +326,10 @@ impl MemorySystem {
         (vault, local)
     }
 
-    /// Timed access by host core `core` at absolute cycle `now`.
-    /// Returns the latency. Panics if the address is NMP-partition memory
-    /// (architecturally unreachable from the host, §2 of the paper).
-    pub fn host_access(&self, core: usize, now: u64, addr: Addr, is_write: bool) -> u64 {
-        match self.map.region_of(addr) {
-            Region::Host => {}
-            Region::Part(p) => {
-                panic!("host core {core} accessed NMP partition {p} memory at {addr:#x}; only NMP core {p} may touch it")
-            }
-            Region::Spad(_) => {
-                panic!("host access to scratchpad {addr:#x} must use the MMIO path")
-            }
-        }
+    /// Timed access by host core `core` to host memory at absolute cycle
+    /// `now`; returns the latency. The caller has checked the region policy
+    /// (`ThreadCtx::route`), as for every accessor here.
+    pub(crate) fn host_access(&self, core: usize, now: u64, addr: Addr, is_write: bool) -> u64 {
         // Vault busy window captured under the timing lock, recorded into the
         // tracer after releasing it (the tracer lock never nests inside it).
         let mut vault_busy: Option<(usize, u64, u64)> = None;
@@ -395,15 +386,13 @@ impl MemorySystem {
         }
     }
 
-    /// Timed access by NMP core `part`. The core has no cache, only a single
-    /// node-register buffer of one block; everything else goes to its vault.
-    /// Scratchpad accesses by the owning core are local
+    /// Timed access by NMP core `part` to its partition or scratchpad. The
+    /// core has no cache, only a single node-register buffer of one block;
+    /// everything else goes to its vault. Scratchpad accesses are local
     /// ([`SCRATCHPAD_CYCLES`]).
-    pub fn nmp_access(&self, part: usize, now: u64, addr: Addr, is_write: bool) -> u64 {
-        match self.map.region_of(addr) {
-            Region::Part(p) if p == part => {}
-            Region::Spad(p) if p == part => return SCRATCHPAD_CYCLES,
-            r => panic!("NMP core {part} accessed foreign region {r:?} at {addr:#x}"),
+    pub(crate) fn nmp_access(&self, part: usize, now: u64, addr: Addr, is_write: bool) -> u64 {
+        if self.map.spad_part(addr).is_some() {
+            return SCRATCHPAD_CYCLES;
         }
         let mut vault_busy: Option<(usize, u64, u64)> = None;
         let lat = {
@@ -434,11 +423,7 @@ impl MemorySystem {
 
     /// Host MMIO access to a scratchpad (publication list) word; bumps the
     /// MMIO counters if `counted`.
-    pub fn mmio_access(&self, addr: Addr, is_write: bool, counted: bool) -> u64 {
-        match self.map.region_of(addr) {
-            Region::Spad(_) => {}
-            r => panic!("MMIO access to non-scratchpad region {r:?} at {addr:#x}"),
-        }
+    pub(crate) fn mmio_access(&self, is_write: bool, counted: bool) -> u64 {
         if counted {
             let t = &mut *self.timing.lock();
             *(if is_write { &mut t.mmio_writes } else { &mut t.mmio_reads }) += 1;
@@ -513,12 +498,11 @@ impl MemorySystem {
     }
 
     /// Snapshot every counter. L1 counters are aggregated across cores.
-    /// The analysis counters (`races_detected`, `policy_violations`) are
-    /// cumulative over the machine's lifetime — [`MemorySystem::reset_stats`]
-    /// deliberately does not clear them.
+    /// The analysis counter `races_detected` is cumulative over the
+    /// machine's lifetime — [`MemorySystem::reset_stats`] deliberately does
+    /// not clear it.
     pub fn snapshot(&self) -> StatsSnapshot {
-        let (races_detected, policy_violations) =
-            self.analysis.get().map_or((0, 0), |a| (a.race_count(), a.policy_count()));
+        let races_detected = self.analysis.get().map_or(0, |a| a.race_count());
         let t = self.timing.lock();
         let mut l1 = crate::stats::CacheStats::default();
         for c in &t.l1 {
@@ -533,7 +517,6 @@ impl MemorySystem {
             nmp_buffer_hits: t.nmp_buffer_hits,
             main_vaults: self.cfg.main_vaults,
             races_detected,
-            policy_violations,
             offload: self.offload.collect(),
         }
     }
@@ -740,20 +723,6 @@ mod tests {
     }
 
     #[test]
-    #[should_panic(expected = "accessed NMP partition")]
-    fn host_cannot_touch_partition() {
-        let s = sys();
-        let _ = s.host_access(0, 0, s.map().part_base(0), false);
-    }
-
-    #[test]
-    #[should_panic(expected = "foreign region")]
-    fn nmp_core_cannot_touch_other_partition() {
-        let s = sys();
-        let _ = s.nmp_access(0, 0, s.map().part_base(1), false);
-    }
-
-    #[test]
     fn nmp_buffer_hit_is_one_cycle() {
         let s = sys();
         let a = s.map().part_base(0);
@@ -775,21 +744,13 @@ mod tests {
     #[test]
     fn mmio_charges_fixed_cost_and_counts() {
         let s = sys();
-        let a = s.map().spad_base(1);
-        let w = s.mmio_access(a, true, true);
-        let r = s.mmio_access(a, false, true);
+        let w = s.mmio_access(true, true);
+        let r = s.mmio_access(false, true);
         assert_eq!(w, s.config().cycles(s.config().mmio_write_ns));
         assert_eq!(r, s.config().cycles(s.config().mmio_read_ns));
-        assert_eq!(s.mmio_access(a, false, false), r, "an uncounted access costs the same");
+        assert_eq!(s.mmio_access(false, false), r, "an uncounted access costs the same");
         let snap = s.snapshot();
         assert_eq!((snap.mmio_reads, snap.mmio_writes), (1, 1));
-    }
-
-    #[test]
-    #[should_panic(expected = "MMIO access to non-scratchpad")]
-    fn mmio_rejects_host_region() {
-        let s = sys();
-        let _ = s.mmio_access(s.map().host_base, false, true);
     }
 
     #[test]

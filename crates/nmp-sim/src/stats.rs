@@ -1,5 +1,5 @@
 //! Simulation statistics: cache hit/miss counters, DRAM traffic per vault,
-//! MMIO traffic, and a simple energy estimate.
+//! MMIO traffic and offload-runtime telemetry.
 //!
 //! The "DRAM reads" counter is the metric plotted in Figs. 5b, 6b and 9 of
 //! the paper: the number of read bursts serviced by the DRAM vaults.
@@ -241,9 +241,6 @@ pub struct StatsSnapshot {
     /// no analysis is attached). Cumulative —
     /// not cleared by `reset_stats`.
     pub races_detected: u64,
-    /// Region-policy violations recorded by the attached lint (same
-    /// caveats as `races_detected`).
-    pub policy_violations: u64,
     /// Offload-runtime telemetry (publication-list lifecycle counters).
     pub offload: OffloadStats,
 }
@@ -314,29 +311,8 @@ impl StatsSnapshot {
             nmp_buffer_hits: sub("nmp_buffer_hits", self.nmp_buffer_hits, earlier.nmp_buffer_hits),
             main_vaults: self.main_vaults,
             races_detected: sub("races_detected", self.races_detected, earlier.races_detected),
-            policy_violations: sub(
-                "policy_violations",
-                self.policy_violations,
-                earlier.policy_violations,
-            ),
             offload: self.offload.delta_since(&earlier.offload),
         }
-    }
-
-    /// Simple energy estimate in nanojoules, using per-event energies in the
-    /// range reported for HMC-class devices. The paper defers its energy
-    /// analysis to the first author's dissertation; this extension lets the
-    /// harness report the same directional claim (fewer DRAM accesses =>
-    /// less energy).
-    pub fn energy_nj(&self) -> f64 {
-        const E_L1: f64 = 0.01; // nJ per L1 access
-        const E_L2: f64 = 0.05; // nJ per L2 access
-        const E_DRAM: f64 = 3.0; // nJ per DRAM burst (HMC-internal)
-        const E_MMIO: f64 = 1.0; // nJ per off-chip MMIO transaction
-        self.l1.accesses() as f64 * E_L1
-            + self.l2.accesses() as f64 * E_L2
-            + (self.dram_reads() + self.dram_writes()) as f64 * E_DRAM
-            + (self.mmio_reads + self.mmio_writes) as f64 * E_MMIO
     }
 }
 
@@ -378,13 +354,6 @@ mod tests {
         assert_eq!(c.hit_rate(), 0.0);
         let c = CacheStats { hits: 3, misses: 1, ..Default::default() };
         assert!((c.hit_rate() - 0.75).abs() < 1e-12);
-    }
-
-    #[test]
-    fn energy_monotone_in_dram() {
-        let lo = snap(1, 0);
-        let hi = snap(100, 0);
-        assert!(hi.energy_nj() > lo.energy_nj());
     }
 
     #[test]

@@ -74,7 +74,6 @@ fn main() {
         stats.nmp_dram_reads()
     );
     println!("  MMIO (publication list) ops: {}", stats.mmio_reads + stats.mmio_writes);
-    println!("  modeled energy: {:.1} nJ", stats.energy_nj());
 
     index.check_invariants();
     println!("\ninvariants OK; {} live keys", index.collect().len());

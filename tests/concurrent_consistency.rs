@@ -100,7 +100,8 @@ fn run_checked<S: SimIndex>(
     }
     sim.run();
 
-    // Checker 1: no data races, no region-policy violations.
+    // Checker 1: no data races (a region-policy violation would have
+    // panicked).
     analysis.report().assert_clean();
 
     // Checker 2: the history must linearize against the initial contents.

@@ -176,7 +176,8 @@ fn run_conformance<S: SimIndex>(
     }
     sim.run();
 
-    // Contract 1: no data races, no region-policy violations.
+    // Contract 1: no data races (a region-policy violation would have
+    // panicked).
     analysis.report().assert_clean();
 
     // Contract 2: the point-op history linearizes.
@@ -261,7 +262,8 @@ fn pqueue_conformance(inflight: usize, policy: Policy) {
     }
     sim.run();
 
-    // Contract 1: no data races, no region-policy violations.
+    // Contract 1: no data races (a region-policy violation would have
+    // panicked).
     analysis.report().assert_clean();
 
     // Contract 2 (pqueue form): structural invariants + pop-order replay.
